@@ -4,7 +4,6 @@ deterministic quadrature of its moment integrals, and classification of
 the L2 phase transition at Hurst * dim = 2.
 """
 
-from ._backend import backend_name
 from .covkernel import (
     ModelConfig,
     TimeQuadruple,
@@ -26,6 +25,7 @@ from .fbmgen import (
     sample_cholesky,
     sample_circulant,
     sample_pair,
+    sample_paths,
 )
 from .iltmc import MomentEstimate, SmoothingEps, grid_for_eps, heat_kernel, ilt_epsilon, mc_moments
 from .phasescan import EpsSchedule, PhasePoint, SweepSeries, classify, phase_grid, sweep
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "backend_name",
     "ModelConfig",
     "TimeQuadruple",
     "cov_rh",
@@ -67,6 +66,7 @@ __all__ = [
     "sample_cholesky",
     "sample_circulant",
     "sample_pair",
+    "sample_paths",
     "SmoothingEps",
     "MomentEstimate",
     "heat_kernel",

@@ -312,7 +312,8 @@ def _run_sweep(rc: RunConfig) -> int:
     with_mc = rc.reps is not None
     mc_params = {"reps": rc.reps, "seed": rc.seed, "method": rc.method,
                  "workers": rc.workers, "grid_n": rc.grid_n} if with_mc else None
-    series = sweep(cfg, _schedule(rc, cfg), with_mc=with_mc, mc_params=mc_params)
+    tol = {} if rc.tol is None else {"quad_rel_tol": rc.tol}
+    series = sweep(cfg, _schedule(rc, cfg), with_mc=with_mc, mc_params=mc_params, **tol)
     rows = [_row_dict(r) for r in series.rows]
     csv_rows = [[r[k] for k in _SWEEP_HEADER] for r in rows]
     _emit(rc, _report(rc, {"rows": rows}), csv_rows=csv_rows, csv_header=_SWEEP_HEADER)
@@ -324,7 +325,8 @@ def _run_sweep(rc: RunConfig) -> int:
 
 def _run_phase(rc: RunConfig) -> int:
     cfg0 = ModelConfig(hurst=rc.hurst[0], dim=rc.dim[0], horizon=rc.horizon)
-    points = phase_grid(rc.hurst, rc.dim, _schedule(rc, cfg0))
+    tol = {} if rc.tol is None else {"quad_rel_tol": rc.tol}
+    points = phase_grid(rc.hurst, rc.dim, _schedule(rc, cfg0), horizon=rc.horizon, **tol)
     rows = []
     summaries = []
     status = 0

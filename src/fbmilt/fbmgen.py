@@ -4,9 +4,10 @@ Two samplers of the same Gaussian law: a dense Cholesky factorization of
 the covariance matrix (the correctness reference, any grid up to 4096
 steps) and Davies-Harte circulant embedding of the fractional Gaussian
 noise autocovariance (O(n log n), uniform grids).  Coordinates are
-independent one-dimensional fBms; pairs use disjoint child streams of a
-counter-based generator so replications are reproducible regardless of
-how they are distributed over workers.
+independent one-dimensional fBms.  ``sample_paths`` draws a whole batch
+of paths from one stream with one matrix product or one FFT; the
+single-path samplers are its count = 1 case.  Pairs use disjoint child
+streams of a counter-based generator.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "sample_cholesky",
     "sample_circulant",
     "sample_pair",
+    "sample_paths",
     "path_to_csv",
 ]
 
@@ -101,24 +103,24 @@ def _cholesky_factor(hurst, n):
         ) from exc
 
 
-def sample_cholesky(grid: TimeGrid, cfg: ModelConfig, stream) -> FbmPath:
-    """Exact fBm path by dense Cholesky factorization.
+def _cholesky_paths(grid, cfg, rng, count):
+    """(count, n+1, d) paths from one ``L @ Z`` product.
 
     The factor is computed on the unit grid and scaled by horizon^H
-    (self-similarity), so it is cached across horizons.
+    (self-similarity), so it is cached across horizons.  Column
+    ``p * d + j`` of Z drives coordinate j of path p.
     """
-    if grid.n_steps > _CHOLESKY_MAX_STEPS:
+    n, d = grid.n_steps, cfg.dim
+    if n > _CHOLESKY_MAX_STEPS:
         raise ParameterError(
-            f"cholesky sampler limited to {_CHOLESKY_MAX_STEPS} steps, "
-            f"got {grid.n_steps}"
+            f"cholesky sampler limited to {_CHOLESKY_MAX_STEPS} steps, got {n}"
         )
-    rng = _as_generator(stream)
-    n = grid.n_steps
     L = _cholesky_factor(cfg.hurst, n)
-    z = rng.standard_normal((n, cfg.dim))
-    values = np.zeros((n + 1, cfg.dim))
-    values[1:] = grid.horizon**cfg.hurst * (L @ z)
-    return FbmPath(grid=grid, hurst=cfg.hurst, values=values)
+    lz = L @ rng.standard_normal((n, count * d))
+    lz *= grid.horizon**cfg.hurst
+    values = np.zeros((count, n + 1, d))
+    values[:, 1:] = lz.reshape(n, count, d).transpose(1, 0, 2)
+    return values
 
 
 @lru_cache(maxsize=32)
@@ -139,15 +141,18 @@ def _circulant_eigenvalues(hurst, n):
     return np.maximum(lam, 0.0)
 
 
-def sample_circulant(grid: TimeGrid, cfg: ModelConfig, stream) -> FbmPath:
-    """Exact fBm path by circulant embedding of fractional Gaussian noise.
+def _circulant_paths(grid, cfg, rng, count):
+    """(count, n+1, d) paths from one FFT (Davies & Harte, 1987).
 
-    Unit-spacing fGn is synthesized by FFT from the circulant eigenvalues
-    and rescaled by step^H; the path is its cumulative sum.  Falls back to
-    the Cholesky sampler with a warning if the embedding fails.
+    With W a vector of 2n i.i.d. standard complex normals, the real and
+    imaginary parts of the first n entries of FFT(sqrt(lam / 2n) W) are
+    two independent exact unit-spacing fGn draws.  FFT row i gives draws
+    2i (real part) and 2i + 1 (imaginary part); draw ``p * d + j`` is
+    coordinate j of path p.  Each draw is rescaled by step^H and summed
+    into a path.  Falls back to the Cholesky sampler with a warning if
+    the embedding fails.
     """
-    rng = _as_generator(stream)
-    n = grid.n_steps
+    n, d = grid.n_steps, cfg.dim
     lam = _circulant_eigenvalues(cfg.hurst, n)
     if lam is None:
         warnings.warn(
@@ -155,35 +160,62 @@ def sample_circulant(grid: TimeGrid, cfg: ModelConfig, stream) -> FbmPath:
             "falling back to the cholesky sampler",
             RuntimeWarning,
         )
-        return sample_cholesky(grid, cfg, rng)
+        return _cholesky_paths(grid, cfg, rng, count)
     m = 2 * n
-    scale = grid.step**cfg.hurst
-    values = np.zeros((n + 1, cfg.dim))
-    for j in range(cfg.dim):
-        a = np.zeros(m, dtype=complex)
-        a[0] = np.sqrt(lam[0] / m) * rng.standard_normal()
-        a[n] = np.sqrt(lam[n] / m) * rng.standard_normal()
-        zr = rng.standard_normal(n - 1)
-        zi = rng.standard_normal(n - 1)
-        coef = np.sqrt(lam[1:n] / (2.0 * m))
-        a[1:n] = coef * (zr + 1j * zi)
-        a[n + 1:] = np.conj(a[1:n][::-1])
-        fgn = np.fft.fft(a)[:n].real
-        values[1:, j] = np.cumsum(scale * fgn)
+    draws = count * d
+    rows = (draws + 1) // 2
+    z = rng.standard_normal((rows, m, 2)).view(complex)[..., 0]
+    z *= np.sqrt(lam / m)
+    z = np.fft.fft(z)[:, :n]
+    fgn = np.empty((2 * rows, n))
+    fgn[0::2] = z.real
+    fgn[1::2] = z.imag
+    del z  # frees the FFT buffer before the paths are allocated
+    fgn = fgn[:draws]
+    fgn *= grid.step**cfg.hurst
+    np.cumsum(fgn, axis=1, out=fgn)
+    values = np.zeros((count, n + 1, d))
+    values[:, 1:] = fgn.reshape(count, d, n).transpose(0, 2, 1)
+    return values
+
+
+_SAMPLERS = {"cholesky": _cholesky_paths, "circulant": _circulant_paths}
+
+
+def sample_paths(grid: TimeGrid, cfg: ModelConfig, stream, count: int,
+                 method: str = "circulant") -> np.ndarray:
+    """``count`` independent exact fBm paths from one stream, as an array
+    of shape (count, n_steps + 1, dim) whose [:, 0] is 0.
+
+    All paths come from one matrix product (cholesky) or one FFT
+    (circulant), so sampling a batch costs little more than its
+    arithmetic.  The single-path samplers are the count = 1 case.
+    """
+    if method not in _SAMPLERS:
+        raise ParameterError(f"method must be one of {sorted(_SAMPLERS)}, got {method!r}")
+    return _SAMPLERS[method](grid, cfg, _as_generator(stream), count)
+
+
+def _one_path(grid, cfg, stream, method) -> FbmPath:
+    values = sample_paths(grid, cfg, stream, 1, method)[0]
     return FbmPath(grid=grid, hurst=cfg.hurst, values=values)
 
 
-_SAMPLERS = {"cholesky": sample_cholesky, "circulant": sample_circulant}
+def sample_cholesky(grid: TimeGrid, cfg: ModelConfig, stream) -> FbmPath:
+    """Exact fBm path by dense Cholesky factorization."""
+    return _one_path(grid, cfg, stream, "cholesky")
+
+
+def sample_circulant(grid: TimeGrid, cfg: ModelConfig, stream) -> FbmPath:
+    """Exact fBm path by circulant embedding of fractional Gaussian noise."""
+    return _one_path(grid, cfg, stream, "circulant")
 
 
 def sample_pair(grid: TimeGrid, cfg: ModelConfig, seed, method="circulant") -> FbmPathPair:
     """Two independent paths from disjoint child streams of one seed.
 
-    ``seed`` may be an integer or a numpy SeedSequence (the latter is how
-    Monte Carlo replications address per-replication streams).
+    ``seed`` may be an integer or a numpy SeedSequence.
     """
-    if method not in _SAMPLERS:
-        raise ParameterError(f"method must be one of {sorted(_SAMPLERS)}, got {method!r}")
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
         seed_field = int(ss.entropy if np.isscalar(ss.entropy) else ss.entropy[0])
@@ -191,9 +223,8 @@ def sample_pair(grid: TimeGrid, cfg: ModelConfig, seed, method="circulant") -> F
         ss = np.random.SeedSequence(int(seed))
         seed_field = int(seed)
     child_first, child_second = ss.spawn(2)
-    sampler = _SAMPLERS[method]
-    first = sampler(grid, cfg, child_first)
-    second = sampler(grid, cfg, child_second)
+    first = _one_path(grid, cfg, child_first, method)
+    second = _one_path(grid, cfg, child_second, method)
     return FbmPathPair(first=first, second=second, seed=seed_field)
 
 

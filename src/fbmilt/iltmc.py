@@ -2,11 +2,22 @@
 path pairs and moment estimation across replications.
 
 I_eps of a path pair is the tensor-product trapezoid discretization of
-the double time integral of the heat kernel of the path difference.  Its
-kernel sum is the hot loop and is delegated to the selected backend.
-Replications are addressed by per-replication child streams of one seed
-and accumulated in fixed-size chunks merged in index order, so results
-do not depend on the worker count.
+the double time integral of the heat kernel of the path difference.
+``gauss_weight_sum`` computes its kernel sum for a batch of pairs at
+once, in blocks of whole pairs, or of rows of one pair, that each hold
+at most ``_BLOCK_BYTES`` (8 MiB) of float64 distances.
+
+Replications are addressed per chunk: chunk k holds replications
+k * _CHUNK .. (k + 1) * _CHUNK - 1 and draws all of its paths from one
+Philox stream keyed by (seed, k).  The chunk samples its paths with one
+matrix product or FFT and sums them with one kernel call, unless the
+sampler's FFT buffer would exceed the same 8 MiB (for a full chunk, when
+d n > 1024); then it does so for consecutive sub-batches that fit,
+drawn in order from the chunk's stream.  Each chunk returns the count,
+mean and sum of squared deviations of I_eps and of I_eps^2, and the
+chunks are merged in index order with the pairwise update of Chan,
+Golub & LeVeque (1979), so results do not depend on the worker count and
+the variance does not cancel when it is small against the squared mean.
 """
 
 from __future__ import annotations
@@ -15,18 +26,20 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from ._backend import gauss_weight_sum
 from .covkernel import ModelConfig
 from .errors import ParameterError
-from .fbmgen import FbmPathPair, TimeGrid, sample_pair
+# sample_pair is not called here; perfbench/tracing.py wraps it as iltmc.sample_pair.
+from .fbmgen import FbmPathPair, TimeGrid, sample_pair, sample_paths  # noqa: F401
 
 __all__ = [
     "SmoothingEps",
     "MomentEstimate",
     "heat_kernel",
+    "gauss_weight_sum",
     "ilt_epsilon",
     "grid_for_eps",
     "mc_moments",
@@ -34,6 +47,7 @@ __all__ = [
 
 GRID_CAP = 4096
 _CHUNK = 256
+_BLOCK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,46 @@ def heat_kernel(x, eps, dim: int):
     return out if np.ndim(out) else float(out)
 
 
+def gauss_weight_sum(x, y, wx, wy, eps) -> np.ndarray:
+    """sum_{i,j} wx_i wy_j exp(-|x_{p,i} - y_{p,j}|^2 / (2 eps)) for each pair p.
+
+    x: (r, n, d), y: (r, m, d), wx: (n,), wy: (m,).  Returns an array of
+    r sums; the caller applies the (2 pi eps)^(-d/2) normalization.  The
+    squared distances are formed through a matrix product so the
+    O(r n m d) work runs inside BLAS, in blocks of whole pairs when one
+    pair fits under _BLOCK_BYTES and in blocks of rows of one pair
+    otherwise.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    wx = np.asarray(wx, dtype=float)
+    wy = np.asarray(wy, dtype=float)
+    r, n, _ = x.shape
+    m = y.shape[1]
+    xx = np.einsum("pid,pid->pi", x, x)
+    yy = np.einsum("pjd,pjd->pj", y, y)
+    yt = y.transpose(0, 2, 1)
+    inv = 0.5 / eps
+    rows = max(1, min(n, _BLOCK_BYTES // (8 * m)))
+    pairs = max(1, _BLOCK_BYTES // (8 * m * n)) if rows == n else 1
+    buf = np.empty(min(pairs, r) * rows * m)
+    out = np.zeros(r)
+    for p0 in range(0, r, pairs):
+        p1 = min(p0 + pairs, r)
+        for i0 in range(0, n, rows):
+            i1 = min(i0 + rows, n)
+            sq = buf[:(p1 - p0) * (i1 - i0) * m].reshape(p1 - p0, i1 - i0, m)
+            np.matmul(x[p0:p1, i0:i1], yt[p0:p1], out=sq)
+            sq *= -2.0
+            sq += xx[p0:p1, i0:i1, None]
+            sq += yy[p0:p1, None, :]
+            np.maximum(sq, 0.0, out=sq)
+            sq *= -inv
+            np.exp(sq, out=sq)
+            out[p0:p1] += (sq @ wy) @ wx[i0:i1]
+    return out
+
+
 def ilt_epsilon(pair: FbmPathPair, eps) -> float:
     """Trapezoid discretization of int int p_eps(B_t - B~_s) ds dt >= 0."""
     e = _eps_value(eps)
@@ -74,8 +128,8 @@ def ilt_epsilon(pair: FbmPathPair, eps) -> float:
     if first.grid != second.grid or first.dim != second.dim:
         raise ParameterError("the two paths must share grid and dimension")
     w = first.grid.trapezoid_weights()
-    raw = gauss_weight_sum(first.values, second.values, w, w, e)
-    return (2.0 * math.pi * e) ** (-0.5 * first.dim) * raw
+    raw = gauss_weight_sum(first.values[None], second.values[None], w, w, e)[0]
+    return (2.0 * math.pi * e) ** (-0.5 * first.dim) * float(raw)
 
 
 def grid_for_eps(eps, cfg: ModelConfig, cap: int = GRID_CAP) -> int:
@@ -97,20 +151,43 @@ def grid_for_eps(eps, cfg: ModelConfig, cap: int = GRID_CAP) -> int:
     return n
 
 
-def _chunk_sums(cfg, e, grid, seed, method, rep_lo, rep_hi):
-    s1 = s2 = s4 = 0.0
-    for rep in range(rep_lo, rep_hi):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
-        pair = sample_pair(grid, cfg, ss, method=method)
-        val = ilt_epsilon(pair, e)
-        s1 += val
-        s2 += val * val
-        s4 += (val * val) * (val * val)
-    return s1, s2, s4
+def _moments(values):
+    """(count, mean, sum of squared deviations) of ``values``, two-pass."""
+    mean = float(np.mean(values))
+    dev = values - mean
+    return len(values), mean, float(dev @ dev)
 
 
-def _chunk_sums_star(args):
-    return _chunk_sums(*args)
+def _merge(a, b):
+    """Pairwise update of Chan, Golub & LeVeque (1979) for two
+    (count, mean, sum of squared deviations) triples."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * (na * nb / n)
+
+
+def _chunk_moments(cfg, e, grid, seed, method, index, count):
+    """Moments of I_eps and of I_eps^2 over the ``count`` replications of
+    chunk ``index``, all drawn from the chunk's own stream."""
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+    w = grid.trapezoid_weights()
+    # bytes of one replication's circulant FFT buffer: its 2d draws take
+    # d FFT rows of 2n complex128 entries
+    batch = max(1, _BLOCK_BYTES // (32 * cfg.dim * grid.n_steps))
+    raw = np.empty(count)
+    for lo in range(0, count, batch):
+        b = min(batch, count - lo)
+        paths = sample_paths(grid, cfg, rng, 2 * b, method)
+        raw[lo:lo + b] = gauss_weight_sum(paths[:b], paths[b:], w, w, e)
+    vals = (2.0 * math.pi * e) ** (-0.5 * cfg.dim) * raw
+    return _moments(vals), _moments(vals * vals)
+
+
+def _chunk_moments_star(args):
+    return _chunk_moments(*args)
 
 
 @dataclass(frozen=True)
@@ -128,35 +205,28 @@ def mc_moments(cfg: ModelConfig, eps, grid: TimeGrid, replications: int,
                seed: int, method: str = "circulant", workers: int = 1) -> MomentEstimate:
     """Estimate E[I_eps] and E[I_eps^2] over i.i.d. replications.
 
-    Standard errors are sample standard deviations over replications
-    divided by sqrt(replications); the one for the second moment comes
-    from the fourth-moment accumulator.
+    ``variance`` is the population variance of I_eps over the
+    replications.  Standard errors are the population standard deviations
+    of I_eps and of I_eps^2 divided by sqrt(replications).
     """
     if replications < 2:
         raise ParameterError(f"replications must be >= 2, got {replications}")
     e = _eps_value(eps)
     chunks = [
-        (cfg, e, grid, seed, method, lo, min(lo + _CHUNK, replications))
-        for lo in range(0, replications, _CHUNK)
+        (cfg, e, grid, seed, method, k, min(_CHUNK, replications - lo))
+        for k, lo in enumerate(range(0, replications, _CHUNK))
     ]
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_sums_star, chunks))
+            parts = list(pool.map(_chunk_moments_star, chunks))
     else:
-        parts = [_chunk_sums_star(c) for c in chunks]
-    s1 = s2 = s4 = 0.0
-    for p1, p2, p4 in parts:
-        s1 += p1
-        s2 += p2
-        s4 += p4
-    r = replications
-    mean = s1 / r
-    second = s2 / r
-    fourth = s4 / r
-    variance = second - mean * mean
-    se_mean = math.sqrt(max(variance, 0.0) / r)
-    se_second = math.sqrt(max(fourth - second * second, 0.0) / r)
+        parts = [_chunk_moments_star(c) for c in chunks]
+    r, mean, m2_first = reduce(_merge, (first for first, _ in parts))
+    _, second, m2_second = reduce(_merge, (sq for _, sq in parts))
+    variance = m2_first / r
     return MomentEstimate(
         mean=mean, second_moment=second, variance=variance,
-        se_mean=se_mean, se_second=se_second, replications=r, seed=seed,
+        se_mean=math.sqrt(variance / r),
+        se_second=math.sqrt(m2_second / r / r),
+        replications=r, seed=seed,
     )

@@ -276,8 +276,9 @@ def classify(series: SweepSeries, cfg: ModelConfig) -> PhasePoint:
 
 
 def phase_grid(hs, ds, schedule: Optional[EpsSchedule] = None,
-               quad_rel_tol: float = 3e-4):
-    """classify(sweep(...)) over the lexicographic (hurst, dim) grid.
+               quad_rel_tol: float = 3e-4, horizon: float = 1.0):
+    """classify(sweep(...)) over the lexicographic (hurst, dim) grid, every
+    point on the time horizon ``horizon``.
 
     Failures are recorded as PhaseError entries in place of the point.
     """
@@ -286,7 +287,7 @@ def phase_grid(hs, ds, schedule: Optional[EpsSchedule] = None,
     out = []
     for h in hs:
         for d in ds:
-            cfg = ModelConfig(hurst=h, dim=d)
+            cfg = ModelConfig(hurst=h, dim=d, horizon=horizon)
             try:
                 series = sweep(cfg, schedule, quad_rel_tol=quad_rel_tol)
                 out.append(classify(series, cfg))

@@ -145,7 +145,7 @@ class TestPhaseCommand:
     def test_indeterminate_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             cli, "phase_grid",
-            lambda hs, ds, schedule: [PhaseError(0.5, 2, "tie", "indeterminate")],
+            lambda hs, ds, schedule, **kw: [PhaseError(0.5, 2, "tie", "indeterminate")],
         )
         code = run_main(["phase", "--hurst", "0.5", "--dim", "2",
                          "--out", str(tmp_path / "p.json")])
@@ -159,6 +159,28 @@ class TestPhaseCommand:
         code = run_main(["moments", "--hurst", "0.5", "--dim", "2", "--eps", "1",
                          "--out", str(tmp_path / "m.json")])
         assert code == 3
+
+
+class _Reached(Exception):
+    """Stops a command at its first m2 call."""
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["phase", "--horizon", "2", "--tol", "1e-3"], (2.0, 1e-3)),
+    (["sweep", "--horizon", "2", "--tol", "1e-3"], (2.0, 1e-3)),
+    (["phase"], (1.0, 3e-4)),
+], ids=["phase", "sweep", "phase-defaults"])
+def test_horizon_and_tol_reach_m2(monkeypatch, tmp_path, argv, want):
+    seen = []
+
+    def m2(eps, cfg, rel_tol):
+        seen.append((cfg.horizon, rel_tol))
+        raise _Reached
+
+    monkeypatch.setattr(cli.quadmoments, "m2", m2)
+    with pytest.raises(_Reached):
+        run_main(argv + ["--hurst", "0.5", "--dim", "2", "--out", str(tmp_path / "r.json")])
+    assert seen == [want]
 
 
 class TestSimulateCommand:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, norm
 
 from fbmilt.covkernel import ModelConfig, cov_rh
 from fbmilt.errors import ParameterError
@@ -14,6 +14,7 @@ from fbmilt.fbmgen import (
     sample_cholesky,
     sample_circulant,
     sample_pair,
+    sample_paths,
 )
 
 
@@ -126,6 +127,41 @@ class TestCirculant:
         c = np.corrcoef(last.T)
         off = c[np.triu_indices(3, 1)]
         assert np.all(np.abs(off) <= 4.0 / math.sqrt(R))
+
+
+def _max_z(a, b, var, cross):
+    """Worst |z| over the entries of the sample cross-covariance of the rows
+    of ``a`` and ``b`` against ``cross``: zero-mean Gaussian vectors whose
+    entries all have variance ``var``."""
+    reps = len(a)
+    c_hat = a.T @ b / reps
+    se = np.sqrt((np.outer(var, var) + cross * cross) / reps)
+    return float((np.abs(c_hat - cross) / se).max())
+
+
+@pytest.mark.parametrize("method", ["cholesky", "circulant"])
+def test_batch_law_and_independence(method):
+    # one batch of 2R paths, laid out as Monte Carlo uses it: the first R
+    # and the last R paths are the two halves of R pairs.  Draw p*d + j is
+    # coordinate j of path p; the circulant sampler takes draws 2i and
+    # 2i + 1 from the real and imaginary parts of one FFT row, and d = 3
+    # makes those partners both coordinates of one path and of adjacent
+    # paths.
+    cfg, grid, R = ModelConfig(0.6, 3), TimeGrid(1.0, 8), 6000
+    paths = sample_paths(grid, cfg, _rng(11), 2 * R, method)
+    assert paths.shape == (2 * R, 9, 3)
+    np.testing.assert_array_equal(paths[:, 0], 0.0)
+    vals = paths[:, 1:]
+    t = grid.times[1:]
+    cov = cov_rh(t[:, None], t[None, :], cfg.hurst)
+    zero = np.zeros_like(cov)
+    draws = vals.transpose(0, 2, 1).reshape(-1, grid.n_steps)
+    checks = [(draws, draws, cov), (draws[0::2], draws[1::2], zero)]
+    checks += [(vals[:, :, j], vals[:, :, k], zero) for j, k in [(0, 1), (0, 2), (1, 2)]]
+    checks += [(vals[:R, :, j], vals[R:, :, j], zero) for j in range(3)]
+    z_star = norm.ppf(1.0 - 0.01 / (2 * len(checks) * cov.size))
+    for a, b, want in checks:
+        assert _max_z(a, b, np.diag(cov), want) <= z_star
 
 
 class TestSamplePair:

@@ -1,13 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from fbmilt import iltmc
 from fbmilt.covkernel import ModelConfig
 from fbmilt.errors import ParameterError
 from fbmilt.fbmgen import FbmPath, FbmPathPair, TimeGrid, sample_pair
 from fbmilt.iltmc import (
     SmoothingEps,
+    gauss_weight_sum,
     grid_for_eps,
     heat_kernel,
     ilt_epsilon,
@@ -60,6 +63,44 @@ class TestHeatKernel:
             heat_kernel(np.zeros(2), 0.0, 2)
         with pytest.raises(ParameterError):
             SmoothingEps(-1.0)
+
+
+def _double_loop(x, y, wx, wy, eps):
+    """sum_{i,j} wx_i wy_j exp(-|x_i - y_j|^2 / (2 eps)) for one pair."""
+    total = 0.0
+    for xi, wi in zip(x.tolist(), wx.tolist()):
+        for yj, wj in zip(y.tolist(), wy.tolist()):
+            sq = sum((a - b) ** 2 for a, b in zip(xi, yj))
+            total += wi * wj * math.exp(-sq / (2.0 * eps))
+    return total
+
+
+def _kernel_inputs(r, n, d):
+    rng = np.random.default_rng(100 * n + 10 * d + r)
+    return (rng.normal(size=(r, n, d)), rng.normal(size=(r, n, d)),
+            rng.random(n), rng.random(n))
+
+
+class TestGaussWeightSum:
+    @pytest.mark.parametrize("r", [1, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 7, 64, 300])
+    def test_matches_double_loop(self, n, d, r):
+        x, y, wx, wy = _kernel_inputs(r, n, d)
+        got = gauss_weight_sum(x, y, wx, wy, 0.3)
+        assert got.shape == (r,)
+        for p in range(r):
+            assert got[p] == pytest.approx(_double_loop(x[p], y[p], wx, wy, 0.3), rel=1e-10)
+
+    @pytest.mark.parametrize("cap_rows", [7, 64, 2 * 64])
+    def test_blocks_agree(self, monkeypatch, cap_rows):
+        # caps of 7 rows, one pair and two pairs of a 64-point grid: row
+        # blocks with a short last block, one pair per block, and pair
+        # blocks with a short last block
+        x, y, wx, wy = _kernel_inputs(5, 64, 3)
+        whole = gauss_weight_sum(x, y, wx, wy, 0.3)
+        monkeypatch.setattr(iltmc, "_BLOCK_BYTES", 8 * 64 * cap_rows)
+        np.testing.assert_allclose(gauss_weight_sum(x, y, wx, wy, 0.3), whole, rtol=1e-13)
 
 
 class TestIltEpsilon:
@@ -129,6 +170,17 @@ class TestMcMoments:
             est.second_moment - est.mean**2, rel=1e-12
         )
         assert est.variance >= 0.0
+
+    def test_merge_is_stable(self):
+        # a spread far below the mean: s2/r - mean^2 loses every digit here
+        rng = np.random.default_rng(2)
+        values = 1e6 + rng.normal(0.0, 1e-3, 1000)
+        bounds = [0, 1, 4, 260, 517, 518, 900, 1000]
+        parts = [iltmc._moments(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+        count, mean, m2 = functools.reduce(iltmc._merge, parts)
+        assert count == 1000
+        assert mean == pytest.approx(values.mean(), rel=1e-15)
+        assert m2 / count == pytest.approx(np.var(values), rel=1e-6)
 
     def test_se_scales_with_replications(self):
         grid = TimeGrid(1.0, 16)
