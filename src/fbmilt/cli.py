@@ -187,6 +187,8 @@ def _quad_dict(res) -> dict:
         "error": _num(res.error_estimate),
         "diverged": bool(res.diverged),
         "evidence": res.divergence_evidence,
+        "status": res.status,
+        "nevals": res.nevals,
     }
 
 

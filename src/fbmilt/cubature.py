@@ -1,10 +1,16 @@
 """Globally adaptive cubature with an embedded-rule error estimator.
 
 Genz-Malik degree-7 rule with the embedded degree-5 estimate, over
-axis-aligned cells of a hyper-rectangle.  Cells live in a priority queue
-keyed by their error estimate; the worst batch is bisected along the
-direction of largest fourth divided difference.  Integrands are called
-vectorized on an (npoints, ndim) array.
+axis-aligned cells of a hyper-rectangle.  Cells live in flat arrays
+indexed by creation order (bounds ``lo``/``hi`` of shape (cap, ndim), and
+``value``, ``error``, ``split_dim`` and ``alive`` of shape (cap,)), which
+grow by doubling.  Each refinement step takes the ``_BATCH`` alive,
+splittable cells of largest error, ties going to the older cell, and
+bisects all of them at once along each cell's direction of largest
+fourth divided difference.  The running value and error are updated in
+that order: every split cell subtracted, then every new cell added.
+Integrands are called vectorized on an (npoints, ndim) array whose
+columns are contiguous.
 
 The error estimate is conservative (a straight sum of per-cell embedded
 differences), so `status == "budget"` does not necessarily mean the value
@@ -13,13 +19,14 @@ is bad -- callers that only need the value may accept budget results.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["CubatureResult", "integrate", "genz_malik_rule"]
+
+_BATCH = 128  # cells bisected per refinement step
 
 
 @dataclass
@@ -103,6 +110,12 @@ def _initial_cells(lo, hi, init_splits):
     return clo, chi
 
 
+def _grown(a, cap):
+    out = np.empty((cap,) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
 def integrate(
     f,
     lo,
@@ -112,7 +125,6 @@ def integrate(
     max_evals=10_000_000,
     init_splits=None,
     min_width_frac=1e-10,
-    batch=128,
 ):
     """Adaptively integrate ``f`` over the box [lo, hi].
 
@@ -126,48 +138,42 @@ def integrate(
     ndim = len(lo)
     pts, w7, w5 = genz_malik_rule(ndim)
     npts = len(pts)
+    pts_t = np.ascontiguousarray(pts.T)
     ratio = (9.0 / 10.0) / (9.0 / 70.0)  # lambda3^2 / lambda2^2
-    g1 = [(1 + 2 * i, 2 + 2 * i) for i in range(ndim)]
-    g2 = [(1 + 2 * ndim + 2 * i, 2 + 2 * ndim + 2 * i) for i in range(ndim)]
+    g1 = 1 + 2 * np.arange(ndim)  # the +/- lambda2 points of each axis: g1, g1 + 1
+    g2 = g1 + 2 * ndim  # the +/- lambda3 points: g2, g2 + 1
     min_width = min_width_frac * (hi - lo)
 
     def eval_cells(clo, chi):
         m = len(clo)
         cen = 0.5 * (clo + chi)
         hw = 0.5 * (chi - clo)
-        x = cen[:, None, :] + hw[:, None, :] * pts[None, :, :]
-        vals = np.asarray(f(x.reshape(-1, ndim)), dtype=float).reshape(m, npts)
+        # coordinate-major, so each column x[:, k] the integrand reads is contiguous
+        x = np.multiply(hw.T[:, :, None], pts_t[:, None, :], order="C")
+        x += cen.T[:, :, None]
+        vals = np.asarray(f(x.reshape(ndim, -1).T), dtype=float).reshape(m, npts)
         vol = np.prod(hw, axis=1)
         i7 = (vals * w7).sum(axis=1) * vol
         i5 = (vals * w5).sum(axis=1) * vol
         err = np.abs(i7 - i5)
-        fc = vals[:, 0]
-        diffs = np.empty((m, ndim))
-        for i in range(ndim):
-            p1, p2 = g1[i]
-            p3, p4 = g2[i]
-            diffs[:, i] = np.abs(
-                vals[:, p3] + vals[:, p4] - 2 * fc - ratio * (vals[:, p1] + vals[:, p2] - 2 * fc)
-            )
-        width = chi - clo
-        diffs = np.where(width > min_width[None, :], diffs, -1.0)
+        fc = vals[:, :1]
+        diffs = np.abs(
+            vals[:, g2] + vals[:, g2 + 1] - 2 * fc - ratio * (vals[:, g1] + vals[:, g1 + 1] - 2 * fc)
+        )
+        diffs = np.where(chi - clo > min_width[None, :], diffs, -1.0)
         split_dim = np.argmax(diffs, axis=1)
         splittable = diffs.max(axis=1) >= 0.0
         return i7, err, split_dim, splittable
 
     clo, chi = _initial_cells(lo, hi, init_splits)
-    vals0, errs0, sd0, sp0 = eval_cells(clo, chi)
-    nevals = len(clo) * npts
-    cell_lo = list(clo)
-    cell_hi = list(chi)
-    vals = list(vals0)
-    errs = list(errs0)
-    sds = list(sd0)
-    alive = list(sp0)
-    heap = [(-errs0[i], i) for i in range(len(vals0)) if sp0[i]]
-    heapq.heapify(heap)
-    total = float(np.sum(vals0))
-    toterr = float(np.sum(errs0))
+    n = len(clo)
+    cap = n + 2 * _BATCH
+    cell_lo = _grown(clo, cap)
+    cell_hi = _grown(chi, cap)
+    value, error, split_dim, alive = (_grown(a, cap) for a in eval_cells(clo, chi))
+    nevals = n * npts
+    total = float(np.sum(value[:n]))
+    toterr = float(np.sum(error[:n]))
     status = "converged"
 
     while True:
@@ -176,43 +182,47 @@ def integrate(
         if nevals >= max_evals:
             status = "budget"
             break
-        popped = []
-        while heap and len(popped) < batch:
-            _, i = heapq.heappop(heap)
-            if alive[i]:
-                popped.append(i)
-        if not popped:
+        # the _BATCH live cells of largest error, ties to the older cell
+        sel = np.flatnonzero(alive[:n])
+        if len(sel) > _BATCH:
+            err = error[sel]
+            thr = np.partition(err, len(sel) - _BATCH)[len(sel) - _BATCH]
+            keep = err > thr
+            tied = np.flatnonzero(err == thr)
+            keep[tied[: _BATCH - np.count_nonzero(keep)]] = True
+            sel = sel[keep]
+        if not len(sel):
             status = "exhausted"
             break
-        new_lo = []
-        new_hi = []
-        for i in popped:
-            alive[i] = False
-            total -= vals[i]
-            toterr -= errs[i]
-            d = sds[i]
-            mid = 0.5 * (cell_lo[i][d] + cell_hi[i][d])
-            a1, b1 = cell_lo[i].copy(), cell_hi[i].copy()
-            a2, b2 = cell_lo[i].copy(), cell_hi[i].copy()
-            b1[d] = mid
-            a2[d] = mid
-            new_lo += [a1, a2]
-            new_hi += [b1, b2]
-        new_lo = np.array(new_lo)
-        new_hi = np.array(new_hi)
+        sel = sel[np.argsort(-error[sel], kind="stable")]
+        # bisect each along its split axis: lower half at 2j, upper at 2j + 1
+        k = len(sel)
+        rows = np.arange(k)
+        d = split_dim[sel]
+        new_lo = np.repeat(cell_lo[sel], 2, axis=0)
+        new_hi = np.repeat(cell_hi[sel], 2, axis=0)
+        mid = 0.5 * (new_lo[2 * rows, d] + new_hi[2 * rows, d])
+        new_hi[2 * rows, d] = mid
+        new_lo[2 * rows + 1, d] = mid
         v2, e2, sd2, sp2 = eval_cells(new_lo, new_hi)
-        nevals += len(new_lo) * npts
-        for j in range(len(new_lo)):
-            idx = len(vals)
-            cell_lo.append(new_lo[j])
-            cell_hi.append(new_hi[j])
-            vals.append(v2[j])
-            errs.append(e2[j])
-            sds.append(sd2[j])
-            alive.append(bool(sp2[j]))
-            total += v2[j]
-            toterr += e2[j]
-            if sp2[j]:
-                heapq.heappush(heap, (-e2[j], idx))
+        nevals += 2 * k * npts
+        # all parents out, then all children in; cumsum adds strictly left to
+        # right, so the sums carry the same bits as a cell-by-cell update
+        total = np.cumsum(np.concatenate(([total], -value[sel], v2)))[-1]
+        toterr = np.cumsum(np.concatenate(([toterr], -error[sel], e2)))[-1]
+        alive[sel] = False
+        m = n + 2 * k
+        if m > len(value):
+            cap = max(m, 2 * len(value))
+            cell_lo, cell_hi, value, error, split_dim, alive = (
+                _grown(a, cap) for a in (cell_lo, cell_hi, value, error, split_dim, alive)
+            )
+        cell_lo[n:m] = new_lo
+        cell_hi[n:m] = new_hi
+        value[n:m] = v2
+        error[n:m] = e2
+        split_dim[n:m] = sd2
+        alive[n:m] = sp2
+        n = m
 
-    return CubatureResult(value=total, error=toterr, nevals=nevals, ncells=len(vals), status=status)
+    return CubatureResult(value=total, error=toterr, nevals=nevals, ncells=n, status=status)

@@ -89,6 +89,7 @@ class SweepRow:
     m2_err: float
     variance: float
     cauchy_gap: float  # gap to the previous (larger) eps; nan in the first row
+    gap_err: float = math.nan  # claimed error of cauchy_gap
     mc_mean: float = math.nan
     mc_se: float = math.nan
     complete: bool = True
@@ -100,6 +101,7 @@ class SweepSeries:
     dim: int
     horizon: float
     rows: List[SweepRow] = field(default_factory=list)
+    quad_rel_tol: float = 3e-4  # m2 tolerance of the rows, also used to extend them
 
     @property
     def config(self) -> ModelConfig:
@@ -137,9 +139,14 @@ def _sweep_row(cfg, eps, prev_eps, quad_rel_tol, with_mc, mc_params):
     except QuadratureBudgetError as exc:
         r2 = exc.partial
         complete = False
-    gap = math.nan
+    gap = gap_err = math.nan
     if prev_eps is not None:
-        gap = quadmoments.cauchy_gap(prev_eps, eps, cfg, rel_tol=GAP_REL_TOL)
+        try:
+            rg = quadmoments.cauchy_gap(prev_eps, eps, cfg, rel_tol=GAP_REL_TOL)
+        except QuadratureBudgetError as exc:
+            rg = exc.partial
+            complete = False
+        gap, gap_err = rg.value, rg.error_estimate
     mc_mean = mc_se = math.nan
     if with_mc:
         params = dict(mc_params or {})
@@ -155,7 +162,7 @@ def _sweep_row(cfg, eps, prev_eps, quad_rel_tol, with_mc, mc_params):
     return SweepRow(
         eps=eps, m1=r1.value, m1_err=r1.error_estimate,
         m2=r2.value, m2_err=r2.error_estimate,
-        variance=r2.value - r1.value**2, cauchy_gap=gap,
+        variance=r2.value - r1.value**2, cauchy_gap=gap, gap_err=gap_err,
         mc_mean=mc_mean, mc_se=mc_se, complete=complete,
     )
 
@@ -165,8 +172,8 @@ def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
           quad_rel_tol: float = 3e-4) -> SweepSeries:
     """One row of quadrature moments per ladder rung.
 
-    Budget errors leave the affected row marked incomplete instead of
-    aborting the sweep.
+    Budget errors, in m1, m2 or the row's Cauchy gap, leave the affected
+    row marked incomplete instead of aborting the sweep.
     """
     if schedule is None:
         schedule = EpsSchedule.default_for(cfg)
@@ -175,7 +182,8 @@ def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
     for eps in schedule.ladder():
         rows.append(_sweep_row(cfg, float(eps), prev, quad_rel_tol, with_mc, mc_params))
         prev = float(eps)
-    return SweepSeries(hurst=cfg.hurst, dim=cfg.dim, horizon=cfg.horizon, rows=rows)
+    return SweepSeries(hurst=cfg.hurst, dim=cfg.dim, horizon=cfg.horizon, rows=rows,
+                       quad_rel_tol=quad_rel_tol)
 
 
 def fit_loglog_slope(eps, values):
@@ -253,7 +261,8 @@ def classify(series: SweepSeries, cfg: ModelConfig) -> PhasePoint:
     if verdict is None:
         # extend the ladder once before deciding
         factor = rows[-1].eps / rows[-2].eps
-        extra = _sweep_row(cfg, rows[-1].eps * factor, rows[-1].eps, 3e-4, False, None)
+        extra = _sweep_row(cfg, rows[-1].eps * factor, rows[-1].eps,
+                           series.quad_rel_tol, False, None)
         rows = rows + [extra]
         series = replace(series, rows=series.rows + [extra])
         verdict = _decide(rows)

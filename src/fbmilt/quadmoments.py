@@ -15,7 +15,8 @@ det = phi(t,v) + phi(s,u) + cross(s,t,u,v) of nonnegative terms.
 At eps = 0 with Hd >= 2 the integrals diverge; this is decided by the
 analytic radial exponent and corroborated by a sequence of growing
 partial integrals over shrinking-exclusion shells, both recorded in the
-result's divergence evidence.
+result's divergence evidence.  A diverged result's status is "budget"
+when any of its shell integrals hit its budget.
 """
 
 from __future__ import annotations
@@ -47,11 +48,21 @@ __all__ = [
 
 @dataclass
 class QuadratureResult:
+    """An integral with how it was obtained.
+
+    ``status`` is "converged" when every underlying cubature met its
+    tolerance and "budget" when any stopped short of it (its evaluation
+    budget or its minimum cell width); ``nevals`` counts the integrand
+    evaluations of all of them.
+    """
+
     value: float
     error_estimate: float
     subdivisions: int
     diverged: bool = False
     divergence_evidence: Optional[str] = None
+    status: str = "converged"
+    nevals: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +142,7 @@ def _integrate_regions(make_integrand, cfg, abs_tol, rel_tol, max_evals, both_en
     init = [np.array([0.0, 0.5, 1.0])] * 2 + [np.asarray(init_ab, float)] * 2
     total = 0.0
     err = 0.0
-    cells = 0
-    converged = True
+    runs = []
     for region in ("A", "B"):
         f = make_integrand(region)
         res = cubature.integrate(
@@ -142,14 +152,26 @@ def _integrate_regions(make_integrand, cfg, abs_tol, rel_tol, max_evals, both_en
         )
         total += 2.0 * res.value
         err += 2.0 * res.error
-        cells += res.ncells
-        converged = converged and res.status == "converged"
-    return total, err, cells, converged
+        runs.append(res)
+    return total, err, runs
 
 
-def _require_converged(value, err, cells, converged, label):
-    result = QuadratureResult(value=value, error_estimate=err, subdivisions=cells)
-    if not converged:
+def _status(results):
+    """The status "converged" if every one of ``results`` converged, else "budget"."""
+    return "converged" if all(r.status == "converged" for r in results) else "budget"
+
+
+def _result(value, err, runs):
+    """A QuadratureResult over the cubature results ``runs``."""
+    return QuadratureResult(
+        value=value, error_estimate=err, subdivisions=sum(r.ncells for r in runs),
+        status=_status(runs), nevals=sum(r.nevals for r in runs),
+    )
+
+
+def _require_converged(value, err, runs, label):
+    result = _result(value, err, runs)
+    if result.status != "converged":
         raise QuadratureBudgetError(
             f"{label}: subdivision budget exhausted (claimed error {err:.3e})",
             partial=result,
@@ -194,10 +216,7 @@ def m1(eps, cfg: ModelConfig, abs_tol=1e-10, rel_tol=1e-9, max_evals=4_000_000):
         abs_tol=abs_tol / pref, rel_tol=rel_tol, max_evals=max_evals,
         init_splits=[np.array([0.0, 0.25, 1.0])] * 2,
     )
-    return _require_converged(
-        pref * res.value, pref * res.error, res.ncells,
-        res.status == "converged", "m1",
-    )
+    return _require_converged(pref * res.value, pref * res.error, [res], "m1")
 
 
 def _partial_m1(cfg, delta, rel_tol=1e-5):
@@ -211,31 +230,31 @@ def _partial_m1(cfg, delta, rel_tol=1e-5):
         return _power(x[:, 0] ** h2 + x[:, 1] ** h2, d)
 
     total = 0.0
+    err = 0.0
+    runs = []
     for lo, hi in (
         ([delta, 0.0], [T, T]),
         ([0.0, delta], [delta, T]),
     ):
         res = cubature.integrate(f, lo, hi, rel_tol=rel_tol, max_evals=400_000)
         total += res.value
-    return pref * total
+        err += res.error
+        runs.append(res)
+    return _result(pref * total, pref * err, runs)
 
 
 def _diverged_m1(cfg):
-    shells = []
-    partial = 0.0
-    for k in range(1, 8):
-        delta = cfg.horizon * 4.0 ** (-k)
-        partial = _partial_m1(cfg, delta)
-        shells.append(partial)
+    shells = [_partial_m1(cfg, cfg.horizon * 4.0 ** (-k)) for k in range(1, 8)]
     exponent = 1.0 - cfg.hd
     evidence = (
         f"radial integrand ~ r^{exponent:g} near the origin, not integrable since "
         f"Hd = {cfg.hd:g} >= 2; partial integrals excluding [0,T*4^-k]^2 grow without "
-        f"bound: {', '.join(f'{v:.4g}' for v in shells)}"
+        f"bound: {', '.join(f'{s.value:.4g}' for s in shells)}"
     )
     return QuadratureResult(
-        value=partial, error_estimate=math.inf, subdivisions=0,
+        value=shells[-1].value, error_estimate=math.inf, subdivisions=0,
         diverged=True, divergence_evidence=evidence,
+        status=_status(shells), nevals=sum(s.nevals for s in shells),
     )
 
 
@@ -261,11 +280,11 @@ def m2(eps, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-4, max_evals=6_000_000,
             return _power(base, d) * jac
         return f
 
-    total, err, cells, ok = _integrate_regions(
+    total, err, runs = _integrate_regions(
         make, cfg, abs_tol / pref, rel_tol, max_evals, False,
         init_ab=np.array([0.0, 0.5, 0.875, 1.0]),
     )
-    return _require_converged(pref * total, pref * err, cells, ok, "m2")
+    return _require_converged(pref * total, pref * err, runs, "m2")
 
 
 def m_cross(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-4,
@@ -286,11 +305,11 @@ def m_cross(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-4,
             return 0.5 * (_power(b1, d) + _power(b2, d)) * jac
         return f
 
-    total, err, cells, ok = _integrate_regions(
+    total, err, runs = _integrate_regions(
         make, cfg, abs_tol / pref, rel_tol, max_evals, False,
         init_ab=np.array([0.0, 0.5, 0.875, 1.0]),
     )
-    return _require_converged(pref * total, pref * err, cells, ok, "m_cross")
+    return _require_converged(pref * total, pref * err, runs, "m_cross")
 
 
 def cauchy_gap(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-3,
@@ -299,7 +318,9 @@ def cauchy_gap(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-3,
 
     Computed as a single fused integrand rather than a difference of
     separately computed integrals: the cancellation happens pointwise,
-    where it is benign, instead of between finished quadratures.
+    where it is benign, instead of between finished quadratures.  Raises
+    QuadratureBudgetError, carrying the partial result, when the budget
+    runs out, as m2 does.
     """
     if eps <= 0.0 or eta <= 0.0:
         raise ParameterError("eps and eta must be positive")
@@ -318,11 +339,11 @@ def cauchy_gap(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-3,
             return g * jac
         return f
 
-    total, err, cells, ok = _integrate_regions(
+    total, err, runs = _integrate_regions(
         make, cfg, abs_tol / pref, rel_tol, max_evals, False,
         init_ab=np.array([0.0, 0.5, 0.875, 1.0]),
     )
-    return pref * total
+    return _require_converged(pref * total, pref * err, runs, "cauchy_gap")
 
 
 def var_limit(cfg: ModelConfig, abs_tol=1e-8, rel_tol=1e-4, max_evals=20_000_000):
@@ -344,10 +365,10 @@ def var_limit(cfg: ModelConfig, abs_tol=1e-8, rel_tol=1e-4, max_evals=20_000_000
             return np.maximum(g, 0.0) * jac
         return f
 
-    total, err, cells, ok = _integrate_regions(
+    total, err, runs = _integrate_regions(
         make, cfg, abs_tol / pref, rel_tol, max_evals, True,
     )
-    return _require_converged(pref * total, pref * err, cells, ok, "var_limit")
+    return _require_converged(pref * total, pref * err, runs, "var_limit")
 
 
 def a_t_integral(cfg: ModelConfig, abs_tol=1e-8, rel_tol=1e-4, max_evals=20_000_000):
@@ -362,10 +383,10 @@ def a_t_integral(cfg: ModelConfig, abs_tol=1e-8, rel_tol=1e-4, max_evals=20_000_
             return _power(det, d) * jac
         return f
 
-    total, err, cells, ok = _integrate_regions(
+    total, err, runs = _integrate_regions(
         make, cfg, abs_tol, rel_tol, max_evals, True,
     )
-    return _require_converged(total, err, cells, ok, "a_t_integral")
+    return _require_converged(total, err, runs, "a_t_integral")
 
 
 def _diverged_4d(cfg, label):
@@ -376,22 +397,19 @@ def _diverged_4d(cfg, label):
     neighborhoods of both sets grow without bound.
     """
     d = cfg.dim
-    shells = []
-    partial = 0.0
-    for k in range(1, 6):
-        delta = 4.0 ** (-k)
-        partial = _partial_4d(cfg, delta)
-        shells.append(partial)
+    shells = [_partial_4d(cfg, 4.0 ** (-k)) for k in range(1, 6)]
+    partial = shells[-1].value
     exponent = radial_rate(cfg)
     evidence = (
         f"radial integrand ~ r^{exponent:g} near the origin, not integrable since "
         f"Hd = {cfg.hd:g} >= 2; partial integrals with exclusion width 4^-k grow "
-        f"without bound: {', '.join(f'{v:.4g}' for v in shells)}"
+        f"without bound: {', '.join(f'{s.value:.4g}' for s in shells)}"
     )
     return QuadratureResult(
         value=partial if label == "a_t_integral" else partial * (2.0 * math.pi) ** (-d),
         error_estimate=math.inf, subdivisions=0,
         diverged=True, divergence_evidence=evidence,
+        status=_status(shells), nevals=sum(s.nevals for s in shells),
     )
 
 
@@ -413,6 +431,8 @@ def _partial_4d(cfg, delta, rel_tol=3e-3):
     xi_boxes = [([delta, 0.0], [1.0, 1.0]), ([0.0, delta], [delta, 1.0])]
     ab_boxes = [([0.0, 0.0], [1.0 - delta, 1.0]), ([1.0 - delta, 0.0], [1.0, 1.0 - delta])]
     total = 0.0
+    err = 0.0
+    runs = []
     for region in ("A", "B"):
         f = make(region)
         for xlo, xhi in xi_boxes:
@@ -422,7 +442,9 @@ def _partial_4d(cfg, delta, rel_tol=3e-3):
                     rel_tol=rel_tol, max_evals=300_000,
                 )
                 total += 2.0 * res.value
-    return total
+                err += 2.0 * res.error
+                runs.append(res)
+    return _result(total, err, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +455,8 @@ def a_z(z, cfg: ModelConfig, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
 
     Triangle parameterized as v = t*b with phi(t, t*b) = t^4H psi(b);
     the t axis carries a quartic map so the t ~ z^(-1/4H) concentration
-    scale at large z is resolved.
+    scale at large z is resolved.  A budget hit is reported in the
+    result's status, not raised.
     """
     if z < 0.0:
         raise ParameterError(f"z must be nonnegative, got {z}")
@@ -452,7 +475,7 @@ def a_z(z, cfg: ModelConfig, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
         abs_tol=abs_tol, rel_tol=rel_tol, max_evals=max_evals,
         init_splits=[np.array([0.0, 0.5, 1.0])] * 2,
     )
-    return res.value
+    return _result(res.value, res.error, [res])
 
 
 def reduction_bound(cfg: ModelConfig, quad_rel_tol=1e-9, a_rel_tol=1e-8):
@@ -460,7 +483,8 @@ def reduction_bound(cfg: ModelConfig, quad_rel_tol=1e-9, a_rel_tol=1e-8):
     (1 / Gamma(d/2)) int_0^inf z^(d/2-1) A(z)^2 dz, split at z = 1.
 
     Only established for Hd < 2 (the tail integrand decays like
-    z^(d/2 - 1 - 1/H) up to logarithmic corrections).
+    z^(d/2 - 1 - 1/H) up to logarithmic corrections).  The status is
+    "budget" when any A(z) evaluation hit its budget.
     """
     if cfg.hd >= 2.0 - 1e-12:
         raise ParameterError(
@@ -472,7 +496,7 @@ def reduction_bound(cfg: ModelConfig, quad_rel_tol=1e-9, a_rel_tol=1e-8):
     def g(z):
         if z not in cache:
             cache[z] = a_z(z, cfg, rel_tol=a_rel_tol)
-        return z ** (0.5 * d - 1.0) * cache[z] ** 2
+        return z ** (0.5 * d - 1.0) * cache[z].value ** 2
 
     head, head_err = quad(g, 0.0, 1.0, epsrel=quad_rel_tol, epsabs=0.0, limit=200)
     tail, tail_err = quad(g, 1.0, np.inf, epsrel=quad_rel_tol, epsabs=0.0, limit=200)
@@ -481,7 +505,10 @@ def reduction_bound(cfg: ModelConfig, quad_rel_tol=1e-9, a_rel_tol=1e-8):
     # claimed error: outer quadrature plus the propagated A(z) tolerance
     # (A enters squared, so its relative error roughly doubles).
     err = (head_err + tail_err) / gamma_half_d + 2.0 * a_rel_tol * abs(value)
-    return QuadratureResult(value=value, error_estimate=err, subdivisions=len(cache))
+    return QuadratureResult(
+        value=value, error_estimate=err, subdivisions=len(cache),
+        status=_status(cache.values()), nevals=sum(r.nevals for r in cache.values()),
+    )
 
 
 def radial_rate(cfg: ModelConfig) -> float:

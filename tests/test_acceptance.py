@@ -252,7 +252,7 @@ def test_criterion_9_cauchy_gap_ladder():
     t0 = time.monotonic()
 
     def gaps(cfg, eps0, count=12):
-        return [cauchy_gap(eps0 * 0.5**k, eps0 * 0.5 ** (k + 1), cfg)
+        return [cauchy_gap(eps0 * 0.5**k, eps0 * 0.5 ** (k + 1), cfg).value
                 for k in range(count)]
 
     cfg_c = ModelConfig(0.5, 2)

@@ -93,6 +93,7 @@ class TestMomentsCommand:
         report = json.loads(out.read_text())
         assert report["results"]["m1"]["diverged"] is True
         assert report["results"]["m1"]["evidence"]
+        assert report["results"]["m1"]["nevals"] > 0
         assert report["results"]["m2"] is None
 
 

@@ -1,9 +1,12 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fbmilt.cubature import genz_malik_rule, integrate
+from fbmilt.cubature import CubatureResult, _initial_cells, genz_malik_rule, integrate
 
 
 def test_rule_shapes():
@@ -101,3 +104,127 @@ def test_anisotropic_split_direction():
     res = integrate(f, [0, 0], [1, 1], rel_tol=1e-9)
     assert res.status == "converged"
     assert res.value == pytest.approx(want, rel=1e-8, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the heap-and-lists driver that the array driver replaced
+
+
+def heap_integrate(f, lo, hi, abs_tol=0.0, rel_tol=1e-6, max_evals=10_000_000,
+                   init_splits=None, min_width_frac=1e-10, batch=128):
+    """Pop the worst ``batch`` cells off a heap keyed by (-error, index),
+    bisect them one by one, push the children.  Every heap entry is an
+    alive cell, so no alive flags are kept."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    ndim = len(lo)
+    pts, w7, w5 = genz_malik_rule(ndim)
+    npts = len(pts)
+    ratio = (9.0 / 10.0) / (9.0 / 70.0)
+    min_width = min_width_frac * (hi - lo)
+
+    def eval_cells(clo, chi):
+        cen, hw = 0.5 * (clo + chi), 0.5 * (chi - clo)
+        x = cen[:, None, :] + hw[:, None, :] * pts[None, :, :]
+        vals = np.asarray(f(x.reshape(-1, ndim)), dtype=float).reshape(len(clo), npts)
+        vol = np.prod(hw, axis=1)
+        i7, i5 = (vals * w7).sum(axis=1) * vol, (vals * w5).sum(axis=1) * vol
+        fc = vals[:, 0]
+        diffs = np.empty((len(clo), ndim))
+        for i in range(ndim):
+            p1, p3 = 1 + 2 * i, 1 + 2 * ndim + 2 * i
+            diffs[:, i] = np.abs(vals[:, p3] + vals[:, p3 + 1] - 2 * fc
+                                 - ratio * (vals[:, p1] + vals[:, p1 + 1] - 2 * fc))
+        diffs = np.where(chi - clo > min_width[None, :], diffs, -1.0)
+        return i7, np.abs(i7 - i5), np.argmax(diffs, axis=1), diffs.max(axis=1) >= 0.0
+
+    clo, chi = _initial_cells(lo, hi, init_splits)
+    vals0, errs0, sd0, sp0 = eval_cells(clo, chi)
+    nevals = len(clo) * npts
+    cell_lo, cell_hi, vals, errs, sds = list(clo), list(chi), list(vals0), list(errs0), list(sd0)
+    heap = [(-errs0[i], i) for i in range(len(vals0)) if sp0[i]]
+    heapq.heapify(heap)
+    total, toterr = float(np.sum(vals0)), float(np.sum(errs0))
+    while True:
+        if toterr <= max(abs_tol, rel_tol * abs(total)):
+            return CubatureResult(total, toterr, nevals, len(vals), "converged")
+        if nevals >= max_evals:
+            return CubatureResult(total, toterr, nevals, len(vals), "budget")
+        popped = [heapq.heappop(heap)[1] for _ in range(min(batch, len(heap)))]
+        if not popped:
+            return CubatureResult(total, toterr, nevals, len(vals), "exhausted")
+        new_lo, new_hi = [], []
+        for i in popped:
+            total -= vals[i]
+            toterr -= errs[i]
+            d = sds[i]
+            mid = 0.5 * (cell_lo[i][d] + cell_hi[i][d])
+            a1, b1, a2, b2 = cell_lo[i].copy(), cell_hi[i].copy(), cell_lo[i].copy(), cell_hi[i].copy()
+            b1[d] = a2[d] = mid
+            new_lo += [a1, a2]
+            new_hi += [b1, b2]
+        v2, e2, sd2, sp2 = eval_cells(np.array(new_lo), np.array(new_hi))
+        nevals += len(new_lo) * npts
+        for j in range(len(new_lo)):
+            cell_lo.append(new_lo[j])
+            cell_hi.append(new_hi[j])
+            vals.append(v2[j])
+            errs.append(e2[j])
+            sds.append(sd2[j])
+            total += v2[j]
+            toterr += e2[j]
+            if sp2[j]:
+                heapq.heappush(heap, (-e2[j], len(vals) - 1))
+
+
+def _bits(res):
+    return (float(res.value).hex(), float(res.error).hex(), res.nevals, res.ncells, res.status)
+
+
+def _inv_sqrt_sum(x):
+    return 1.0 / np.sqrt(x[:, 0] + x[:, 1])
+
+
+ORACLE_CASES = {
+    # symmetric in x <-> y: mirrored cells carry exactly equal errors
+    "symmetric-ties": (lambda x: np.cos(3.0 * x[:, 0]) * np.cos(3.0 * x[:, 1]),
+                       [0, 0], [2, 2], dict(rel_tol=1e-13, max_evals=60_000), "budget"),
+    "gaussian-4d": (lambda x: np.exp(-np.sum(x * x, axis=1)),
+                    [0] * 4, [1] * 4, dict(rel_tol=1e-8), "converged"),
+    "budget": (_inv_sqrt_sum, [0, 0], [1, 1], dict(rel_tol=1e-12, max_evals=20_000), "budget"),
+    "init-splits": (_inv_sqrt_sum, [0, 0], [1, 1],
+                    dict(rel_tol=1e-6, init_splits=[np.array([0.0, 0.25, 1.0]),
+                                                    np.array([0.0, 0.1, 0.5, 1.0])]),
+                    "converged"),
+    "exhausted": (_inv_sqrt_sum, [0, 0], [1, 1], dict(rel_tol=1e-12, min_width_frac=0.05),
+                  "exhausted"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_matches_heap_driver(case):
+    f, lo, hi, kw, status = ORACLE_CASES[case]
+    got = integrate(f, lo, hi, **kw)
+    assert _bits(got) == _bits(heap_integrate(f, lo, hi, **kw))
+    assert got.status == status
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    corner=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=3),
+    widths=st.lists(st.floats(0.1, 3.0), min_size=3, max_size=3),
+    coef=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+    powers=st.lists(st.integers(0, 4), min_size=6, max_size=6),
+)
+def test_matches_heap_driver_on_polynomials(corner, widths, coef, powers):
+    ndim = len(corner)
+    lo = np.array(corner)
+    hi = lo + np.array(widths[:ndim])
+
+    def f(x):
+        out = np.full(len(x), 0.5)
+        for j, c in enumerate(coef):
+            out = out + c * x[:, j % ndim] ** powers[j] * x[:, (j + 1) % ndim] ** powers[-1 - j]
+        return out
+
+    kw = dict(rel_tol=1e-13, max_evals=30_000)
+    assert _bits(integrate(f, lo, hi, **kw)) == _bits(heap_integrate(f, lo, hi, **kw))

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -193,3 +194,58 @@ class TestPhaseGrid:
             a = phase_grid([h], [d], EpsSchedule(1.0, 0.5, 12))[0]
             b = phase_grid([h], [d], EpsSchedule(2.0, 0.5, 12))[0]
             assert a.verdict == b.verdict
+
+
+class TestSweepBudgets:
+    def test_gap_budget_marks_row_incomplete(self, monkeypatch):
+        # a budget-hit Cauchy gap used to enter the row as a plain number
+        import fbmilt.phasescan as ps
+        from fbmilt import quadmoments
+
+        tight = functools.partial(quadmoments.cauchy_gap, max_evals=500)
+        monkeypatch.setattr(ps.quadmoments, "cauchy_gap", tight)
+        series = sweep(ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 3))
+        assert series.rows[0].complete
+        assert math.isnan(series.rows[0].gap_err)
+        for row in series.rows[1:]:
+            assert not row.complete
+            assert math.isfinite(row.cauchy_gap)
+            assert row.gap_err > 0.0
+
+    def test_gap_error_recorded(self):
+        series = sweep(ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 3))
+        for row in series.rows[1:]:
+            assert row.complete
+            assert 0.0 <= row.gap_err < abs(row.cauchy_gap)
+
+    def test_extension_uses_sweep_tolerance(self, monkeypatch):
+        # classify used to extend the ladder at a fixed 3e-4
+        import fbmilt.phasescan as ps
+        from fbmilt.quadmoments import QuadratureResult
+
+        seen = []
+
+        def fake_m1(eps, cfg, **kw):
+            return QuadratureResult(1.0 + 0.01 * math.log2(1.0 / eps), 0.0, 1)
+
+        def fake_m2(eps, cfg, rel_tol):
+            seen.append(rel_tol)
+            return QuadratureResult(2.0, 0.0, 1)
+
+        class Gap(float):  # usable both as a bare float and as a result
+            value = property(float)
+            error_estimate = 0.0
+
+        def fake_gap(eps, eta, cfg, rel_tol):
+            return Gap(0.5)
+
+        monkeypatch.setattr(ps.quadmoments, "m1", fake_m1)
+        monkeypatch.setattr(ps.quadmoments, "m2", fake_m2)
+        monkeypatch.setattr(ps.quadmoments, "cauchy_gap", fake_gap)
+        cfg = ModelConfig(0.5, 2)
+        series = sweep(cfg, EpsSchedule(1.0, 0.5, 6), quad_rel_tol=1e-3)
+        with pytest.raises(IndeterminateError) as exc:
+            classify(series, cfg)
+        assert len(exc.value.series.rows) == 7  # the ladder was extended once
+        assert seen == [1e-3] * 7
+        assert series.quad_rel_tol == 1e-3

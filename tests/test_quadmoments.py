@@ -69,6 +69,12 @@ class TestM1:
         assert partial is not None
         assert partial.value > 0.0
 
+    def test_reports_status_and_evaluations(self):
+        res = m1(0.1, CFG_H5D2)
+        assert res.status == "converged"
+        assert res.nevals > 0
+        assert res.subdivisions > 0
+
     def test_monotone_in_eps(self):
         vals = [m1(e, CFG_H5D2).value for e in (0.0, 0.25, 0.5, 1.0, 2.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -144,15 +150,15 @@ class TestMCross:
 
 class TestCauchyGap:
     def test_identical_regularizers(self):
-        assert abs(cauchy_gap(0.5, 0.5, CFG_H5D2)) < 1e-12
+        assert abs(cauchy_gap(0.5, 0.5, CFG_H5D2).value) < 1e-12
 
     def test_nonnegative(self):
         for eps in (1.0, 0.25, 2.0**-6):
-            assert cauchy_gap(eps, eps / 2, CFG_H5D2) >= -1e-12
+            assert cauchy_gap(eps, eps / 2, CFG_H5D2).value >= -1e-12
 
     def test_matches_three_term_combination(self):
         eps, eta = 0.5, 0.25
-        fused = cauchy_gap(eps, eta, CFG_H5D2)
+        fused = cauchy_gap(eps, eta, CFG_H5D2).value
         separate = (
             m2(eps, CFG_H5D2).value
             + m2(eta, CFG_H5D2).value
@@ -161,13 +167,22 @@ class TestCauchyGap:
         assert fused == pytest.approx(separate, rel=2e-3)
 
     def test_shrinks_below_transition(self):
-        gaps = [cauchy_gap(2.0**-k, 2.0**-(k + 1), CFG_H5D2) for k in (1, 4, 7, 10)]
+        gaps = [cauchy_gap(2.0**-k, 2.0**-(k + 1), CFG_H5D2).value for k in (1, 4, 7, 10)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_grows_above_transition(self):
         cfg = ModelConfig(0.75, 3)
-        gaps = [cauchy_gap(2.0**-k, 2.0**-(k + 1), cfg) for k in (1, 4, 7)]
+        gaps = [cauchy_gap(2.0**-k, 2.0**-(k + 1), cfg).value for k in (1, 4, 7)]
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
+
+    def test_budget_hit_is_raised(self):
+        # a gap used to come back as a bare float whatever its status
+        with pytest.raises(QuadratureBudgetError) as exc:
+            cauchy_gap(0.5, 0.25, CFG_H5D2, rel_tol=1e-12, max_evals=500)
+        partial = exc.value.partial
+        assert partial.status == "budget"
+        assert partial.nevals > 0
+        assert math.isfinite(partial.value) and partial.error_estimate > 0.0
 
 
 class TestVarLimit:
@@ -189,6 +204,13 @@ class TestVarLimit:
         assert res.diverged
         assert "2.25" in res.divergence_evidence
 
+    def test_diverged_reports_shell_budget_hits(self):
+        # some of the (0.75, 3) shell integrals stop at their budget
+        res = var_limit(ModelConfig(0.75, 3))
+        assert res.diverged
+        assert res.status == "budget"
+        assert res.nevals > 0
+
 
 class TestATIntegral:
     def test_diverged_above_transition(self):
@@ -208,12 +230,12 @@ class TestATIntegral:
 
 class TestAZ:
     def test_at_zero(self):
-        assert a_z(0.0, CFG_H5D2) == pytest.approx(0.5, rel=1e-8)
-        assert a_z(0.0, ModelConfig(0.5, 2, 2.0)) == pytest.approx(2.0, rel=1e-8)
+        assert a_z(0.0, CFG_H5D2).value == pytest.approx(0.5, rel=1e-8)
+        assert a_z(0.0, ModelConfig(0.5, 2, 2.0)).value == pytest.approx(2.0, rel=1e-8)
 
     def test_decreasing(self):
         cfg = ModelConfig(0.25, 2)
-        vals = [a_z(z, cfg) for z in (0.0, 0.5, 1.0, 10.0, 1e3, 1e6)]
+        vals = [a_z(z, cfg).value for z in (0.0, 0.5, 1.0, 10.0, 1e3, 1e6)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_against_mc_integration(self):
@@ -225,7 +247,12 @@ class TestAZ:
         phi = t * v - np.minimum(t, v) ** 2
         f = np.exp(-phi) * t  # jacobian of v = t*b
         est, se = f.mean(), f.std() / math.sqrt(n)
-        assert abs(a_z(1.0, cfg) - est) <= 3 * se
+        assert abs(a_z(1.0, cfg).value - est) <= 3 * se
+
+    def test_budget_hit_is_reported(self):
+        res = a_z(1.0, CFG_H5D2, rel_tol=1e-15, max_evals=200)
+        assert res.status == "budget"
+        assert res.nevals >= 200
 
     def test_negative_z_rejected(self):
         with pytest.raises(ParameterError):
@@ -246,7 +273,7 @@ class TestReductionBound:
         # ideal rate d/2 - 1 - 1/H
         cfg = ModelConfig(0.25, 2)
         zs = np.logspace(2, 4, 9)
-        g = [z ** (cfg.dim / 2 - 1) * a_z(z, cfg) ** 2 for z in zs]
+        g = [z ** (cfg.dim / 2 - 1) * a_z(z, cfg).value ** 2 for z in zs]
         slope = np.polyfit(np.log(zs), np.log(g), 1)[0]
         etilde = (2 - cfg.hd) / (8 * cfg.hurst)
         envelope = cfg.dim / 2 - 1 - 1 / cfg.hurst + 2 * etilde
