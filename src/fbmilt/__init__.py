@@ -35,7 +35,9 @@ from .quadmoments import (
     a_z,
     cauchy_gap,
     m1,
+    m1_ladder,
     m2,
+    m2_ladder,
     m_cross,
     radial_rate,
     reduction_bound,
@@ -75,7 +77,9 @@ __all__ = [
     "mc_moments",
     "QuadratureResult",
     "m1",
+    "m1_ladder",
     "m2",
+    "m2_ladder",
     "m_cross",
     "cauchy_gap",
     "var_limit",

@@ -194,7 +194,7 @@ def _quad_dict(res) -> dict:
 
 def _report(rc: RunConfig, results: dict) -> dict:
     base = {"m1": None, "m2": None, "variance": None, "mc": None,
-            "verdict": None, "rows": None}
+            "verdict": None, "rows": None, "diagnostics": None}
     base.update(results)
     return {
         "version": __version__,
@@ -290,7 +290,7 @@ def _run_moments(rc: RunConfig) -> int:
 
 
 _SWEEP_HEADER = ["eps", "m1", "m1_err", "m2", "m2_err", "variance",
-                 "cauchy_gap", "mc_mean", "mc_se"]
+                 "cauchy_gap", "gap_err", "mc_mean", "mc_se", "complete"]
 
 
 def _row_dict(row) -> dict:
@@ -298,6 +298,7 @@ def _row_dict(row) -> dict:
         "eps": _num(row.eps), "m1": _num(row.m1), "m1_err": _num(row.m1_err),
         "m2": _num(row.m2), "m2_err": _num(row.m2_err),
         "variance": _num(row.variance), "cauchy_gap": _num(row.cauchy_gap),
+        "gap_err": _num(row.gap_err),
         "mc_mean": _num(row.mc_mean), "mc_se": _num(row.mc_se),
         "complete": row.complete,
     }
@@ -318,7 +319,8 @@ def _run_sweep(rc: RunConfig) -> int:
     series = sweep(cfg, _schedule(rc, cfg), with_mc=with_mc, mc_params=mc_params, **tol)
     rows = [_row_dict(r) for r in series.rows]
     csv_rows = [[r[k] for k in _SWEEP_HEADER] for r in rows]
-    _emit(rc, _report(rc, {"rows": rows}), csv_rows=csv_rows, csv_header=_SWEEP_HEADER)
+    report = _report(rc, {"rows": rows, "diagnostics": {"nevals": series.nevals}})
+    _emit(rc, report, csv_rows=csv_rows, csv_header=_SWEEP_HEADER)
     incomplete = sum(1 for r in series.rows if not r.complete)
     _say(rc, f"sweep: {len(rows)} rows, eps {rows[0]['eps']:.3g} .. {rows[-1]['eps']:.3g}, "
              f"{incomplete} incomplete (H={cfg.hurst}, d={cfg.dim})")

@@ -102,6 +102,7 @@ class SweepSeries:
     horizon: float
     rows: List[SweepRow] = field(default_factory=list)
     quad_rel_tol: float = 3e-4  # m2 tolerance of the rows, also used to extend them
+    nevals: int = 0  # integrand evaluations of every quadrature pass behind the rows
 
     @property
     def config(self) -> ModelConfig:
@@ -127,44 +128,41 @@ class PhaseError:
     kind: str  # "parameter" | "budget" | "indeterminate"
 
 
-def _sweep_row(cfg, eps, prev_eps, quad_rel_tol, with_mc, mc_params):
-    complete = True
-    try:
-        r1 = quadmoments.m1(eps, cfg)
-    except QuadratureBudgetError as exc:
-        r1 = exc.partial
-        complete = False
-    try:
-        r2 = quadmoments.m2(eps, cfg, rel_tol=quad_rel_tol)
-    except QuadratureBudgetError as exc:
-        r2 = exc.partial
-        complete = False
-    gap = gap_err = math.nan
-    if prev_eps is not None:
-        try:
-            rg = quadmoments.cauchy_gap(prev_eps, eps, cfg, rel_tol=GAP_REL_TOL)
-        except QuadratureBudgetError as exc:
-            rg = exc.partial
-            complete = False
-        gap, gap_err = rg.value, rg.error_estimate
-    mc_mean = mc_se = math.nan
-    if with_mc:
-        params = dict(mc_params or {})
-        grid_n = params.pop("grid_n", None) or grid_for_eps(eps, cfg)
-        grid = TimeGrid(horizon=cfg.horizon, n_steps=grid_n)
-        est = mc_moments(
-            cfg, eps, grid,
-            replications=params.pop("reps", 1000),
-            seed=params.pop("seed", 0),
-            **params,
-        )
-        mc_mean, mc_se = est.mean, est.se_mean
-    return SweepRow(
-        eps=eps, m1=r1.value, m1_err=r1.error_estimate,
-        m2=r2.value, m2_err=r2.error_estimate,
-        variance=r2.value - r1.value**2, cauchy_gap=gap, gap_err=gap_err,
-        mc_mean=mc_mean, mc_se=mc_se, complete=complete,
-    )
+def _rows(cfg, ladder, prev_eps, quad_rel_tol, with_mc, mc_params):
+    """One SweepRow per rung of ``ladder``, whose m1s come from one shared
+    2D pass and whose m2s and Cauchy gaps come from one shared 4D pass per
+    region; ``prev_eps`` is the rung before ``ladder[0]``, if any.
+
+    A row is complete only if its own m1, m2 and gap met their
+    tolerances.  Returns (rows, integrand evaluations of the passes).
+    """
+    r1 = quadmoments.m1_ladder(ladder, cfg)
+    r2, rg = quadmoments.m2_ladder(ladder, cfg, prev_eps=prev_eps, rel_tol=quad_rel_tol,
+                                   gap_rel_tol=GAP_REL_TOL)
+    rows = []
+    for eps, a, b, g in zip(ladder, r1, r2, rg):
+        parts = [a, b] if g is None else [a, b, g]
+        mc_mean = mc_se = math.nan
+        if with_mc:
+            params = dict(mc_params or {})
+            grid_n = params.pop("grid_n", None) or grid_for_eps(eps, cfg)
+            grid = TimeGrid(horizon=cfg.horizon, n_steps=grid_n)
+            est = mc_moments(
+                cfg, eps, grid,
+                replications=params.pop("reps", 1000),
+                seed=params.pop("seed", 0),
+                **params,
+            )
+            mc_mean, mc_se = est.mean, est.se_mean
+        rows.append(SweepRow(
+            eps=eps, m1=a.value, m1_err=a.error_estimate,
+            m2=b.value, m2_err=b.error_estimate, variance=b.value - a.value**2,
+            cauchy_gap=math.nan if g is None else g.value,
+            gap_err=math.nan if g is None else g.error_estimate,
+            mc_mean=mc_mean, mc_se=mc_se,
+            complete=all(r.status == "converged" for r in parts),
+        ))
+    return rows, r1[0].nevals + r2[0].nevals
 
 
 def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
@@ -172,18 +170,17 @@ def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
           quad_rel_tol: float = 3e-4) -> SweepSeries:
     """One row of quadrature moments per ladder rung.
 
-    Budget errors, in m1, m2 or the row's Cauchy gap, leave the affected
-    row marked incomplete instead of aborting the sweep.
+    Every rung's m1 comes from one 2D pass and every rung's m2 and Cauchy
+    gap from one 4D pass per region, each over a shared mesh.  Budget
+    hits, in m1, m2 or the row's Cauchy gap, leave the affected row
+    marked incomplete instead of aborting the sweep.
     """
     if schedule is None:
         schedule = EpsSchedule.default_for(cfg)
-    rows = []
-    prev = None
-    for eps in schedule.ladder():
-        rows.append(_sweep_row(cfg, float(eps), prev, quad_rel_tol, with_mc, mc_params))
-        prev = float(eps)
+    ladder = [float(e) for e in schedule.ladder()]
+    rows, nevals = _rows(cfg, ladder, None, quad_rel_tol, with_mc, mc_params)
     return SweepSeries(hurst=cfg.hurst, dim=cfg.dim, horizon=cfg.horizon, rows=rows,
-                       quad_rel_tol=quad_rel_tol)
+                       quad_rel_tol=quad_rel_tol, nevals=nevals)
 
 
 def fit_loglog_slope(eps, values):
@@ -261,10 +258,10 @@ def classify(series: SweepSeries, cfg: ModelConfig) -> PhasePoint:
     if verdict is None:
         # extend the ladder once before deciding
         factor = rows[-1].eps / rows[-2].eps
-        extra = _sweep_row(cfg, rows[-1].eps * factor, rows[-1].eps,
-                           series.quad_rel_tol, False, None)
-        rows = rows + [extra]
-        series = replace(series, rows=series.rows + [extra])
+        extra, nevals = _rows(cfg, [rows[-1].eps * factor], rows[-1].eps,
+                              series.quad_rel_tol, False, None)
+        rows = rows + extra
+        series = replace(series, rows=series.rows + extra, nevals=series.nevals + nevals)
         verdict = _decide(rows)
     # the power law m1 ~ A eps^r + B only dominates at the small end of
     # the ladder; fit the rate on the lower-eps half

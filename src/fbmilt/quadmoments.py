@@ -12,6 +12,13 @@ singular sets become axis-aligned faces.  Determinants are evaluated
 through the cancellation-free decomposition
 det = phi(t,v) + phi(s,u) + cross(s,t,u,v) of nonnegative terms.
 
+The second-moment family (m2, cross moments, Cauchy gaps) shares one
+integrand map: every column is a combination of
+P(a, b) = (det + a rho + b lam + a b)^(-d/2) over the same region
+geometry, so a whole epsilon ladder's m2 values and adjacent gaps are the
+components of one vector integral over a shared mesh (m2_ladder), and
+every rung's m1 likewise (m1_ladder).
+
 At eps = 0 with Hd >= 2 the integrals diverge; this is decided by the
 analytic radial exponent and corroborated by a sequence of growing
 partial integrals over shrinking-exclusion shells, both recorded in the
@@ -21,6 +28,7 @@ when any of its shell integrals hit its budget.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -35,7 +43,9 @@ from .errors import ParameterError, QuadratureBudgetError
 __all__ = [
     "QuadratureResult",
     "m1",
+    "m1_ladder",
     "m2",
+    "m2_ladder",
     "m_cross",
     "cauchy_gap",
     "var_limit",
@@ -136,7 +146,8 @@ def _power(base, dexp):
 
 def _integrate_regions(make_integrand, cfg, abs_tol, rel_tol, max_evals, both_ends,
                        init_ab=None):
-    """Integrate an (s,t,u,v)-symmetric integrand over regions A and B."""
+    """Integrate an (s,t,u,v)-symmetric integrand, scalar or K-component,
+    over regions A and B; ``rel_tol`` is a scalar or one per component."""
     if init_ab is None:
         init_ab = np.array([0.0, 0.5, 1.0])
     init = [np.array([0.0, 0.5, 1.0])] * 2 + [np.asarray(init_ab, float)] * 2
@@ -169,11 +180,28 @@ def _result(value, err, runs):
     )
 
 
-def _require_converged(value, err, runs, label):
-    result = _result(value, err, runs)
+def _columns(total, err, runs, scale):
+    """One QuadratureResult per component of the K-component cubature
+    results ``runs``, all over one mesh: ``scale`` times the summed
+    ``total`` and ``err`` (K,), the status of that component in every run,
+    and the cells and evaluations of the whole pass."""
+    ok = np.logical_and.reduce([r.converged for r in runs])
+    return [
+        QuadratureResult(
+            value=float(scale * total[i]), error_estimate=float(scale * err[i]),
+            subdivisions=sum(r.ncells for r in runs),
+            status="converged" if ok[i] else "budget",
+            nevals=sum(r.nevals for r in runs),
+        )
+        for i in range(len(total))
+    ]
+
+
+def _require_converged(result, label):
     if result.status != "converged":
         raise QuadratureBudgetError(
-            f"{label}: subdivision budget exhausted (claimed error {err:.3e})",
+            f"{label}: subdivision budget exhausted "
+            f"(claimed error {result.error_estimate:.3e})",
             partial=result,
         )
     return result
@@ -188,6 +216,32 @@ def _m1_exponent_map(cfg, eps):
     return max(2, min(8, int(math.ceil(2.0 / (2.0 - cfg.hd))) + 1))
 
 
+def _m1_columns(eps, cfg, p, abs_tol, rel_tol, max_evals):
+    """m1 at every regularizer in ``eps`` from one shared-mesh 2D pass,
+    with the time axes mapped by x -> T x^p; one QuadratureResult each."""
+    h2 = 2.0 * cfg.hurst
+    d = cfg.dim
+    T = cfg.horizon
+    pref = (2.0 * math.pi) ** (-0.5 * d)
+
+    def f(x):
+        xi, ze = x[:, 0], x[:, 1]
+        sh = (T * xi**p) ** h2
+        th = (T * ze**p) ** h2
+        jac = (T * p) ** 2 * (xi * ze) ** (p - 1)
+        out = np.empty((len(eps), len(jac)))
+        for row, e in zip(out, eps):
+            np.multiply(_power(e + sh + th, d), jac, out=row)
+        return out
+
+    res = cubature.integrate(
+        f, [0.0, 0.0], [1.0, 1.0],
+        abs_tol=abs_tol / pref, rel_tol=rel_tol, max_evals=max_evals,
+        init_splits=[np.array([0.0, 0.25, 1.0])] * 2,
+    )
+    return _columns(res.value, res.error, [res], pref)
+
+
 def m1(eps, cfg: ModelConfig, abs_tol=1e-10, rel_tol=1e-9, max_evals=4_000_000):
     """First moment E[I_eps] = (2 pi)^(-d/2) * int (eps + s^2H + t^2H)^(-d/2).
 
@@ -198,25 +252,22 @@ def m1(eps, cfg: ModelConfig, abs_tol=1e-10, rel_tol=1e-9, max_evals=4_000_000):
         raise ParameterError(f"eps must be nonnegative, got {eps}")
     if eps == 0.0 and cfg.hd >= 2.0 - 1e-12:
         return _diverged_m1(cfg)
-    h2 = 2.0 * cfg.hurst
-    d = cfg.dim
-    T = cfg.horizon
-    p = _m1_exponent_map(cfg, eps)
-    pref = (2.0 * math.pi) ** (-0.5 * d)
+    (res,) = _m1_columns([eps], cfg, _m1_exponent_map(cfg, eps), abs_tol, rel_tol, max_evals)
+    return _require_converged(res, "m1")
 
-    def f(x):
-        xi, ze = x[:, 0], x[:, 1]
-        s = T * xi**p
-        t = T * ze**p
-        jac = (T * p) ** 2 * (xi * ze) ** (p - 1)
-        return _power(eps + s**h2 + t**h2, d) * jac
 
-    res = cubature.integrate(
-        f, [0.0, 0.0], [1.0, 1.0],
-        abs_tol=abs_tol / pref, rel_tol=rel_tol, max_evals=max_evals,
-        init_splits=[np.array([0.0, 0.25, 1.0])] * 2,
-    )
-    return _require_converged(pref * res.value, pref * res.error, [res], "m1")
+def m1_ladder(eps, cfg: ModelConfig, abs_tol=1e-10, rel_tol=1e-9, max_evals=4_000_000):
+    """m1 at every positive regularizer in ``eps``, from one 2D pass over a
+    shared mesh that refines until every one meets its tolerance.
+
+    Returns one QuadratureResult per regularizer, each carrying the cells
+    and evaluations of the whole pass.  A budget hit is reported in the
+    status of each result that missed its tolerance, not raised.
+    """
+    eps = [float(e) for e in eps]
+    if not eps or min(eps) <= 0.0:
+        raise ParameterError(f"a ladder needs positive regularizers, got {eps}")
+    return _m1_columns(eps, cfg, 2, abs_tol, rel_tol, max_evals)
 
 
 def _partial_m1(cfg, delta, rel_tol=1e-5):
@@ -261,30 +312,65 @@ def _diverged_m1(cfg):
 # ---------------------------------------------------------------------------
 # second moment family
 
-def m2(eps, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-4, max_evals=6_000_000,
-       _zero_mu=False):
-    """Second moment E[I_eps^2], the 4D integral of
-    ((lambda+eps)(rho+eps) - mu^2)^(-d/2) times (2 pi)^-d."""
-    if eps <= 0.0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosses=(),
+                    zero_mu=False):
+    """The second-moment family over one shared mesh: one pass per region
+    for the columns m2(e) for e in ``m2_eps``, the fused Cauchy gap for each
+    pair in ``gaps``, and the cross moment for each pair in ``crosses``.
+
+    With P(a, b) = (det + a rho + b lam + a b)^(-d/2), the integrands are
+    P(e, e), P(a, a) + P(b, b) - P(a, b) - P(b, a), and
+    (P(a, b) + P(b, a)) / 2.  Each P(e, e) is computed once per point and
+    shared by every column that uses it.  ``rel_tol`` is a scalar or one
+    per column; ``zero_mu`` drops the cross covariance (det -> lam rho).
+    Returns one QuadratureResult per column; budget hits are reported in
+    their statuses, not raised.
+    """
     d = cfg.dim
     pref = (2.0 * math.pi) ** (-d)
+    ncols = len(m2_eps) + len(gaps) + len(crosses)
 
     def make(region):
         def f(x):
             lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon, False)
-            if _zero_mu:
-                base = (lam + eps) * (rho + eps)
-            else:
-                base = det + eps * (lam + rho) + eps * eps
-            return _power(base, d) * jac
+            if zero_mu:
+                det = lam * rho
+            diag = {}
+
+            def same(e):
+                if e not in diag:
+                    diag[e] = _power(det + e * (lam + rho) + e * e, d)
+                return diag[e]
+
+            def mixed(a, b):
+                return _power(det + a * rho + b * lam + a * b, d)
+
+            cols = itertools.chain(  # lazily, one column's temporaries at a time
+                map(same, m2_eps),
+                (same(a) + same(b) - mixed(a, b) - mixed(b, a) for a, b in gaps),
+                (0.5 * (mixed(a, b) + mixed(b, a)) for a, b in crosses),
+            )
+            out = np.empty((ncols, len(jac)))
+            for row, col in zip(out, cols):
+                np.multiply(col, jac, out=row)
+            return out
         return f
 
     total, err, runs = _integrate_regions(
         make, cfg, abs_tol / pref, rel_tol, max_evals, False,
         init_ab=np.array([0.0, 0.5, 0.875, 1.0]),
     )
-    return _require_converged(pref * total, pref * err, runs, "m2")
+    return _columns(total, err, runs, pref)
+
+
+def m2(eps, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-4, max_evals=6_000_000,
+       _zero_mu=False):
+    """Second moment E[I_eps^2], the 4D integral of
+    ((lambda+eps)(rho+eps) - mu^2)^(-d/2) times (2 pi)^-d."""
+    if eps <= 0.0:
+        raise ParameterError(f"eps must be positive, got {eps}")
+    (res,) = _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=[eps], zero_mu=_zero_mu)
+    return _require_converged(res, "m2")
 
 
 def m_cross(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-4,
@@ -294,22 +380,8 @@ def m_cross(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-4,
     eps <-> eta."""
     if eps <= 0.0 or eta <= 0.0:
         raise ParameterError("eps and eta must be positive")
-    d = cfg.dim
-    pref = (2.0 * math.pi) ** (-d)
-
-    def make(region):
-        def f(x):
-            lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon, False)
-            b1 = det + eps * rho + eta * lam + eps * eta
-            b2 = det + eta * rho + eps * lam + eps * eta
-            return 0.5 * (_power(b1, d) + _power(b2, d)) * jac
-        return f
-
-    total, err, runs = _integrate_regions(
-        make, cfg, abs_tol / pref, rel_tol, max_evals, False,
-        init_ab=np.array([0.0, 0.5, 0.875, 1.0]),
-    )
-    return _require_converged(pref * total, pref * err, runs, "m_cross")
+    (res,) = _moment_columns(cfg, abs_tol, rel_tol, max_evals, crosses=[(eps, eta)])
+    return _require_converged(res, "m_cross")
 
 
 def cauchy_gap(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-3,
@@ -324,26 +396,34 @@ def cauchy_gap(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-3,
     """
     if eps <= 0.0 or eta <= 0.0:
         raise ParameterError("eps and eta must be positive")
-    d = cfg.dim
-    pref = (2.0 * math.pi) ** (-d)
+    (res,) = _moment_columns(cfg, abs_tol, rel_tol, max_evals, gaps=[(eps, eta)])
+    return _require_converged(res, "cauchy_gap")
 
-    def make(region):
-        def f(x):
-            lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon, False)
-            g = (
-                _power(det + eps * (lam + rho) + eps * eps, d)
-                + _power(det + eta * (lam + rho) + eta * eta, d)
-                - _power(det + eps * rho + eta * lam + eps * eta, d)
-                - _power(det + eta * rho + eps * lam + eps * eta, d)
-            )
-            return g * jac
-        return f
 
-    total, err, runs = _integrate_regions(
-        make, cfg, abs_tol / pref, rel_tol, max_evals, False,
-        init_ab=np.array([0.0, 0.5, 0.875, 1.0]),
-    )
-    return _require_converged(pref * total, pref * err, runs, "cauchy_gap")
+def m2_ladder(eps, cfg: ModelConfig, prev_eps=None, abs_tol=1e-9, rel_tol=1e-4,
+              gap_rel_tol=1e-3, max_evals=6_000_000):
+    """m2 at every rung of the ladder ``eps`` and the Cauchy gap between
+    each rung and the one before it, from one 4D pass per region over a
+    shared mesh, with the budget of one m2 call.
+
+    ``prev_eps`` is the rung before ``eps[0]``, if any.  m2 is integrated
+    to ``rel_tol`` and the gaps to ``gap_rel_tol``; a component within its
+    tolerance stops steering the refinement.  Returns (m2s, gaps), one
+    QuadratureResult per rung each, ``gaps[k]`` being the gap to the
+    previous rung (None for the first rung without ``prev_eps``); every
+    result carries the cells and evaluations of the whole pass.  A budget
+    hit is reported in the status of each result that missed its
+    tolerance, not raised.
+    """
+    eps = [float(e) for e in eps]
+    chain = eps if prev_eps is None else [float(prev_eps)] + eps
+    if not eps or min(chain) <= 0.0:
+        raise ParameterError(f"a ladder needs positive regularizers, got {chain}")
+    pairs = list(zip(chain, chain[1:]))
+    tols = [rel_tol] * len(eps) + [gap_rel_tol] * len(pairs)
+    res = _moment_columns(cfg, abs_tol, tols, max_evals, m2_eps=eps, gaps=pairs)
+    gaps = res[len(eps):]
+    return res[: len(eps)], gaps if prev_eps is not None else [None] + gaps
 
 
 def var_limit(cfg: ModelConfig, abs_tol=1e-8, rel_tol=1e-4, max_evals=20_000_000):
@@ -368,7 +448,7 @@ def var_limit(cfg: ModelConfig, abs_tol=1e-8, rel_tol=1e-4, max_evals=20_000_000
     total, err, runs = _integrate_regions(
         make, cfg, abs_tol / pref, rel_tol, max_evals, True,
     )
-    return _require_converged(pref * total, pref * err, runs, "var_limit")
+    return _require_converged(_result(pref * total, pref * err, runs), "var_limit")
 
 
 def a_t_integral(cfg: ModelConfig, abs_tol=1e-8, rel_tol=1e-4, max_evals=20_000_000):
@@ -386,7 +466,7 @@ def a_t_integral(cfg: ModelConfig, abs_tol=1e-8, rel_tol=1e-4, max_evals=20_000_
     total, err, runs = _integrate_regions(
         make, cfg, abs_tol, rel_tol, max_evals, True,
     )
-    return _require_converged(total, err, runs, "a_t_integral")
+    return _require_converged(_result(total, err, runs), "a_t_integral")
 
 
 def _diverged_4d(cfg, label):

@@ -1,9 +1,12 @@
+import csv
+import functools
+import io
 import json
 import math
 
 import pytest
 
-from fbmilt import cli
+from fbmilt import cli, quadmoments
 from fbmilt.errors import ParameterError, QuadratureBudgetError
 from fbmilt.phasescan import PhaseError
 
@@ -119,7 +122,8 @@ class TestSweepCommand:
                          "--format", "csv", "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "eps,m1,m1_err,m2,m2_err,variance,cauchy_gap,mc_mean,mc_se"
+        assert lines[0] == ("eps,m1,m1_err,m2,m2_err,variance,cauchy_gap,gap_err,"
+                            "mc_mean,mc_se,complete")
         assert len(lines) == 4
         # first-row gap is empty (no previous epsilon)
         assert lines[1].split(",")[6] == ""
@@ -132,6 +136,31 @@ class TestSweepCommand:
         assert [r["eps"] for r in rows] == [1.0, 0.5, 0.25]
         assert rows[0]["cauchy_gap"] is None
         assert rows[1]["cauchy_gap"] >= 0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_budget_hit_gap_reported(self, tmp_path, monkeypatch, fmt):
+        # the gaps cannot meet their tolerance within the shared pass's budget
+        import fbmilt.phasescan as ps
+
+        tight = functools.partial(quadmoments.m2_ladder, max_evals=100_000)
+        monkeypatch.setattr(ps.quadmoments, "m2_ladder", tight)
+        monkeypatch.setattr(ps, "GAP_REL_TOL", 1e-12)
+        out = tmp_path / f"s.{fmt}"
+        code = run_main(["sweep", "--hurst", "0.5", "--dim", "2", "--count", "3",
+                         "--eps0", "1", "--format", fmt, "--out", str(out)])
+        assert code == 3
+        if fmt == "json":
+            results = json.loads(out.read_text())["results"]
+            rows = results["rows"]
+            assert results["diagnostics"]["nevals"] > 0
+        else:
+            rows = list(csv.DictReader(io.StringIO(out.read_text())))
+            for row in rows:
+                row["complete"] = row["complete"] == "True"
+                row["gap_err"] = float(row["gap_err"]) if row["gap_err"] else None
+        assert [r["complete"] for r in rows] == [True, False, False]
+        assert rows[0]["gap_err"] is None
+        assert all(r["gap_err"] > 0.0 for r in rows[1:])
 
 
 class TestPhaseCommand:
@@ -163,7 +192,7 @@ class TestPhaseCommand:
 
 
 class _Reached(Exception):
-    """Stops a command at its first m2 call."""
+    """Stops a command at its first 4D moment pass."""
 
 
 @pytest.mark.parametrize("argv,want", [
@@ -174,11 +203,11 @@ class _Reached(Exception):
 def test_horizon_and_tol_reach_m2(monkeypatch, tmp_path, argv, want):
     seen = []
 
-    def m2(eps, cfg, rel_tol):
+    def m2_ladder(eps, cfg, rel_tol, **kw):
         seen.append((cfg.horizon, rel_tol))
         raise _Reached
 
-    monkeypatch.setattr(cli.quadmoments, "m2", m2)
+    monkeypatch.setattr(cli.quadmoments, "m2_ladder", m2_ladder)
     with pytest.raises(_Reached):
         run_main(argv + ["--hurst", "0.5", "--dim", "2", "--out", str(tmp_path / "r.json")])
     assert seen == [want]

@@ -228,3 +228,94 @@ def test_matches_heap_driver_on_polynomials(corner, widths, coef, powers):
 
     kw = dict(rel_tol=1e-13, max_evals=30_000)
     assert _bits(integrate(f, lo, hi, **kw)) == _bits(heap_integrate(f, lo, hi, **kw))
+
+
+# ---------------------------------------------------------------------------
+# K-component integrands over one shared mesh
+
+
+def _gauss(x):
+    return np.exp(-np.sum(x * x, axis=1))
+
+
+def _cos2(x):
+    return np.cos(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
+
+
+def _cubic(x):  # integrated exactly by the degree-7 rule on any mesh
+    return 1.0 + x[:, 0] ** 3 * x[:, 1]
+
+
+def _stacked(*fs):
+    return lambda x: np.stack([g(x) for g in fs])
+
+
+def test_components_match_their_scalar_runs():
+    fs = (_gauss, _inv_sqrt_sum, _cos2)
+    rel = [1e-9, 1e-6, 1e-8]
+    got = integrate(_stacked(*fs), [0, 0], [1, 1], rel_tol=rel)
+    assert got.status == "converged"
+    assert got.converged.tolist() == [True, True, True]
+    assert got.value.shape == got.error.shape == (3,)
+    for k, (g, r) in enumerate(zip(fs, rel)):
+        alone = integrate(g, [0, 0], [1, 1], rel_tol=r)
+        assert abs(got.value[k] - alone.value) <= got.error[k] + alone.error
+        assert got.error[k] <= r * abs(got.value[k])
+
+
+def _edge(x):  # singular at the far corner, which the bump never refines
+    return 1.0 / np.sqrt(2.0 - x[:, 0] - x[:, 1])
+
+
+def _bump(x):
+    return np.exp(-50.0 * ((x[:, 0] - 0.2) ** 2 + (x[:, 1] - 0.2) ** 2))
+
+
+@pytest.mark.parametrize("edge_first", [True, False])
+def test_met_component_does_not_steer(edge_first):
+    # the edge component meets its tolerance on the starting mesh with cell
+    # errors that would outrank the bump's late ones; the pass must refine
+    # for the bump alone, cell for cell as the bump's scalar run does
+    kw = dict(init_splits=[np.array([0.0, 0.5, 0.9, 0.99, 1.0])] * 2)
+    start = integrate(_edge, [0, 0], [1, 1], max_evals=1, **kw)
+    rel = [1.5 * start.error / start.value, 1e-8]
+    fs = (_edge, _bump)
+    if not edge_first:
+        fs, rel = fs[::-1], rel[::-1]
+    got = integrate(_stacked(*fs), [0, 0], [1, 1], rel_tol=rel, **kw)
+    alone = integrate(_bump, [0, 0], [1, 1], rel_tol=1e-8, **kw)
+    k = fs.index(_bump)
+    assert got.converged.tolist() == [True, True]
+    assert (got.nevals, got.ncells) == (alone.nevals, alone.ncells)
+    assert got.value[k].hex() == alone.value.hex()
+    assert got.error[k].hex() == alone.error.hex()
+
+
+def test_budget_reports_each_component():
+    got = integrate(_stacked(_cubic, _inv_sqrt_sum, _gauss), [0, 0], [1, 1],
+                    rel_tol=[1e-6, 1e-12, 1e-6], max_evals=2000)
+    assert got.status == "budget"
+    assert got.converged.tolist() == [True, False, True]
+    assert got.nevals <= 2000 + 17 * 256
+    assert np.all(np.isfinite(got.value)) and got.error[1] > 1e-12 * got.value[1]
+
+
+def test_slicing_changes_no_bit(monkeypatch):
+    import fbmilt.cubature as cub
+
+    sizes = []
+
+    def f(x):
+        sizes.append(len(x))
+        return np.stack([_gauss(x), _inv_sqrt_sum(x), _cos2(x)])
+
+    kw = dict(rel_tol=[1e-9, 1e-6, 1e-8])
+    whole = integrate(f, [0, 0], [1, 1], **kw)
+    assert max(sizes) > 17 * 64  # steps of up to 256 cells, one call each
+    sizes.clear()
+    monkeypatch.setattr(cub, "_BLOCK_BYTES", 3 * 17 * 8 * 10)  # ten cells a call
+    sliced = integrate(f, [0, 0], [1, 1], **kw)
+    assert max(sizes) == 17 * 10
+    for a, b in ((whole.value, sliced.value), (whole.error, sliced.error)):
+        assert [v.hex() for v in a] == [v.hex() for v in b]
+    assert (whole.nevals, whole.ncells) == (sliced.nevals, sliced.ncells)

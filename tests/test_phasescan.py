@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fbmilt import quadmoments
 from fbmilt.covkernel import ModelConfig
 from fbmilt.errors import IndeterminateError, ParameterError
 from fbmilt.phasescan import (
+    GAP_REL_TOL,
     EpsSchedule,
     PhaseError,
     PhasePoint,
@@ -95,6 +97,20 @@ class TestSweep:
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] == pytest.approx(want, rel=0.04)
 
+    def test_shared_pass_matches_per_rung_integrals(self):
+        cfg = ModelConfig(0.5, 2)
+        rows = sweep(cfg, EpsSchedule(1.0, 0.5, 4)).rows
+        prev = None
+        for row in rows:
+            want1 = quadmoments.m1(row.eps, cfg)
+            want2 = quadmoments.m2(row.eps, cfg, rel_tol=3e-4)
+            assert abs(row.m1 - want1.value) <= row.m1_err + want1.error_estimate
+            assert abs(row.m2 - want2.value) <= row.m2_err + want2.error_estimate
+            if prev is not None:
+                gap = quadmoments.cauchy_gap(prev, row.eps, cfg, rel_tol=GAP_REL_TOL)
+                assert abs(row.cauchy_gap - gap.value) <= row.gap_err + gap.error_estimate
+            prev = row.eps
+
     def test_with_mc_fills_estimates(self):
         series = sweep(
             ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 3),
@@ -157,11 +173,12 @@ class TestClassify:
         def log_growth(eps):
             return 1.0 + 0.01 * math.log2(1.0 / eps)
 
-        def stub_row(cfg, eps, prev_eps, tol, with_mc, mc_params):
-            return SweepRow(eps=eps, m1=log_growth(eps), m1_err=0.0, m2=2.0,
-                            m2_err=0.0, variance=1.0, cauchy_gap=0.5)
+        def stub_rows(cfg, ladder, prev_eps, tol, with_mc, mc_params):
+            return [SweepRow(eps=eps, m1=log_growth(eps), m1_err=0.0, m2=2.0,
+                             m2_err=0.0, variance=1.0, cauchy_gap=0.5)
+                    for eps in ladder], 0
 
-        monkeypatch.setattr(ps, "_sweep_row", stub_row)
+        monkeypatch.setattr(ps, "_rows", stub_rows)
         eps = [2.0**-k for k in range(12)]
         series = _synthetic_series(eps, [log_growth(e) for e in eps], [2.0] * 12)
         rows = [replace(r, cauchy_gap=(0.5 if k else math.nan))
@@ -198,12 +215,14 @@ class TestPhaseGrid:
 
 class TestSweepBudgets:
     def test_gap_budget_marks_row_incomplete(self, monkeypatch):
-        # a budget-hit Cauchy gap used to enter the row as a plain number
+        # the gaps cannot meet their tolerance, so the shared pass stops at
+        # its budget; the m2 columns met theirs and only gap rows fail
         import fbmilt.phasescan as ps
         from fbmilt import quadmoments
 
-        tight = functools.partial(quadmoments.cauchy_gap, max_evals=500)
-        monkeypatch.setattr(ps.quadmoments, "cauchy_gap", tight)
+        tight = functools.partial(quadmoments.m2_ladder, max_evals=100_000)
+        monkeypatch.setattr(ps.quadmoments, "m2_ladder", tight)
+        monkeypatch.setattr(ps, "GAP_REL_TOL", 1e-12)
         series = sweep(ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 3))
         assert series.rows[0].complete
         assert math.isnan(series.rows[0].gap_err)
@@ -211,6 +230,7 @@ class TestSweepBudgets:
             assert not row.complete
             assert math.isfinite(row.cauchy_gap)
             assert row.gap_err > 0.0
+        assert 0 < series.nevals
 
     def test_gap_error_recorded(self):
         series = sweep(ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 3))
@@ -225,27 +245,21 @@ class TestSweepBudgets:
 
         seen = []
 
-        def fake_m1(eps, cfg, **kw):
-            return QuadratureResult(1.0 + 0.01 * math.log2(1.0 / eps), 0.0, 1)
+        def fake_m1_ladder(eps, cfg, **kw):
+            return [QuadratureResult(1.0 + 0.01 * math.log2(1.0 / e), 0.0, 1) for e in eps]
 
-        def fake_m2(eps, cfg, rel_tol):
-            seen.append(rel_tol)
-            return QuadratureResult(2.0, 0.0, 1)
+        def fake_m2_ladder(eps, cfg, prev_eps, rel_tol, gap_rel_tol):
+            seen.append((len(eps), prev_eps, rel_tol))
+            gaps = [QuadratureResult(0.5, 0.0, 1) for _ in eps]
+            return ([QuadratureResult(2.0, 0.0, 1) for _ in eps],
+                    gaps if prev_eps is not None else [None] + gaps[1:])
 
-        class Gap(float):  # usable both as a bare float and as a result
-            value = property(float)
-            error_estimate = 0.0
-
-        def fake_gap(eps, eta, cfg, rel_tol):
-            return Gap(0.5)
-
-        monkeypatch.setattr(ps.quadmoments, "m1", fake_m1)
-        monkeypatch.setattr(ps.quadmoments, "m2", fake_m2)
-        monkeypatch.setattr(ps.quadmoments, "cauchy_gap", fake_gap)
+        monkeypatch.setattr(ps.quadmoments, "m1_ladder", fake_m1_ladder)
+        monkeypatch.setattr(ps.quadmoments, "m2_ladder", fake_m2_ladder)
         cfg = ModelConfig(0.5, 2)
         series = sweep(cfg, EpsSchedule(1.0, 0.5, 6), quad_rel_tol=1e-3)
         with pytest.raises(IndeterminateError) as exc:
             classify(series, cfg)
         assert len(exc.value.series.rows) == 7  # the ladder was extended once
-        assert seen == [1e-3] * 7
+        assert seen == [(6, None, 1e-3), (1, 0.5**5, 1e-3)]
         assert series.quad_rel_tol == 1e-3

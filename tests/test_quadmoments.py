@@ -2,15 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fbmilt.covkernel import ModelConfig
+from fbmilt.covkernel import ModelConfig, det_var_z, lambda_var
 from fbmilt.errors import ParameterError, QuadratureBudgetError
 from fbmilt.quadmoments import (
+    _cluster_both,
+    _cluster_one,
+    _region_pieces,
     a_t_integral,
     a_z,
     cauchy_gap,
     m1,
+    m1_ladder,
     m2,
+    m2_ladder,
     m_cross,
     radial_rate,
     reduction_bound,
@@ -185,6 +192,23 @@ class TestCauchyGap:
         assert math.isfinite(partial.value) and partial.error_estimate > 0.0
 
 
+class TestLadders:
+    def test_positive_regularizers_required(self):
+        with pytest.raises(ParameterError):
+            m1_ladder([0.5, 0.0], CFG_H5D2)
+        with pytest.raises(ParameterError):
+            m2_ladder([0.5, 0.25], CFG_H5D2, prev_eps=-1.0)
+        with pytest.raises(ParameterError):
+            m2_ladder([], CFG_H5D2)
+
+    def test_gaps_follow_the_rungs(self):
+        m2s, gaps = m2_ladder([0.5, 0.25], CFG_H5D2, prev_eps=1.0)
+        assert len(m2s) == len(gaps) == 2
+        want = cauchy_gap(1.0, 0.5, CFG_H5D2)
+        assert abs(gaps[0].value - want.value) <= gaps[0].error_estimate + want.error_estimate
+        assert m2s[0].nevals == gaps[1].nevals > 0  # one shared pass
+
+
 class TestVarLimit:
     def test_finite_below_transition(self):
         res = var_limit(ModelConfig(0.25, 2))
@@ -301,3 +325,51 @@ class TestDivergenceConsistency:
         cfg = ModelConfig(h, d)
         should_diverge = cfg.hd >= 2.0
         assert m1(0.0, cfg, rel_tol=1e-6).diverged == should_diverge
+
+
+# ---------------------------------------------------------------------------
+# the region geometry every 4D integrand, and every shared-mesh column, reads
+
+_unit = st.floats(1e-3, 1.0 - 1e-3)
+_geometry = dict(
+    x=st.lists(_unit, min_size=4, max_size=4),
+    h=st.floats(0.1, 0.95),
+    horizon=st.floats(0.1, 3.0),
+    region=st.sampled_from("AB"),
+    both_ends=st.booleans(),
+)
+
+
+def _times(x, region, horizon, both_ends):
+    """(s, t, u, v) of a mapped unit-cube point, rebuilt from the region maps."""
+    cluster = _cluster_both if both_ends else _cluster_one
+    a, _ = cluster(x[2])
+    b, _ = cluster(x[3])
+    p, r = horizon * x[0] ** 2, horizon * x[1] ** 2
+    if region == "A":  # u = s a, v = t b
+        return p, r, p * a, r * b
+    return p * a, r, p, r * b  # s = u a, v = t b
+
+
+class TestRegionPieces:
+    @settings(max_examples=200, deadline=None)
+    @given(**_geometry)
+    def test_matches_covariance_kernel(self, x, h, horizon, region, both_ends):
+        lam, rho, det, _ = _region_pieces(np.array([x]), region, h, horizon, both_ends)
+        s, t, u, v = _times(x, region, horizon, both_ends)
+        assert lam[0] == pytest.approx(lambda_var(s, t, h), rel=1e-12)
+        assert rho[0] == pytest.approx(lambda_var(u, v, h), rel=1e-12)
+        # both are cancellation-free, but round differently where det << lam rho
+        want = det_var_z(s, t, u, v, h)
+        assert abs(det[0] - want) <= 1e-8 * want + 1e-12 * lam[0] * rho[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(0.1, 10.0), **_geometry)
+    def test_det_homogeneous_of_degree_4h(self, c, x, h, horizon, region, both_ends):
+        # scaling the horizon scales (s, t, u, v) and leaves the angles alone
+        pt = np.array([x])
+        lam, rho, det, _ = _region_pieces(pt, region, h, horizon, both_ends)
+        lam_c, rho_c, det_c, _ = _region_pieces(pt, region, h, c * horizon, both_ends)
+        assert lam_c[0] == pytest.approx(c ** (2 * h) * lam[0], rel=1e-12)
+        tol = 1e-9 * det_c[0] + 1e-13 * lam_c[0] * rho_c[0]
+        assert abs(det_c[0] - c ** (4 * h) * det[0]) <= tol
