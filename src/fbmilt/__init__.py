@@ -35,9 +35,7 @@ from .quadmoments import (
     a_z,
     cauchy_gap,
     m1,
-    m1_ladder,
     m2,
-    m2_ladder,
     m_cross,
     radial_rate,
     reduction_bound,
@@ -77,9 +75,7 @@ __all__ = [
     "mc_moments",
     "QuadratureResult",
     "m1",
-    "m1_ladder",
     "m2",
-    "m2_ladder",
     "m_cross",
     "cauchy_gap",
     "var_limit",

@@ -136,9 +136,7 @@ def _steer(a, tol, short):
     the largest over the components ``short`` of their tolerance, each
     divided by its tolerance ``tol``.  A single such component is used as
     is, so a K = 1 integrand is refined exactly as a scalar one."""
-    if len(a) == 1:
-        return a[0]
-    idx = np.flatnonzero(short)
+    idx = short.nonzero()[0]
     if len(idx) == 1:
         return a[idx[0]]
     w = 1.0 / np.maximum(tol[idx], np.finfo(float).tiny)
@@ -234,7 +232,10 @@ def integrate(
     sums = est.sum(axis=1)  # the running values, then the running errors
     tol = np.maximum(abs_tol, rel_tol * np.abs(sums[:ncomp]))
     short = ~(sums[ncomp:] <= tol)  # components not yet within tolerance
-    split_dim, alive = split_axes(diffs, chi - clo, tol, short if short.any() else ~short)
+    if short.any():
+        split_dim, alive = split_axes(diffs, chi - clo, tol, short)
+    else:  # never refined
+        split_dim, alive = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool)
     cap = n + 2 * _BATCH
     cell_lo, cell_hi, split_dim, alive = (_grown(a, cap) for a in (clo, chi, split_dim, alive))
     est = _grown(est, cap, 1)

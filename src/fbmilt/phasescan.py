@@ -137,8 +137,7 @@ def _rows(cfg, ladder, prev_eps, quad_rel_tol, with_mc, mc_params):
     tolerances.  Returns (rows, integrand evaluations of the passes).
     """
     r1 = quadmoments.m1_ladder(ladder, cfg)
-    r2, rg = quadmoments.m2_ladder(ladder, cfg, prev_eps=prev_eps, rel_tol=quad_rel_tol,
-                                   gap_rel_tol=GAP_REL_TOL)
+    r2, rg = quadmoments.m2_ladder(ladder, cfg, prev_eps=prev_eps, rel_tol=quad_rel_tol)
     rows = []
     for eps, a, b, g in zip(ladder, r1, r2, rg):
         parts = [a, b] if g is None else [a, b, g]

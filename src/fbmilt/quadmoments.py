@@ -55,6 +55,16 @@ __all__ = [
     "radial_rate",
 ]
 
+# tolerances and budgets of m1 and of the second-moment family: the
+# defaults of the one-regularizer calls and the settings of the ladders
+_M1_ABS_TOL = 1e-10
+_M1_REL_TOL = 1e-9
+_M1_MAX_EVALS = 4_000_000
+_M2_ABS_TOL = 1e-9
+_M2_REL_TOL = 1e-4
+_M2_MAX_EVALS = 6_000_000
+_GAP_REL_TOL = 1e-3
+
 
 @dataclass
 class QuadratureResult:
@@ -100,7 +110,8 @@ def _cluster_one(alpha):
 
 def _cluster_both(alpha):
     """Smootherstep map clustering quadratically toward both 0 and 1."""
-    val = alpha**3 * (10.0 - 15.0 * alpha + 6.0 * alpha**2)
+    # clipped: within about 4e-6 of 1 the polynomial rounds above 1
+    val = np.minimum(alpha**3 * (10.0 - 15.0 * alpha + 6.0 * alpha**2), 1.0)
     dval = 30.0 * alpha**2 * (1.0 - alpha) ** 2
     return val, dval
 
@@ -242,7 +253,8 @@ def _m1_columns(eps, cfg, p, abs_tol, rel_tol, max_evals):
     return _columns(res.value, res.error, [res], pref)
 
 
-def m1(eps, cfg: ModelConfig, abs_tol=1e-10, rel_tol=1e-9, max_evals=4_000_000):
+def m1(eps, cfg: ModelConfig, abs_tol=_M1_ABS_TOL, rel_tol=_M1_REL_TOL,
+       max_evals=_M1_MAX_EVALS):
     """First moment E[I_eps] = (2 pi)^(-d/2) * int (eps + s^2H + t^2H)^(-d/2).
 
     eps = 0 is allowed; the limiting integral is finite iff Hd < 2, and a
@@ -256,9 +268,10 @@ def m1(eps, cfg: ModelConfig, abs_tol=1e-10, rel_tol=1e-9, max_evals=4_000_000):
     return _require_converged(res, "m1")
 
 
-def m1_ladder(eps, cfg: ModelConfig, abs_tol=1e-10, rel_tol=1e-9, max_evals=4_000_000):
+def m1_ladder(eps, cfg: ModelConfig):
     """m1 at every positive regularizer in ``eps``, from one 2D pass over a
-    shared mesh that refines until every one meets its tolerance.
+    shared mesh that refines until every one meets m1's default tolerance,
+    with the budget of one m1 call.
 
     Returns one QuadratureResult per regularizer, each carrying the cells
     and evaluations of the whole pass.  A budget hit is reported in the
@@ -267,7 +280,7 @@ def m1_ladder(eps, cfg: ModelConfig, abs_tol=1e-10, rel_tol=1e-9, max_evals=4_00
     eps = [float(e) for e in eps]
     if not eps or min(eps) <= 0.0:
         raise ParameterError(f"a ladder needs positive regularizers, got {eps}")
-    return _m1_columns(eps, cfg, 2, abs_tol, rel_tol, max_evals)
+    return _m1_columns(eps, cfg, 2, _M1_ABS_TOL, _M1_REL_TOL, _M1_MAX_EVALS)
 
 
 def _partial_m1(cfg, delta, rel_tol=1e-5):
@@ -322,7 +335,8 @@ def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosse
     P(e, e), P(a, a) + P(b, b) - P(a, b) - P(b, a), and
     (P(a, b) + P(b, a)) / 2.  Each P(e, e) is computed once per point and
     shared by every column that uses it.  ``rel_tol`` is a scalar or one
-    per column; ``zero_mu`` drops the cross covariance (det -> lam rho).
+    per column; ``zero_mu`` drops the cross covariance of the m2 columns,
+    whose base becomes (lam + e)(rho + e).
     Returns one QuadratureResult per column; budget hits are reported in
     their statuses, not raised.
     """
@@ -333,13 +347,15 @@ def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosse
     def make(region):
         def f(x):
             lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon, False)
-            if zero_mu:
-                det = lam * rho
             diag = {}
 
             def same(e):
                 if e not in diag:
-                    diag[e] = _power(det + e * (lam + rho) + e * e, d)
+                    if zero_mu:
+                        base = (lam + e) * (rho + e)
+                    else:
+                        base = det + e * (lam + rho) + e * e
+                    diag[e] = _power(base, d)
                 return diag[e]
 
             def mixed(a, b):
@@ -363,8 +379,8 @@ def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosse
     return _columns(total, err, runs, pref)
 
 
-def m2(eps, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-4, max_evals=6_000_000,
-       _zero_mu=False):
+def m2(eps, cfg: ModelConfig, abs_tol=_M2_ABS_TOL, rel_tol=_M2_REL_TOL,
+       max_evals=_M2_MAX_EVALS, _zero_mu=False):
     """Second moment E[I_eps^2], the 4D integral of
     ((lambda+eps)(rho+eps) - mu^2)^(-d/2) times (2 pi)^-d."""
     if eps <= 0.0:
@@ -373,8 +389,8 @@ def m2(eps, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-4, max_evals=6_000_000,
     return _require_converged(res, "m2")
 
 
-def m_cross(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-4,
-            max_evals=6_000_000):
+def m_cross(eps, eta, cfg: ModelConfig, abs_tol=_M2_ABS_TOL, rel_tol=_M2_REL_TOL,
+            max_evals=_M2_MAX_EVALS):
     """Cross moment E[I_eps I_eta]: asymmetric regularizers (lambda+eps),
     (rho+eta), symmetrized so the result is exactly invariant under
     eps <-> eta."""
@@ -384,8 +400,8 @@ def m_cross(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-4,
     return _require_converged(res, "m_cross")
 
 
-def cauchy_gap(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-3,
-               max_evals=6_000_000):
+def cauchy_gap(eps, eta, cfg: ModelConfig, abs_tol=_M2_ABS_TOL, rel_tol=_GAP_REL_TOL,
+               max_evals=_M2_MAX_EVALS):
     """L2 Cauchy gap ||I_eps - I_eta||^2 = m2(eps) + m2(eta) - 2 m_cross.
 
     Computed as a single fused integrand rather than a difference of
@@ -400,14 +416,13 @@ def cauchy_gap(eps, eta, cfg: ModelConfig, abs_tol=1e-9, rel_tol=1e-3,
     return _require_converged(res, "cauchy_gap")
 
 
-def m2_ladder(eps, cfg: ModelConfig, prev_eps=None, abs_tol=1e-9, rel_tol=1e-4,
-              gap_rel_tol=1e-3, max_evals=6_000_000):
+def m2_ladder(eps, cfg: ModelConfig, prev_eps=None, rel_tol=_M2_REL_TOL):
     """m2 at every rung of the ladder ``eps`` and the Cauchy gap between
     each rung and the one before it, from one 4D pass per region over a
     shared mesh, with the budget of one m2 call.
 
     ``prev_eps`` is the rung before ``eps[0]``, if any.  m2 is integrated
-    to ``rel_tol`` and the gaps to ``gap_rel_tol``; a component within its
+    to ``rel_tol`` and the gaps to cauchy_gap's default; a component within its
     tolerance stops steering the refinement.  Returns (m2s, gaps), one
     QuadratureResult per rung each, ``gaps[k]`` being the gap to the
     previous rung (None for the first rung without ``prev_eps``); every
@@ -420,8 +435,8 @@ def m2_ladder(eps, cfg: ModelConfig, prev_eps=None, abs_tol=1e-9, rel_tol=1e-4,
     if not eps or min(chain) <= 0.0:
         raise ParameterError(f"a ladder needs positive regularizers, got {chain}")
     pairs = list(zip(chain, chain[1:]))
-    tols = [rel_tol] * len(eps) + [gap_rel_tol] * len(pairs)
-    res = _moment_columns(cfg, abs_tol, tols, max_evals, m2_eps=eps, gaps=pairs)
+    tols = [rel_tol] * len(eps) + [_GAP_REL_TOL] * len(pairs)
+    res = _moment_columns(cfg, _M2_ABS_TOL, tols, _M2_MAX_EVALS, m2_eps=eps, gaps=pairs)
     gaps = res[len(eps):]
     return res[: len(eps)], gaps if prev_eps is not None else [None] + gaps
 

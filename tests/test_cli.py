@@ -1,5 +1,4 @@
 import csv
-import functools
 import io
 import json
 import math
@@ -140,11 +139,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_budget_hit_gap_reported(self, tmp_path, monkeypatch, fmt):
         # the gaps cannot meet their tolerance within the shared pass's budget
-        import fbmilt.phasescan as ps
-
-        tight = functools.partial(quadmoments.m2_ladder, max_evals=100_000)
-        monkeypatch.setattr(ps.quadmoments, "m2_ladder", tight)
-        monkeypatch.setattr(ps, "GAP_REL_TOL", 1e-12)
+        monkeypatch.setattr(quadmoments, "_M2_MAX_EVALS", 100_000)
+        monkeypatch.setattr(quadmoments, "_GAP_REL_TOL", 1e-12)
         out = tmp_path / f"s.{fmt}"
         code = run_main(["sweep", "--hurst", "0.5", "--dim", "2", "--count", "3",
                          "--eps0", "1", "--format", fmt, "--out", str(out)])

@@ -1,4 +1,3 @@
-import functools
 import math
 from dataclasses import replace
 
@@ -217,12 +216,8 @@ class TestSweepBudgets:
     def test_gap_budget_marks_row_incomplete(self, monkeypatch):
         # the gaps cannot meet their tolerance, so the shared pass stops at
         # its budget; the m2 columns met theirs and only gap rows fail
-        import fbmilt.phasescan as ps
-        from fbmilt import quadmoments
-
-        tight = functools.partial(quadmoments.m2_ladder, max_evals=100_000)
-        monkeypatch.setattr(ps.quadmoments, "m2_ladder", tight)
-        monkeypatch.setattr(ps, "GAP_REL_TOL", 1e-12)
+        monkeypatch.setattr(quadmoments, "_M2_MAX_EVALS", 100_000)
+        monkeypatch.setattr(quadmoments, "_GAP_REL_TOL", 1e-12)
         series = sweep(ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 3))
         assert series.rows[0].complete
         assert math.isnan(series.rows[0].gap_err)
@@ -245,10 +240,10 @@ class TestSweepBudgets:
 
         seen = []
 
-        def fake_m1_ladder(eps, cfg, **kw):
+        def fake_m1_ladder(eps, cfg):
             return [QuadratureResult(1.0 + 0.01 * math.log2(1.0 / e), 0.0, 1) for e in eps]
 
-        def fake_m2_ladder(eps, cfg, prev_eps, rel_tol, gap_rel_tol):
+        def fake_m2_ladder(eps, cfg, prev_eps, rel_tol):
             seen.append((len(eps), prev_eps, rel_tol))
             gaps = [QuadratureResult(0.5, 0.0, 1) for _ in eps]
             return ([QuadratureResult(2.0, 0.0, 1) for _ in eps],

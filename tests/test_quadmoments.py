@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbmilt.covkernel import ModelConfig, det_var_z, lambda_var
@@ -278,6 +278,13 @@ class TestAZ:
         assert res.status == "budget"
         assert res.nevals >= 200
 
+    def test_finite_at_large_z(self):
+        # from z ~ 6.6e4 on the integral samples angles within 4e-6 of 1,
+        # where the angle map must not round above 1: (1 - x)^2H is NaN there
+        res = a_z(1e5, ModelConfig(0.25, 2), rel_tol=1e-8)
+        assert math.isfinite(res.value) and res.value > 0.0
+        assert res.status == "converged"
+
     def test_negative_z_rejected(self):
         with pytest.raises(ParameterError):
             a_z(-1.0, CFG_H5D2)
@@ -330,9 +337,12 @@ class TestDivergenceConsistency:
 # ---------------------------------------------------------------------------
 # the region geometry every 4D integrand, and every shared-mesh column, reads
 
-_unit = st.floats(1e-3, 1.0 - 1e-3)
+# radii stop at 1e-3: below it the fourth powers of the times leave the
+# normal range; the angles cover the whole open interval, endpoints included
+_radius = st.floats(1e-3, 1.0)
+_angle = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 _geometry = dict(
-    x=st.lists(_unit, min_size=4, max_size=4),
+    x=st.tuples(_radius, _radius, _angle, _angle).map(list),
     h=st.floats(0.1, 0.95),
     horizon=st.floats(0.1, 3.0),
     region=st.sampled_from("AB"),
@@ -340,28 +350,59 @@ _geometry = dict(
 )
 
 
+def _angles(x, both_ends):
+    """The angle ratios (a, b) of a mapped unit-cube point."""
+    cluster = _cluster_both if both_ends else _cluster_one
+    return cluster(x[2])[0], cluster(x[3])[0]
+
+
 def _times(x, region, horizon, both_ends):
     """(s, t, u, v) of a mapped unit-cube point, rebuilt from the region maps."""
-    cluster = _cluster_both if both_ends else _cluster_one
-    a, _ = cluster(x[2])
-    b, _ = cluster(x[3])
+    a, b = _angles(x, both_ends)
     p, r = horizon * x[0] ** 2, horizon * x[1] ** 2
     if region == "A":  # u = s a, v = t b
         return p, r, p * a, r * b
     return p * a, r, p, r * b  # s = u a, v = t b
 
 
+def _rounding_slack(x, y, h):
+    """A bound on the change of |x - y|^2H when x or y moves by one rounding."""
+    h2 = 2.0 * h
+    d = abs(x - y)
+    e = 2.3e-16 * max(x, y)
+    if h2 >= 1.0:
+        return h2 * e * (d + e) ** (h2 - 1.0)
+    return min(e**h2, h2 * e * d ** (h2 - 1.0)) if d else e**h2
+
+
 class TestRegionPieces:
+    @pytest.mark.parametrize("cluster", [_cluster_one, _cluster_both])
+    def test_angle_maps_stay_in_unit_interval(self, cluster):
+        alpha = np.concatenate([np.linspace(0.0, 1e-5, 1001), np.linspace(1.0 - 1e-5, 1.0, 1001)])
+        val, dval = cluster(alpha)
+        assert np.all((val >= 0.0) & (val <= 1.0))
+        assert np.all(dval >= 0.0)
+
     @settings(max_examples=200, deadline=None)
     @given(**_geometry)
+    @example(x=[0.5, 0.5, 1.0 - 1e-6, 1.0 - 2.0**-53], h=0.3, horizon=1.0, region="A",
+             both_ends=True)
     def test_matches_covariance_kernel(self, x, h, horizon, region, both_ends):
         lam, rho, det, _ = _region_pieces(np.array([x]), region, h, horizon, both_ends)
         s, t, u, v = _times(x, region, horizon, both_ends)
         assert lam[0] == pytest.approx(lambda_var(s, t, h), rel=1e-12)
         assert rho[0] == pytest.approx(lambda_var(u, v, h), rel=1e-12)
-        # both are cancellation-free, but round differently where det << lam rho
+        # both are cancellation-free, but round differently where det << lam rho;
+        # near a zero angle x both round 1 - x, an absolute error of about
+        # eps * x (lam + rho)^2 in each; and the rebuilt times carry one
+        # rounding each, which moves det by at most (lam + rho) times the
+        # change of |t - v|^2H and |s - u|^2H
         want = det_var_z(s, t, u, v, h)
-        assert abs(det[0] - want) <= 1e-8 * want + 1e-12 * lam[0] * rho[0]
+        scale = lam[0] + rho[0]
+        ang = max(min(a, 1.0 - a) for a in _angles(x, both_ends))
+        tol = (1e-8 * want + 1e-12 * lam[0] * rho[0] + 1e-14 * ang * scale**2
+               + 2.0 * scale * (_rounding_slack(t, v, h) + _rounding_slack(s, u, h)))
+        assert abs(det[0] - want) <= tol
 
     @settings(max_examples=200, deadline=None)
     @given(c=st.floats(0.1, 10.0), **_geometry)
