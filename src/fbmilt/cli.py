@@ -182,6 +182,10 @@ def _num(x):
 
 
 def _quad_dict(res) -> dict:
+    shells = None
+    if res.shells is not None:
+        shells = [{"width": _num(w), "value": _num(s.value), "error": _num(s.error_estimate),
+                   "status": s.status} for w, s in zip(res.shell_widths, res.shells)]
     return {
         "value": _num(res.value),
         "error": _num(res.error_estimate),
@@ -189,6 +193,9 @@ def _quad_dict(res) -> dict:
         "evidence": res.divergence_evidence,
         "status": res.status,
         "nevals": res.nevals,
+        "shells": shells,
+        "shell_rate": _num(res.shell_rate),
+        "radial_exponent": _num(res.radial_exponent),
     }
 
 

@@ -16,7 +16,10 @@ short of their tolerance, each divided by that tolerance.  The running
 values and errors are updated in that order: every split cell
 subtracted, then every new cell added.  Integrands are called vectorized
 on an (npoints, ndim) array whose columns are contiguous, on slices of
-whole cells that keep one call's values under ``_BLOCK_BYTES``.
+whole cells: at most one refinement step's children, and few enough that
+one call's values stay under ``_BLOCK_BYTES``.  The first cell of the
+starting mesh is evaluated alone, which tells the number of components
+before any larger call.
 
 The error estimate is conservative (a straight sum of per-cell embedded
 differences), so `status == "budget"` does not necessarily mean the value
@@ -180,7 +183,7 @@ def integrate(
     g1 = 1 + 2 * np.arange(ndim)  # the +/- lambda2 points of each axis: g1, g1 + 1
     g2 = g1 + 2 * ndim  # the +/- lambda3 points: g2, g2 + 1
     min_width = min_width_frac * (hi - lo)
-    per_call = max(1, _BLOCK_BYTES // (8 * npts))  # cells per integrand call, for K = 1
+    per_call = 1  # cells per integrand call; set by each call from its K
     vector = False  # whether f returns (K, m) rather than (m,)
 
     def eval_cells(clo, chi):
@@ -193,9 +196,11 @@ def integrate(
         # coordinate-major, so each column x[:, k] the integrand reads is contiguous
         x = np.multiply(hw.T[:, :, None], pts_t[:, None, :], order="C")
         x += cen.T[:, :, None]
-        nonlocal vector
+        nonlocal vector, per_call
         out = np.asarray(f(x.reshape(ndim, -1).T), dtype=float)
         vector = out.ndim == 2
+        ncomp = len(out) if vector else 1
+        per_call = max(1, min(2 * _BATCH, _BLOCK_BYTES // (8 * npts * ncomp)))
         vals = out.reshape(-1, npts)  # one row per (component, cell)
         vol = hw.prod(axis=1)
         i7 = ((vals * w7).sum(axis=1).reshape(-1, m)) * vol
@@ -208,12 +213,15 @@ def integrate(
         return np.concatenate((i7, np.abs(i7 - i5))), diffs.reshape(-1, m, ndim)
 
     def evaluate(clo, chi):
-        # slices of whole cells, so one call holds at most about _BLOCK_BYTES
-        # of integrand values; cells are independent, so slicing changes no bit
-        if len(clo) <= per_call:
-            return eval_cells(clo, chi)
-        parts = [eval_cells(clo[i:i + per_call], chi[i:i + per_call])
-                 for i in range(0, len(clo), per_call)]
+        # slices of whole cells; cells are independent, so slicing changes no bit
+        parts = []
+        i = 0
+        while i < len(clo):
+            j = i + per_call
+            parts.append(eval_cells(clo[i:j], chi[i:j]))  # the first call sets per_call
+            i = j
+        if len(parts) == 1:
+            return parts[0]
         return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
 
     def split_axes(diffs, width, tol, short):
@@ -224,7 +232,6 @@ def integrate(
     clo, chi = _initial_cells(lo, hi, init_splits)
     est, diffs = evaluate(clo, chi)  # per cell: K values, then K errors
     ncomp = len(est) // 2
-    per_call = max(1, per_call // ncomp)
     abs_tol = np.asarray(abs_tol, dtype=float)  # scalar or (K,), broadcast against totals
     rel_tol = np.asarray(rel_tol, dtype=float)
     n = len(clo)

@@ -243,13 +243,17 @@ def classify(series: SweepSeries, cfg: ModelConfig) -> PhasePoint:
     A tie after the threshold rules extends the ladder by one factor step
     and retries; a remaining tie is broken by the sign of the offset-aware
     rate fit of m1, and failing that an Indeterminate error is raised with
-    the series attached.
+    the series attached.  Fewer than 3 complete rows raise
+    QuadratureBudgetError when budget hits left rows incomplete, and
+    ParameterError otherwise.
     """
     rows = [r for r in series.rows if r.complete]
     if len(rows) < 3:
-        raise ParameterError(
-            f"classification needs >= 3 complete sweep rows, got {len(rows)}"
-        )
+        message = f"classification needs >= 3 complete sweep rows, got {len(rows)}"
+        dropped = len(series.rows) - len(rows)
+        if dropped:
+            raise QuadratureBudgetError(f"{message}; {dropped} hit their quadrature budget")
+        raise ParameterError(message)
     if abs(cfg.hd - 2.0) < CRITICAL_ATOL:
         return PhasePoint(cfg.hurst, cfg.dim, "Critical", None, series)
 

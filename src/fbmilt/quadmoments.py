@@ -22,16 +22,20 @@ every rung's m1 likewise (m1_ladder).
 At eps = 0 with Hd >= 2 the integrals diverge; this is decided by the
 analytic radial exponent and corroborated by a sequence of growing
 partial integrals over shrinking-exclusion shells, both recorded in the
-result's divergence evidence.  A diverged result's status is "budget"
-when any of its shell integrals hit its budget.
+result's divergence evidence.  A shell excludes a box of width delta
+around every codimension-2 face of the mapped cube on which the
+integrand is singular; the starting mesh has a breakpoint at every box
+edge, so each shell is a union of whole cells and all shells are the
+components of one pass per region.  A diverged result's status is
+"budget" when any of its shells missed its tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -65,6 +69,27 @@ _M2_REL_TOL = 1e-4
 _M2_MAX_EVALS = 6_000_000
 _GAP_REL_TOL = 1e-3
 
+# divergence shells at eps = 0: exclusion widths, tolerances and budgets of
+# the one pass (per region) that gives every shell
+_M1_SHELL_WIDTHS = 2.0 ** -np.arange(1, 8)  # mapped x = sqrt(s / T): [0, T 4^-k]^2
+_M1_SHELL_REL_TOL = 1e-5
+_M1_SHELL_MAX_EVALS = 4_000_000
+_SHELL_WIDTHS = 4.0 ** -np.arange(1, 6)
+_SHELL_REL_TOL = 3e-3
+_SHELL_MAX_EVALS = 20_000_000
+
+# the codimension-2 faces {x_i = e_i, x_j = e_j}, as (i, e_i, j, e_j), of
+# each region's mapped cube (xi, zeta, alpha, beta) on which det vanishes:
+# the time origin, the diagonal (s, t) = (u, v), and the faces where one
+# of B_t - B~_s and B_v - B~_u is degenerate or the two coincide
+_SINGULAR_FACES = {
+    "A": ((0, 0.0, 1, 0.0), (0, 0.0, 3, 0.0), (0, 0.0, 3, 1.0), (1, 0.0, 2, 0.0),
+          (1, 0.0, 2, 1.0), (2, 0.0, 3, 0.0), (2, 1.0, 3, 1.0)),
+    "B": ((0, 0.0, 1, 0.0), (0, 0.0, 3, 0.0), (0, 0.0, 3, 1.0), (1, 0.0, 2, 0.0),
+          (1, 0.0, 2, 1.0), (2, 1.0, 3, 1.0)),
+}
+_ORIGIN_FACE = ((0, 0.0, 1, 0.0),)  # of m1's (s, t) square
+
 
 @dataclass
 class QuadratureResult:
@@ -83,6 +108,13 @@ class QuadratureResult:
     divergence_evidence: Optional[str] = None
     status: str = "converged"
     nevals: int = 0
+    # divergence evidence as data: the partial integrals, their exclusion
+    # widths, the fitted exponent g of shells ~ width^g over the inner
+    # three, and the exponent of the radial integrand near the origin
+    shells: Optional[List["QuadratureResult"]] = None
+    shell_widths: Optional[List[float]] = None
+    shell_rate: Optional[float] = None
+    radial_exponent: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -155,27 +187,30 @@ def _power(base, dexp):
     return np.where(np.isfinite(out), out, 0.0)
 
 
-def _integrate_regions(make_integrand, cfg, abs_tol, rel_tol, max_evals, both_ends,
-                       init_ab=None):
-    """Integrate an (s,t,u,v)-symmetric integrand, scalar or K-component,
-    over regions A and B; ``rel_tol`` is a scalar or one per component."""
-    if init_ab is None:
-        init_ab = np.array([0.0, 0.5, 1.0])
-    init = [np.array([0.0, 0.5, 1.0])] * 2 + [np.asarray(init_ab, float)] * 2
-    total = 0.0
-    err = 0.0
-    runs = []
-    for region in ("A", "B"):
-        f = make_integrand(region)
-        res = cubature.integrate(
-            f, [0.0] * 4, [1.0] * 4,
-            abs_tol=abs_tol / 4.0, rel_tol=rel_tol,
-            max_evals=max_evals // 2, init_splits=init,
-        )
-        total += 2.0 * res.value
-        err += 2.0 * res.error
-        runs.append(res)
-    return total, err, runs
+def _face_distance(x, faces):
+    """Chebyshev distance from each point of ``x`` to the nearest face
+    {x_i = e_i, x_j = e_j} of ``faces``."""
+    return np.minimum.reduce([
+        np.maximum(np.abs(x[:, i] - ei), np.abs(x[:, j] - ej)) for i, ei, j, ej in faces
+    ])
+
+
+def _shell_splits(ndim, faces, widths):
+    """Starting breakpoints of each axis of the unit cube: both ends and
+    every edge of the exclusion boxes {|x_i - e_i| < w, |x_j - e_j| < w}
+    around ``faces``, for each w in ``widths``.  Each starting cell, and
+    so each cell of the mesh, lies wholly inside or wholly outside every
+    box."""
+    axes = [{0.0, 1.0} for _ in range(ndim)]
+    for i, ei, j, ej in faces:
+        axes[i].update(abs(ei - widths))
+        axes[j].update(abs(ej - widths))
+    return [np.array(sorted(a)) for a in axes]
+
+
+def _scaled(res, c):
+    """``res`` with its value and claimed error multiplied by ``c``."""
+    return replace(res, value=c * res.value, error_estimate=c * res.error_estimate)
 
 
 def _status(results):
@@ -218,6 +253,28 @@ def _require_converged(result, label):
     return result
 
 
+def _diverged(cfg, shells, widths, exponent, excluded):
+    """A diverged result from the growing partial integrals ``shells`` over
+    the complements of exclusions of ``widths`` (``excluded`` names them)
+    and the exponent of the radial integrand near the origin.  Its value
+    is the innermost shell's; its status "budget" if any shell missed its
+    tolerance."""
+    values = [r.value for r in shells]
+    rate = float(np.polyfit(np.log(widths[-3:]), np.log(values[-3:]), 1)[0])
+    evidence = (
+        f"radial integrand ~ r^{exponent:g} near the origin, not integrable since "
+        f"Hd = {cfg.hd:g} >= 2; partial integrals {excluded} grow like width^{rate:.3g}, "
+        f"without bound: {', '.join(f'{v:.4g}' for v in values)}"
+    )
+    return QuadratureResult(
+        value=values[-1], error_estimate=math.inf, subdivisions=shells[-1].subdivisions,
+        diverged=True, divergence_evidence=evidence,
+        status=_status(shells), nevals=shells[-1].nevals,
+        shells=shells, shell_widths=[float(w) for w in widths], shell_rate=rate,
+        radial_exponent=exponent,
+    )
+
+
 # ---------------------------------------------------------------------------
 # first moment
 
@@ -227,9 +284,13 @@ def _m1_exponent_map(cfg, eps):
     return max(2, min(8, int(math.ceil(2.0 / (2.0 - cfg.hd))) + 1))
 
 
-def _m1_columns(eps, cfg, p, abs_tol, rel_tol, max_evals):
+def _m1_columns(eps, cfg, p, abs_tol, rel_tol, max_evals, widths=()):
     """m1 at every regularizer in ``eps`` from one shared-mesh 2D pass,
-    with the time axes mapped by x -> T x^p; one QuadratureResult each."""
+    with the time axes mapped by x -> T x^p; one QuadratureResult each.
+
+    Each width w in ``widths`` adds a column after them: the eps = 0
+    integrand outside the square [0, w]^2 of the mapped coordinates.
+    """
     h2 = 2.0 * cfg.hurst
     d = cfg.dim
     T = cfg.horizon
@@ -240,15 +301,23 @@ def _m1_columns(eps, cfg, p, abs_tol, rel_tol, max_evals):
         sh = (T * xi**p) ** h2
         th = (T * ze**p) ** h2
         jac = (T * p) ** 2 * (xi * ze) ** (p - 1)
-        out = np.empty((len(eps), len(jac)))
+        out = np.empty((len(eps) + len(widths), len(jac)))
         for row, e in zip(out, eps):
             np.multiply(_power(e + sh + th, d), jac, out=row)
+        if len(widths):
+            base = _power(sh + th, d) * jac
+            dist = _face_distance(x, _ORIGIN_FACE)
+            for row, w in zip(out[len(eps):], widths):
+                np.multiply(base, dist >= w, out=row)
         return out
 
+    if len(widths):
+        init = _shell_splits(2, _ORIGIN_FACE, widths)
+    else:
+        init = [np.array([0.0, 0.25, 1.0])] * 2
     res = cubature.integrate(
         f, [0.0, 0.0], [1.0, 1.0],
-        abs_tol=abs_tol / pref, rel_tol=rel_tol, max_evals=max_evals,
-        init_splits=[np.array([0.0, 0.25, 1.0])] * 2,
+        abs_tol=abs_tol / pref, rel_tol=rel_tol, max_evals=max_evals, init_splits=init,
     )
     return _columns(res.value, res.error, [res], pref)
 
@@ -283,109 +352,95 @@ def m1_ladder(eps, cfg: ModelConfig):
     return _m1_columns(eps, cfg, 2, _M1_ABS_TOL, _M1_REL_TOL, _M1_MAX_EVALS)
 
 
-def _partial_m1(cfg, delta, rel_tol=1e-5):
-    """m1(0) restricted to [0,T]^2 minus the square [0,delta]^2."""
-    h2 = 2.0 * cfg.hurst
-    d = cfg.dim
-    T = cfg.horizon
-    pref = (2.0 * math.pi) ** (-0.5 * d)
-
-    def f(x):
-        return _power(x[:, 0] ** h2 + x[:, 1] ** h2, d)
-
-    total = 0.0
-    err = 0.0
-    runs = []
-    for lo, hi in (
-        ([delta, 0.0], [T, T]),
-        ([0.0, delta], [delta, T]),
-    ):
-        res = cubature.integrate(f, lo, hi, rel_tol=rel_tol, max_evals=400_000)
-        total += res.value
-        err += res.error
-        runs.append(res)
-    return _result(pref * total, pref * err, runs)
-
-
 def _diverged_m1(cfg):
-    shells = [_partial_m1(cfg, cfg.horizon * 4.0 ** (-k)) for k in range(1, 8)]
-    exponent = 1.0 - cfg.hd
-    evidence = (
-        f"radial integrand ~ r^{exponent:g} near the origin, not integrable since "
-        f"Hd = {cfg.hd:g} >= 2; partial integrals excluding [0,T*4^-k]^2 grow without "
-        f"bound: {', '.join(f'{s.value:.4g}' for s in shells)}"
-    )
-    return QuadratureResult(
-        value=shells[-1].value, error_estimate=math.inf, subdivisions=0,
-        diverged=True, divergence_evidence=evidence,
-        status=_status(shells), nevals=sum(s.nevals for s in shells),
-    )
+    """Shell evidence for m1(0) when Hd >= 2: m1(0) outside [0, T 4^-k]^2
+    for k = 1..7, from one 2D pass at the shells' own tolerance and
+    budget."""
+    shells = _m1_columns([], cfg, 2, 0.0, _M1_SHELL_REL_TOL, _M1_SHELL_MAX_EVALS,
+                         widths=_M1_SHELL_WIDTHS)
+    return _diverged(cfg, shells, cfg.horizon * _M1_SHELL_WIDTHS**2, 1.0 - cfg.hd,
+                     "excluding [0,T*4^-k]^2")
 
 
 # ---------------------------------------------------------------------------
 # second moment family
 
 def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosses=(),
-                    zero_mu=False):
+                    var=False, shells=(), both_ends=False):
     """The second-moment family over one shared mesh: one pass per region
     for the columns m2(e) for e in ``m2_eps``, the fused Cauchy gap for each
-    pair in ``gaps``, and the cross moment for each pair in ``crosses``.
+    pair in ``gaps``, the cross moment for each pair in ``crosses``, with
+    ``var`` the variance limit, and one shell per width in ``shells``.
 
     With P(a, b) = (det + a rho + b lam + a b)^(-d/2), the integrands are
-    P(e, e), P(a, a) + P(b, b) - P(a, b) - P(b, a), and
-    (P(a, b) + P(b, a)) / 2.  Each P(e, e) is computed once per point and
-    shared by every column that uses it.  ``rel_tol`` is a scalar or one
-    per column; ``zero_mu`` drops the cross covariance of the m2 columns,
-    whose base becomes (lam + e)(rho + e).
+    P(e, e), P(a, a) + P(b, b) - P(a, b) - P(b, a),
+    (P(a, b) + P(b, a)) / 2, max(P(0, 0) - (lam rho)^(-d/2), 0), and P(0, 0)
+    outside every box of the width around the region's singular faces.
+    Each P(e, e) is computed once per point and shared by every column
+    that uses it.  ``rel_tol`` is a scalar or one per column; ``both_ends``
+    selects the angle map that clusters toward both ends.
     Returns one QuadratureResult per column; budget hits are reported in
     their statuses, not raised.
     """
     d = cfg.dim
     pref = (2.0 * math.pi) ** (-d)
-    ncols = len(m2_eps) + len(gaps) + len(crosses)
+    ncols = len(m2_eps) + len(gaps) + len(crosses) + var + len(shells)
+    halves = np.array([0.0, 0.5, 1.0])
+    total = 0.0
+    err = 0.0
+    runs = []
+    for region in ("A", "B"):
+        faces = _SINGULAR_FACES[region]
 
-    def make(region):
         def f(x):
-            lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon, False)
+            lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon, both_ends)
             diag = {}
 
             def same(e):
                 if e not in diag:
-                    if zero_mu:
-                        base = (lam + e) * (rho + e)
-                    else:
-                        base = det + e * (lam + rho) + e * e
-                    diag[e] = _power(base, d)
+                    diag[e] = _power(det + e * (lam + rho) + e * e, d)
                 return diag[e]
 
             def mixed(a, b):
                 return _power(det + a * rho + b * lam + a * b, d)
 
+            dist = _face_distance(x, faces) if len(shells) else None
             cols = itertools.chain(  # lazily, one column's temporaries at a time
                 map(same, m2_eps),
                 (same(a) + same(b) - mixed(a, b) - mixed(b, a) for a, b in gaps),
                 (0.5 * (mixed(a, b) + mixed(b, a)) for a, b in crosses),
+                (np.maximum(same(0.0) - _power(lam * rho, d), 0.0) for _ in range(var)),
+                (same(0.0) * (dist >= w) for w in shells),
             )
             out = np.empty((ncols, len(jac)))
             for row, col in zip(out, cols):
                 np.multiply(col, jac, out=row)
             return out
-        return f
 
-    total, err, runs = _integrate_regions(
-        make, cfg, abs_tol / pref, rel_tol, max_evals, False,
-        init_ab=np.array([0.0, 0.5, 0.875, 1.0]),
-    )
+        if len(shells):
+            init = _shell_splits(4, faces, shells)
+        elif both_ends:
+            init = [halves] * 4
+        else:
+            init = [halves] * 2 + [np.array([0.0, 0.5, 0.875, 1.0])] * 2
+        res = cubature.integrate(
+            f, [0.0] * 4, [1.0] * 4,
+            abs_tol=abs_tol / pref / 4.0, rel_tol=rel_tol,
+            max_evals=max_evals // 2, init_splits=init,
+        )
+        total += 2.0 * res.value
+        err += 2.0 * res.error
+        runs.append(res)
     return _columns(total, err, runs, pref)
 
 
 def m2(eps, cfg: ModelConfig, abs_tol=_M2_ABS_TOL, rel_tol=_M2_REL_TOL,
-       max_evals=_M2_MAX_EVALS, _zero_mu=False):
+       max_evals=_M2_MAX_EVALS):
     """Second moment E[I_eps^2], the 4D integral of
     ((lambda+eps)(rho+eps) - mu^2)^(-d/2) times (2 pi)^-d."""
     if eps <= 0.0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    (res,) = _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=[eps], zero_mu=_zero_mu)
+    (res,) = _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=[eps])
     return _require_converged(res, "m2")
 
 
@@ -446,100 +501,33 @@ def var_limit(cfg: ModelConfig, abs_tol=1e-8, rel_tol=1e-4, max_evals=20_000_000
     int (lambda rho - mu^2)^(-d/2) - (lambda rho)^(-d/2), times (2 pi)^-d.
 
     Finite iff Hd < 2 (pointwise nonnegative integrand); diverged result
-    with shell evidence otherwise.
+    with the shells of A_T, times (2 pi)^-d, as evidence otherwise.
     """
     if cfg.hd >= 2.0 - 1e-12:
-        return _diverged_4d(cfg, "var_limit")
-    d = cfg.dim
-    pref = (2.0 * math.pi) ** (-d)
-
-    def make(region):
-        def f(x):
-            lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon, True)
-            g = _power(det, d) - _power(lam * rho, d)
-            return np.maximum(g, 0.0) * jac
-        return f
-
-    total, err, runs = _integrate_regions(
-        make, cfg, abs_tol / pref, rel_tol, max_evals, True,
-    )
-    return _require_converged(_result(pref * total, pref * err, runs), "var_limit")
+        return _diverged_4d(cfg, 1.0)
+    (res,) = _moment_columns(cfg, abs_tol, rel_tol, max_evals, var=True, both_ends=True)
+    return _require_converged(res, "var_limit")
 
 
 def a_t_integral(cfg: ModelConfig, abs_tol=1e-8, rel_tol=1e-4, max_evals=20_000_000):
     """A_T = int_{[0,T]^4} (lambda rho - mu^2)^(-d/2); finite iff Hd < 2."""
+    unscale = (2.0 * math.pi) ** cfg.dim
     if cfg.hd >= 2.0 - 1e-12:
-        return _diverged_4d(cfg, "a_t_integral")
-    d = cfg.dim
-
-    def make(region):
-        def f(x):
-            _, _, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon, True)
-            return _power(det, d) * jac
-        return f
-
-    total, err, runs = _integrate_regions(
-        make, cfg, abs_tol, rel_tol, max_evals, True,
-    )
-    return _require_converged(_result(total, err, runs), "a_t_integral")
+        return _diverged_4d(cfg, unscale)
+    (res,) = _moment_columns(cfg, abs_tol / unscale, rel_tol, max_evals, m2_eps=[0.0],
+                             both_ends=True)
+    return _require_converged(_scaled(res, unscale), "a_t_integral")
 
 
-def _diverged_4d(cfg, label):
-    """Shell evidence for the eps = 0 4D integrals when Hd >= 2.
-
-    The integrand fails to be integrable both at the time origin and
-    across the plane (s,t) = (u,v); partial integrals excluding shrinking
-    neighborhoods of both sets grow without bound.
-    """
-    d = cfg.dim
-    shells = [_partial_4d(cfg, 4.0 ** (-k)) for k in range(1, 6)]
-    partial = shells[-1].value
-    exponent = radial_rate(cfg)
-    evidence = (
-        f"radial integrand ~ r^{exponent:g} near the origin, not integrable since "
-        f"Hd = {cfg.hd:g} >= 2; partial integrals with exclusion width 4^-k grow "
-        f"without bound: {', '.join(f'{s.value:.4g}' for s in shells)}"
-    )
-    return QuadratureResult(
-        value=partial if label == "a_t_integral" else partial * (2.0 * math.pi) ** (-d),
-        error_estimate=math.inf, subdivisions=0,
-        diverged=True, divergence_evidence=evidence,
-        status=_status(shells), nevals=sum(s.nevals for s in shells),
-    )
-
-
-def _partial_4d(cfg, delta, rel_tol=3e-3):
-    """Raw A_T integral restricted away from both singular sets.
-
-    In the mapped region coordinates the origin is the (xi, zeta) corner
-    and the diagonal plane is the (alpha, beta) = (1, 1) corner; both get
-    an L-shaped exclusion of width ``delta``.
-    """
-    d = cfg.dim
-
-    def make(region):
-        def f(x):
-            _, _, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon, False)
-            return _power(det, d) * jac
-        return f
-
-    xi_boxes = [([delta, 0.0], [1.0, 1.0]), ([0.0, delta], [delta, 1.0])]
-    ab_boxes = [([0.0, 0.0], [1.0 - delta, 1.0]), ([1.0 - delta, 0.0], [1.0, 1.0 - delta])]
-    total = 0.0
-    err = 0.0
-    runs = []
-    for region in ("A", "B"):
-        f = make(region)
-        for xlo, xhi in xi_boxes:
-            for ablo, abhi in ab_boxes:
-                res = cubature.integrate(
-                    f, xlo + ablo, xhi + abhi,
-                    rel_tol=rel_tol, max_evals=300_000,
-                )
-                total += 2.0 * res.value
-                err += 2.0 * res.error
-                runs.append(res)
-    return _result(total, err, runs)
+def _diverged_4d(cfg, scale):
+    """Shell evidence for the eps = 0 4D integrals when Hd >= 2: A_T times
+    (2 pi)^-d times ``scale``, outside boxes of width 4^-k around every
+    singular face of both regions, k = 1..5, from one pass per region at
+    the shells' own tolerance and budget."""
+    shells = _moment_columns(cfg, 0.0, _SHELL_REL_TOL, _SHELL_MAX_EVALS, shells=_SHELL_WIDTHS,
+                             both_ends=True)
+    return _diverged(cfg, [_scaled(r, scale) for r in shells], _SHELL_WIDTHS, radial_rate(cfg),
+                     "excluding width 4^-k around every singular face")
 
 
 # ---------------------------------------------------------------------------

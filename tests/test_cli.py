@@ -97,6 +97,19 @@ class TestMomentsCommand:
         assert report["results"]["m1"]["evidence"]
         assert report["results"]["m1"]["nevals"] > 0
         assert report["results"]["m2"] is None
+        m1 = report["results"]["m1"]
+        assert [s["width"] for s in m1["shells"]] == [4.0**-k for k in range(1, 8)]
+        assert all(s["status"] == "converged" for s in m1["shells"])
+        values = [s["value"] for s in m1["shells"]]
+        assert m1["evidence"].endswith(", ".join(f"{v:.4g}" for v in values))
+        assert m1["shell_rate"] < 0.0
+        assert m1["radial_exponent"] == pytest.approx(1.0 - 2.25)
+
+    def test_finite_m1_has_no_shells(self, tmp_path):
+        out = tmp_path / "f.json"
+        run_main(["moments", "--hurst", "0.5", "--dim", "2", "--eps", "0", "--out", str(out)])
+        m1 = json.loads(out.read_text())["results"]["m1"]
+        assert m1["shells"] is None and m1["shell_rate"] is None
 
 
 class TestEstimateCommand:
@@ -176,6 +189,17 @@ class TestPhaseCommand:
         code = run_main(["phase", "--hurst", "0.5", "--dim", "2",
                          "--out", str(tmp_path / "p.json")])
         assert code == 4
+
+    def test_sweep_budget_hit_exit_code(self, monkeypatch, tmp_path):
+        # a point whose sweep rows all hit their budget used to exit 0
+        monkeypatch.setattr(quadmoments, "_M2_MAX_EVALS", 500)
+        out = tmp_path / "p.json"
+        code = run_main(["phase", "--hurst", "0.5", "--dim", "2", "--count", "4",
+                         "--out", str(out)])
+        assert code == 3
+        (row,) = json.loads(out.read_text())["results"]["rows"]
+        assert row["verdict"] is None
+        assert "quadrature budget" in row["error"]
 
     def test_budget_exit_code(self, monkeypatch, tmp_path):
         def boom(eps, cfg, **kw):

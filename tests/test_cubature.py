@@ -319,3 +319,33 @@ def test_slicing_changes_no_bit(monkeypatch):
     for a, b in ((whole.value, sliced.value), (whole.error, sliced.error)):
         assert [v.hex() for v in a] == [v.hex() for v in b]
     assert (whole.nevals, whole.ncells) == (sliced.nevals, sliced.ncells)
+
+
+def test_starting_mesh_slices(monkeypatch):
+    # a large starting mesh used to go to the integrand in slices sized for
+    # one component, and not capped at one refinement step's children
+    import fbmilt.cubature as cub
+
+    sizes = []
+
+    def counted(g):
+        def f(x):
+            sizes.append(len(x))
+            return g(x)
+        return f
+
+    kw = dict(rel_tol=1e-6, init_splits=[np.linspace(0.0, 1.0, 41)] * 2)  # 1600 cells
+    got = integrate(counted(_inv_sqrt_sum), [0, 0], [1, 1], **kw)
+    assert sizes[0] == 17  # the first cell alone tells K
+    assert max(sizes) == 2 * cub._BATCH * 17
+    assert _bits(got) == _bits(heap_integrate(_inv_sqrt_sum, [0, 0], [1, 1], **kw))
+
+    three = _stacked(_gauss, _inv_sqrt_sum, _cos2)
+    whole = integrate(three, [0, 0], [1, 1], **kw)
+    sizes.clear()
+    monkeypatch.setattr(cub, "_BLOCK_BYTES", 3 * 17 * 8 * 10)  # ten cells of K = 3 a call
+    sliced = integrate(counted(three), [0, 0], [1, 1], **kw)
+    assert max(sizes) == 17 * 10
+    for a, b in ((whole.value, sliced.value), (whole.error, sliced.error)):
+        assert [v.hex() for v in a] == [v.hex() for v in b]
+    assert (whole.nevals, whole.ncells) == (sliced.nevals, sliced.ncells)

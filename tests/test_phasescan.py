@@ -6,7 +6,7 @@ import pytest
 
 from fbmilt import quadmoments
 from fbmilt.covkernel import ModelConfig
-from fbmilt.errors import IndeterminateError, ParameterError
+from fbmilt.errors import IndeterminateError, ParameterError, QuadratureBudgetError
 from fbmilt.phasescan import (
     GAP_REL_TOL,
     EpsSchedule,
@@ -159,8 +159,12 @@ class TestClassify:
     def test_needs_three_complete_rows(self):
         cfg = ModelConfig(0.5, 2)
         series = sweep(cfg, EpsSchedule(1.0, 0.5, 3))
-        short = replace(series, rows=[replace(r, complete=False) for r in series.rows])
         with pytest.raises(ParameterError):
+            classify(replace(series, rows=series.rows[:2]), cfg)
+        # rows left incomplete by budget hits are a budget failure, not a
+        # parameter one
+        short = replace(series, rows=[replace(r, complete=False) for r in series.rows])
+        with pytest.raises(QuadratureBudgetError, match="3 hit their quadrature budget"):
             classify(short, cfg)
 
     def test_indeterminate_on_flat_synthetic_series(self, monkeypatch):
@@ -226,6 +230,14 @@ class TestSweepBudgets:
             assert math.isfinite(row.cauchy_gap)
             assert row.gap_err > 0.0
         assert 0 < series.nevals
+
+    def test_budget_hit_recorded_as_budget(self, monkeypatch):
+        # budget-incomplete rows used to be recorded as kind "parameter"
+        monkeypatch.setattr(quadmoments, "_M2_MAX_EVALS", 500)
+        (err,) = phase_grid([0.5], [2], EpsSchedule(1.0, 0.5, 4))
+        assert isinstance(err, PhaseError)
+        assert err.kind == "budget"
+        assert "got 0" in err.message
 
     def test_gap_error_recorded(self):
         series = sweep(ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 3))

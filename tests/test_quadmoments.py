@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fbmilt import quadmoments
 from fbmilt.covkernel import ModelConfig, det_var_z, lambda_var
+from fbmilt.cubature import integrate
 from fbmilt.errors import ParameterError, QuadratureBudgetError
 from fbmilt.quadmoments import (
+    _SINGULAR_FACES,
     _cluster_both,
     _cluster_one,
     _region_pieces,
+    _shell_splits,
     a_t_integral,
     a_z,
     cauchy_gap,
@@ -103,9 +108,18 @@ class TestM2:
             m2(0.0, CFG_H5D2)
 
     def test_factorizes_without_cross_term(self):
-        got = m2(1.0, CFG_H5D2, _zero_mu=True).value
-        want = m1(1.0, CFG_H5D2).value ** 2
-        assert got == pytest.approx(want, rel=1e-3)
+        # with the cross covariance mu dropped, the m2 integrand
+        # ((lam + e)(rho + e))^(-d/2) factorizes into two m1 integrands
+        cfg, e = CFG_H5D2, 1.0
+        total = 0.0
+        for region in "AB":
+            def f(x):
+                lam, rho, _, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon, False)
+                return ((lam + e) * (rho + e)) ** (-0.5 * cfg.dim) * jac
+
+            total += 2.0 * integrate(f, [0.0] * 4, [1.0] * 4, rel_tol=1e-5).value
+        got = (2 * math.pi) ** (-cfg.dim) * total
+        assert got == pytest.approx(m1(e, cfg).value ** 2, rel=1e-4)
 
     def test_second_moment_dominates_mean_squared(self):
         for eps in (0.25, 1.0):
@@ -228,12 +242,76 @@ class TestVarLimit:
         assert res.diverged
         assert "2.25" in res.divergence_evidence
 
-    def test_diverged_reports_shell_budget_hits(self):
-        # some of the (0.75, 3) shell integrals stop at their budget
+    def test_diverged_reports_shell_budget_hits(self, monkeypatch):
+        # a pass too small for the inner shells reports their budget hits
+        monkeypatch.setattr(quadmoments, "_SHELL_MAX_EVALS", 600_000)
         res = var_limit(ModelConfig(0.75, 3))
         assert res.diverged
         assert res.status == "budget"
-        assert res.nevals > 0
+        assert 0 < res.nevals <= 600_000 + 2 * 2 * 128 * 57
+        assert res.shells[-1].status == "budget"
+
+
+class TestDivergenceShells:
+    @pytest.mark.parametrize("fn,h,d", [
+        ("m1", 0.75, 3), ("m1", 0.5, 4), ("m1", 0.8, 3), ("m1", 0.7, 3), ("m1", 0.6, 4),
+        ("m1", 0.9, 4), ("var_limit", 0.75, 3), ("var_limit", 0.5, 4), ("var_limit", 0.9, 3),
+    ])
+    def test_every_shell_converges_and_grows(self, fn, h, d):
+        cfg = ModelConfig(h, d)
+        res = m1(0.0, cfg) if fn == "m1" else var_limit(cfg)
+        assert res.diverged and res.status == "converged"
+        assert all(s.status == "converged" for s in res.shells)
+        values = [s.value for s in res.shells]
+        assert all(b > a > 0.0 for a, b in zip(values, values[1:]))
+        assert all(b < a for a, b in zip(res.shell_widths, res.shell_widths[1:]))
+        assert res.value == values[-1]
+        # the message still ends with the shell sequence
+        tail = res.divergence_evidence.rsplit(":", 1)[1]
+        assert [float(v) for v in tail.split(",")] == [float(f"{v:.4g}") for v in values]
+        assert res.shell_rate < 0.0
+        assert res.radial_exponent == (1.0 - cfg.hd if fn == "m1" else radial_rate(cfg))
+
+    def test_m1_shell_rate_approaches_the_radial_integral(self):
+        # m1(0) outside [0, delta]^2 grows like delta^(2 - Hd)
+        for h, d in [(0.8, 3), (0.9, 4)]:
+            cfg = ModelConfig(h, d)
+            assert m1(0.0, cfg).shell_rate == pytest.approx(2.0 - cfg.hd, abs=0.05)
+
+    def test_shells_are_unions_of_starting_cells(self):
+        # every starting cell lies wholly inside or outside each exclusion box
+        for faces in _SINGULAR_FACES.values():
+            splits = _shell_splits(4, faces, quadmoments._SHELL_WIDTHS)
+            for i, ei, j, ej in faces:
+                for w in quadmoments._SHELL_WIDTHS:
+                    assert abs(ei - w) in splits[i] and abs(ej - w) in splits[j]
+
+
+def _face_points(i, ei, j, ej, rng, n=50):
+    """``n`` points of the face {x_i = e_i, x_j = e_j}, the other two
+    coordinates drawn from [0.25, 0.75], away from the other faces."""
+    x = rng.uniform(0.25, 0.75, (n, 4))
+    x[:, i] = ei
+    x[:, j] = ej
+    return x
+
+
+class TestSingularFaces:
+    @pytest.mark.parametrize("both_ends", [False, True])
+    @pytest.mark.parametrize("h", [0.3, 0.75])
+    @pytest.mark.parametrize("region", ["A", "B"])
+    def test_det_vanishes_on_the_listed_faces_only(self, region, h, both_ends):
+        rng = np.random.default_rng(7)
+        listed = set(_SINGULAR_FACES[region])
+        assert len(listed) == (7 if region == "A" else 6)
+        for i, j in itertools.combinations(range(4), 2):
+            for ei, ej in itertools.product((0.0, 1.0), repeat=2):
+                x = _face_points(i, ei, j, ej, rng)
+                lam, rho, det, _ = _region_pieces(x, region, h, 1.0, both_ends)
+                if (i, ei, j, ej) in listed:
+                    assert np.all(det <= 1e-14 * (lam + rho) ** 2)
+                else:
+                    assert np.all(det > 1e-6 * lam * rho)
 
 
 class TestATIntegral:
