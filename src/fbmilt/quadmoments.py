@@ -39,6 +39,7 @@ from typing import List, Optional
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammainc, gammaln
 
 from . import cubature
 from .covkernel import ModelConfig
@@ -68,9 +69,14 @@ _M2_ABS_TOL = 1e-9
 _M2_REL_TOL = 1e-4
 _M2_MAX_EVALS = 6_000_000
 _GAP_REL_TOL = 1e-3
+# of the finite eps = 0 4D integrals, var_limit and a_t_integral
+_LIMIT_ABS_TOL = 1e-8
+_LIMIT_REL_TOL = 1e-4
+_LIMIT_MAX_EVALS = 20_000_000
 
 # divergence shells at eps = 0: exclusion widths, tolerances and budgets of
-# the one pass (per region) that gives every shell
+# the one pass (per region) that gives every shell; a rel_tol or max_evals
+# given to m1, var_limit or a_t_integral replaces them
 _M1_SHELL_WIDTHS = 2.0 ** -np.arange(1, 8)  # mapped x = sqrt(s / T): [0, T 4^-k]^2
 _M1_SHELL_REL_TOL = 1e-5
 _M1_SHELL_MAX_EVALS = 4_000_000
@@ -120,10 +126,11 @@ class QuadratureResult:
 # ---------------------------------------------------------------------------
 # scaled covariance helpers (no validation; hot path of the integrands)
 
-def _psi(x, h2):
-    """phi_det(1, x) for x in [0, 1], cancellation-safe at both endpoints."""
+def _psi(x, h2, xc=None):
+    """phi_det(1, x) for x in [0, 1], cancellation-safe at both endpoints;
+    ``xc`` is 1 - x when the caller has it more accurately than 1 - x."""
     b = x**h2
-    c = (1.0 - x) ** h2
+    c = (1.0 - x if xc is None else xc) ** h2
     direct = b - 0.25 * (1.0 + b - c) ** 2
     expanded = 0.5 * (1.0 + b) * c - 0.25 * (1.0 - b) ** 2 - 0.25 * c * c
     return np.maximum(np.where(c < 0.5 * (1.0 + b), expanded, direct), 0.0)
@@ -322,17 +329,21 @@ def _m1_columns(eps, cfg, p, abs_tol, rel_tol, max_evals, widths=()):
     return _columns(res.value, res.error, [res], pref)
 
 
-def m1(eps, cfg: ModelConfig, abs_tol=_M1_ABS_TOL, rel_tol=_M1_REL_TOL,
-       max_evals=_M1_MAX_EVALS):
+def m1(eps, cfg: ModelConfig, abs_tol=_M1_ABS_TOL, rel_tol=None, max_evals=None):
     """First moment E[I_eps] = (2 pi)^(-d/2) * int (eps + s^2H + t^2H)^(-d/2).
 
     eps = 0 is allowed; the limiting integral is finite iff Hd < 2, and a
-    diverged result with shell evidence is returned otherwise.
+    diverged result with shell evidence is returned otherwise.  ``rel_tol``
+    and ``max_evals`` default to the settings of the branch taken: those of
+    the integral (_M1_*) or of its shells (_M1_SHELL_*); the shells take
+    no absolute tolerance.
     """
     if eps < 0.0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
     if eps == 0.0 and cfg.hd >= 2.0 - 1e-12:
-        return _diverged_m1(cfg)
+        return _diverged_m1(cfg, rel_tol, max_evals)
+    rel_tol = _M1_REL_TOL if rel_tol is None else rel_tol
+    max_evals = _M1_MAX_EVALS if max_evals is None else max_evals
     (res,) = _m1_columns([eps], cfg, _m1_exponent_map(cfg, eps), abs_tol, rel_tol, max_evals)
     return _require_converged(res, "m1")
 
@@ -352,12 +363,13 @@ def m1_ladder(eps, cfg: ModelConfig):
     return _m1_columns(eps, cfg, 2, _M1_ABS_TOL, _M1_REL_TOL, _M1_MAX_EVALS)
 
 
-def _diverged_m1(cfg):
+def _diverged_m1(cfg, rel_tol=None, max_evals=None):
     """Shell evidence for m1(0) when Hd >= 2: m1(0) outside [0, T 4^-k]^2
-    for k = 1..7, from one 2D pass at the shells' own tolerance and
-    budget."""
-    shells = _m1_columns([], cfg, 2, 0.0, _M1_SHELL_REL_TOL, _M1_SHELL_MAX_EVALS,
-                         widths=_M1_SHELL_WIDTHS)
+    for k = 1..7, from one 2D pass at ``rel_tol`` and ``max_evals``, by
+    default the shells' own."""
+    rel_tol = _M1_SHELL_REL_TOL if rel_tol is None else rel_tol
+    max_evals = _M1_SHELL_MAX_EVALS if max_evals is None else max_evals
+    shells = _m1_columns([], cfg, 2, 0.0, rel_tol, max_evals, widths=_M1_SHELL_WIDTHS)
     return _diverged(cfg, shells, cfg.horizon * _M1_SHELL_WIDTHS**2, 1.0 - cfg.hd,
                      "excluding [0,T*4^-k]^2")
 
@@ -496,36 +508,45 @@ def m2_ladder(eps, cfg: ModelConfig, prev_eps=None, rel_tol=_M2_REL_TOL):
     return res[: len(eps)], gaps if prev_eps is not None else [None] + gaps
 
 
-def var_limit(cfg: ModelConfig, abs_tol=1e-8, rel_tol=1e-4, max_evals=20_000_000):
+def var_limit(cfg: ModelConfig, abs_tol=_LIMIT_ABS_TOL, rel_tol=None, max_evals=None):
     """Limit of Var[I_eps] as eps -> 0:
     int (lambda rho - mu^2)^(-d/2) - (lambda rho)^(-d/2), times (2 pi)^-d.
 
     Finite iff Hd < 2 (pointwise nonnegative integrand); diverged result
     with the shells of A_T, times (2 pi)^-d, as evidence otherwise.
+    ``rel_tol`` and ``max_evals`` default to the settings of the branch
+    taken (_LIMIT_* or _SHELL_*); the shells take no absolute tolerance.
     """
     if cfg.hd >= 2.0 - 1e-12:
-        return _diverged_4d(cfg, 1.0)
+        return _diverged_4d(cfg, 1.0, rel_tol, max_evals)
+    rel_tol = _LIMIT_REL_TOL if rel_tol is None else rel_tol
+    max_evals = _LIMIT_MAX_EVALS if max_evals is None else max_evals
     (res,) = _moment_columns(cfg, abs_tol, rel_tol, max_evals, var=True, both_ends=True)
     return _require_converged(res, "var_limit")
 
 
-def a_t_integral(cfg: ModelConfig, abs_tol=1e-8, rel_tol=1e-4, max_evals=20_000_000):
-    """A_T = int_{[0,T]^4} (lambda rho - mu^2)^(-d/2); finite iff Hd < 2."""
+def a_t_integral(cfg: ModelConfig, abs_tol=_LIMIT_ABS_TOL, rel_tol=None, max_evals=None):
+    """A_T = int_{[0,T]^4} (lambda rho - mu^2)^(-d/2); finite iff Hd < 2.
+
+    ``rel_tol`` and ``max_evals`` default as in var_limit."""
     unscale = (2.0 * math.pi) ** cfg.dim
     if cfg.hd >= 2.0 - 1e-12:
-        return _diverged_4d(cfg, unscale)
+        return _diverged_4d(cfg, unscale, rel_tol, max_evals)
+    rel_tol = _LIMIT_REL_TOL if rel_tol is None else rel_tol
+    max_evals = _LIMIT_MAX_EVALS if max_evals is None else max_evals
     (res,) = _moment_columns(cfg, abs_tol / unscale, rel_tol, max_evals, m2_eps=[0.0],
                              both_ends=True)
     return _require_converged(_scaled(res, unscale), "a_t_integral")
 
 
-def _diverged_4d(cfg, scale):
+def _diverged_4d(cfg, scale, rel_tol=None, max_evals=None):
     """Shell evidence for the eps = 0 4D integrals when Hd >= 2: A_T times
     (2 pi)^-d times ``scale``, outside boxes of width 4^-k around every
     singular face of both regions, k = 1..5, from one pass per region at
-    the shells' own tolerance and budget."""
-    shells = _moment_columns(cfg, 0.0, _SHELL_REL_TOL, _SHELL_MAX_EVALS, shells=_SHELL_WIDTHS,
-                             both_ends=True)
+    ``rel_tol`` and ``max_evals``, by default the shells' own."""
+    rel_tol = _SHELL_REL_TOL if rel_tol is None else rel_tol
+    max_evals = _SHELL_MAX_EVALS if max_evals is None else max_evals
+    shells = _moment_columns(cfg, 0.0, rel_tol, max_evals, shells=_SHELL_WIDTHS, both_ends=True)
     return _diverged(cfg, [_scaled(r, scale) for r in shells], _SHELL_WIDTHS, radial_rate(cfg),
                      "excluding width 4^-k around every singular face")
 
@@ -533,32 +554,73 @@ def _diverged_4d(cfg, scale):
 # ---------------------------------------------------------------------------
 # appendix machinery
 
+def _gamma_ratio(a, x):
+    """G(a, x) = x^-a gamma(a, x), the lower incomplete gamma function
+    (DLMF 8.2.1) over x^a, for a > 0 and x >= 0: decreasing in x from its
+    value 1/a at x = 0.
+
+    Below x = a + 1 (and below 700, so the partial sums stay finite) it is
+    the series e^-x sum_n x^n / (a (a+1) ... (a+n)) (DLMF 8.7.1), whose
+    terms decrease from the first, summed to the first term under 1e-17
+    of the leading one; above, gammainc and gammaln in log space, where
+    the regularized gamma(a, x) / Gamma(a) is at least about 1/2.
+    x^-a is never formed: it overflows for small H.
+    """
+    out = np.empty_like(x)
+    small = x < min(a + 1.0, 700.0)
+    xs = x[small]
+    xmax = xs.max(initial=0.0)
+    term, nterms = 1.0, 0
+    while term > 1e-17:
+        nterms += 1
+        term *= xmax / (a + nterms)
+    ratios = xs / (a + np.arange(1.0, nterms + 1.0))[:, None]
+    out[small] = np.exp(-xs) * (1.0 + np.cumprod(ratios, axis=0).sum(axis=0)) / a
+    xl = x[~small]
+    with np.errstate(divide="ignore"):  # log of an underflowed gammainc: G = 0
+        out[~small] = np.exp(gammaln(a) + np.log(gammainc(a, xl)) - a * np.log(xl))
+    return out
+
+
 def a_z(z, cfg: ModelConfig, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
     """A(z) = int_0^T int_0^t exp(-phi(t,v) z) dv dt, decreasing in z.
 
-    Triangle parameterized as v = t*b with phi(t, t*b) = t^4H psi(b);
-    the t axis carries a quartic map so the t ~ z^(-1/4H) concentration
-    scale at large z is resolved.  A budget hit is reported in the
-    result's status, not raised.
+    With v = t*b and phi(t, t*b) = t^4H psi(b), the time integral has a
+    closed form in the lower incomplete gamma function:
+    A(z) = T^2 / (4H) int_0^1 G(1/(2H), z psi(b) T^4H) db with
+    G(a, x) = x^-a gamma(a, x), so A(z) is a 1D adaptive integral over the
+    angle b.  psi vanishes at both ends, where the integrand gathers at
+    large z, so the interval is folded at b = 1/2 (angles b and 1 - b
+    together, each end then near b = 0 where floats are dense) and b
+    carries the smootherstep map over [0, 1/2].  The starting cells halve
+    toward 0 down to the angle where z psi(b) T^4H ~ 1.  A budget hit is
+    reported in the result's status, not raised.
     """
     if z < 0.0:
         raise ParameterError(f"z must be nonnegative, got {z}")
-    h4 = 4.0 * cfg.hurst
+    h2 = 2.0 * cfg.hurst
     T = cfg.horizon
+    a = 1.0 / h2
+    scale = z * T ** (2.0 * h2)
+    pref = T * T / (2.0 * h2)
 
     def f(x):
-        tau, be = x[:, 0], x[:, 1]
-        b, db = _cluster_both(be)
-        t = T * tau**4
-        jac = 4.0 * T * tau**3 * t * db
-        return np.exp(-(t**h4) * _psi(b, 2.0 * cfg.hurst) * z) * jac
+        b, db = _cluster_both(x[:, 0])
+        psi = np.concatenate((_psi(b, h2), _psi(1.0 - b, h2, b)))  # angles b, 1 - b
+        g = _gamma_ratio(a, scale * psi)
+        return (g[: len(b)] + g[len(b):]) * db
 
+    # psi(b) ~ b^2H and b ~ 10 alpha^3 near 0: z psi T^4H ~ 1 at
+    # alpha ~ (scale^-a / 10)^(1/3)
+    depth = 1
+    if scale > 1.0:
+        depth = math.ceil(min(1000.0, (a * math.log2(scale) + math.log2(10.0)) / 3.0))
+    init = np.concatenate(([0.0], 0.5 ** np.arange(depth, 0, -1)))
     res = cubature.integrate(
-        f, [0.0, 0.0], [1.0, 1.0],
-        abs_tol=abs_tol, rel_tol=rel_tol, max_evals=max_evals,
-        init_splits=[np.array([0.0, 0.5, 1.0])] * 2,
+        f, [0.0], [0.5],
+        abs_tol=abs_tol / pref, rel_tol=rel_tol, max_evals=max_evals, init_splits=[init],
     )
-    return _result(res.value, res.error, [res])
+    return _scaled(_result(res.value, res.error, [res]), pref)
 
 
 def reduction_bound(cfg: ModelConfig, quad_rel_tol=1e-9, a_rel_tol=1e-8):
@@ -566,8 +628,12 @@ def reduction_bound(cfg: ModelConfig, quad_rel_tol=1e-9, a_rel_tol=1e-8):
     (1 / Gamma(d/2)) int_0^inf z^(d/2-1) A(z)^2 dz, split at z = 1.
 
     Only established for Hd < 2 (the tail integrand decays like
-    z^(d/2 - 1 - 1/H) up to logarithmic corrections).  The status is
-    "budget" when any A(z) evaluation hit its budget.
+    z^(d/2 - 1 - 1/H) up to logarithmic corrections).  Each A(z) is a 1D
+    integral of the incomplete-gamma closed form (see a_z); both pieces
+    are scipy quad calls at ``quad_rel_tol``.  The status is "budget" when
+    any A(z) evaluation hit its budget or either quad call reported a
+    failure (its ier != 0: subdivision limit, roundoff, slow convergence),
+    as at (0.6, 3), where the tail decays like z^-1.17.
     """
     if cfg.hd >= 2.0 - 1e-12:
         raise ParameterError(
@@ -581,16 +647,22 @@ def reduction_bound(cfg: ModelConfig, quad_rel_tol=1e-9, a_rel_tol=1e-8):
             cache[z] = a_z(z, cfg, rel_tol=a_rel_tol)
         return z ** (0.5 * d - 1.0) * cache[z].value ** 2
 
-    head, head_err = quad(g, 0.0, 1.0, epsrel=quad_rel_tol, epsabs=0.0, limit=200)
-    tail, tail_err = quad(g, 1.0, np.inf, epsrel=quad_rel_tol, epsabs=0.0, limit=200)
+    def piece(lo, hi):
+        # with full_output, a fourth item (the message) means quad's ier != 0
+        out = quad(g, lo, hi, epsrel=quad_rel_tol, epsabs=0.0, limit=200, full_output=1)
+        return out[0], out[1], len(out) == 3
+
+    head, head_err, head_ok = piece(0.0, 1.0)
+    tail, tail_err, tail_ok = piece(1.0, np.inf)
     gamma_half_d = math.gamma(0.5 * d)
     value = (head + tail) / gamma_half_d
     # claimed error: outer quadrature plus the propagated A(z) tolerance
     # (A enters squared, so its relative error roughly doubles).
     err = (head_err + tail_err) / gamma_half_d + 2.0 * a_rel_tol * abs(value)
+    ok = head_ok and tail_ok and _status(cache.values()) == "converged"
     return QuadratureResult(
         value=value, error_estimate=err, subdivisions=len(cache),
-        status=_status(cache.values()), nevals=sum(r.nevals for r in cache.values()),
+        status="converged" if ok else "budget", nevals=sum(r.nevals for r in cache.values()),
     )
 
 

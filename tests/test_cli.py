@@ -105,6 +105,17 @@ class TestMomentsCommand:
         assert m1["shell_rate"] < 0.0
         assert m1["radial_exponent"] == pytest.approx(1.0 - 2.25)
 
+    def test_tol_reaches_diverged_m1(self, tmp_path):
+        nevals = []
+        for tol in ([], ["--tol", "1e-3"]):
+            out = tmp_path / "d.json"
+            run_main(["moments", "--hurst", "0.75", "--dim", "3", "--eps", "0",
+                      "--out", str(out)] + tol)
+            m1 = json.loads(out.read_text())["results"]["m1"]
+            assert m1["diverged"] is True
+            nevals.append(m1["nevals"])
+        assert nevals[1] < nevals[0]
+
     def test_finite_m1_has_no_shells(self, tmp_path):
         out = tmp_path / "f.json"
         run_main(["moments", "--hurst", "0.5", "--dim", "2", "--eps", "0", "--out", str(out)])

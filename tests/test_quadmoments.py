@@ -14,6 +14,8 @@ from fbmilt.quadmoments import (
     _SINGULAR_FACES,
     _cluster_both,
     _cluster_one,
+    _gamma_ratio,
+    _psi,
     _region_pieces,
     _shell_splits,
     a_t_integral,
@@ -86,6 +88,16 @@ class TestM1:
         assert res.status == "converged"
         assert res.nevals > 0
         assert res.subdivisions > 0
+
+    def test_diverged_branch_takes_tolerance_and_budget(self):
+        cfg = ModelConfig(0.75, 3)
+        default = m1(0.0, cfg)
+        same = m1(0.0, cfg, rel_tol=quadmoments._M1_SHELL_REL_TOL,
+                  max_evals=quadmoments._M1_SHELL_MAX_EVALS)
+        assert (same.value, same.nevals) == (default.value, default.nevals)
+        assert m1(0.0, cfg, rel_tol=1e-3).nevals < default.nevals
+        assert default.status == "converged"
+        assert m1(0.0, cfg, max_evals=100).status == "budget"
 
     def test_monotone_in_eps(self):
         vals = [m1(e, CFG_H5D2).value for e in (0.0, 0.25, 0.5, 1.0, 2.0)]
@@ -251,6 +263,13 @@ class TestVarLimit:
         assert 0 < res.nevals <= 600_000 + 2 * 2 * 128 * 57
         assert res.shells[-1].status == "budget"
 
+    def test_diverged_branch_takes_tolerance_and_budget(self):
+        cfg = ModelConfig(0.75, 3)
+        default = var_limit(cfg)
+        assert default.status == "converged"
+        assert var_limit(cfg, rel_tol=0.1).nevals < default.nevals
+        assert var_limit(cfg, max_evals=1000).status == "budget"
+
 
 class TestDivergenceShells:
     @pytest.mark.parametrize("fn,h,d", [
@@ -321,6 +340,20 @@ class TestATIntegral:
     def test_diverged_at_transition(self):
         assert a_t_integral(ModelConfig(0.5, 4)).diverged
 
+    def test_diverged_branch_takes_tolerance_and_budget(self, monkeypatch):
+        cfg = ModelConfig(0.75, 3)
+        seen = []
+
+        def columns(cfg, abs_tol, rel_tol, max_evals, **kw):
+            seen.append((rel_tol, max_evals))
+            return [quadmoments.QuadratureResult(1.0 + k, 0.0, 1)
+                    for k in range(len(kw["shells"]))]
+
+        monkeypatch.setattr(quadmoments, "_moment_columns", columns)
+        a_t_integral(cfg)
+        a_t_integral(cfg, rel_tol=0.1, max_evals=1000)
+        assert seen == [(quadmoments._SHELL_REL_TOL, quadmoments._SHELL_MAX_EVALS), (0.1, 1000)]
+
     def test_bounded_by_reduction(self):
         for h in (0.25, 0.4):
             cfg = ModelConfig(h, 2)
@@ -328,6 +361,43 @@ class TestATIntegral:
             rb = reduction_bound(cfg)
             assert not at.diverged
             assert at.value <= 4 * rb.value + 1e-6
+
+
+def a_z_2d(z, cfg, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
+    """Independent route for A(z): the double time integral itself, with
+    v = t*b, phi(t, t*b) = t^4H psi(b), the smootherstep map on b and a
+    quartic map t = T tau^4 that resolves the t ~ z^(-1/4H) scale."""
+    h4 = 4.0 * cfg.hurst
+    T = cfg.horizon
+
+    def f(x):
+        tau, be = x[:, 0], x[:, 1]
+        b, db = _cluster_both(be)
+        t = T * tau**4
+        jac = 4.0 * T * tau**3 * t * db
+        return np.exp(-(t**h4) * _psi(b, 2.0 * cfg.hurst) * z) * jac
+
+    return integrate(f, [0.0, 0.0], [1.0, 1.0], abs_tol=abs_tol, rel_tol=rel_tol,
+                     max_evals=max_evals, init_splits=[np.array([0.0, 0.5, 1.0])] * 2)
+
+
+class TestGammaRatio:
+    @pytest.mark.parametrize("a", [0.5 / 0.95, 1.0, 2.0, 10.0])
+    def test_recurrence(self, a):
+        # gamma(a+1, x) = a gamma(a, x) - x^a e^-x, i.e.
+        # a G(a, x) = e^-x + x G(a+1, x): positive terms, across both branches
+        x = np.concatenate(([0.0], np.logspace(-6, 4, 201), [a + 1.0, a + 2.0]))
+        lhs = a * _gamma_ratio(a, x)
+        rhs = np.exp(-x) + x * _gamma_ratio(a + 1.0, x)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=0.0)
+
+    def test_limits(self):
+        x = np.array([0.0, 1e-300, 1e6, 1e300])
+        for a in (0.5 / 0.999, 2.0, 500.0, 5000.0):  # H from 0.999 to 1e-4
+            g = _gamma_ratio(a, x)
+            assert np.all(np.isfinite(g)) and np.all(g >= 0.0)
+            assert g[0] == g[1] == pytest.approx(1.0 / a, rel=1e-15)
+            assert np.all(np.diff(g) <= 0.0)
 
 
 class TestAZ:
@@ -357,11 +427,38 @@ class TestAZ:
         assert res.nevals >= 200
 
     def test_finite_at_large_z(self):
-        # from z ~ 6.6e4 on the integral samples angles within 4e-6 of 1,
-        # where the angle map must not round above 1: (1 - x)^2H is NaN there
+        # from z ~ 6.6e4 on the integrand gathers within 1e-9 of either
+        # end of the angle interval, and psi must stay finite there
         res = a_z(1e5, ModelConfig(0.25, 2), rel_tol=1e-8)
         assert math.isfinite(res.value) and res.value > 0.0
         assert res.status == "converged"
+
+    @pytest.mark.parametrize("horizon", [1.0, 2.0])
+    @pytest.mark.parametrize("h", [0.25, 0.4, 0.5])
+    @pytest.mark.parametrize("z", [0.5, 10.0, 1e3, 1e5])
+    def test_matches_double_time_integral(self, z, h, horizon):
+        cfg = ModelConfig(h, 2, horizon)
+        got = a_z(z, cfg)
+        want = a_z_2d(z, cfg)
+        assert got.status == want.status == "converged"
+        assert abs(got.value - want.value) <= got.error_estimate + want.error
+
+    def test_large_z_against_high_precision_value(self):
+        # 30-digit mpmath value of the double integral; the 2D route
+        # reports convergence here but is 8.4% low
+        want = 5.49113458303096e-11
+        res = a_z(1e6, ModelConfig(0.25, 2))
+        assert res.status == "converged"
+        assert res.value == pytest.approx(want, rel=1e-6)
+        assert abs(res.value - want) <= res.error_estimate
+
+    @pytest.mark.parametrize("h", [0.05, 0.25, 0.5, 0.95])
+    def test_finite_positive_nonincreasing(self, h):
+        cfg = ModelConfig(h, 2)
+        vals = [a_z(z, cfg) for z in np.concatenate(([0.0], np.logspace(-3, 6, 19)))]
+        assert all(r.status == "converged" for r in vals)
+        assert all(math.isfinite(r.value) and r.value > 0.0 for r in vals)
+        assert all(b.value <= a.value for a, b in zip(vals, vals[1:]))
 
     def test_negative_z_rejected(self):
         with pytest.raises(ParameterError):
@@ -374,6 +471,17 @@ class TestReductionBound:
             reduction_bound(ModelConfig(0.5, 4))
         with pytest.raises(ParameterError):
             reduction_bound(ModelConfig(0.75, 3))
+
+    def test_converged_at_criterion_6_points(self):
+        for h in (0.25, 0.4):
+            assert reduction_bound(ModelConfig(h, 2)).status == "converged"
+
+    def test_outer_quadrature_failure_is_reported(self):
+        # the tail integrand decays like z^(-1.17) here: quad reports
+        # roundoff and no convergence, which must not read "converged"
+        res = reduction_bound(ModelConfig(0.6, 3))
+        assert math.isfinite(res.value)
+        assert res.status == "budget"
 
     def test_tail_envelope(self):
         # z^(d/2-1) A(z)^2 decays at least as fast as the envelope
