@@ -271,6 +271,7 @@ def _run_estimate(rc: RunConfig) -> int:
             "se_second": _num(est.se_second),
             "variance": _num(est.variance),
         },
+        "diagnostics": {"grid_n": est.grid_n, "pair_sums": est.pair_sums},
     })
     _emit(rc, report)
     _say(rc, f"estimate: E[I_eps] ~ {est.mean:.6g} +/- {est.se_mean:.2g} "

@@ -4,20 +4,25 @@ path pairs and moment estimation across replications.
 I_eps of a path pair is the tensor-product trapezoid discretization of
 the double time integral of the heat kernel of the path difference.
 ``gauss_weight_sum`` computes its kernel sum for a batch of pairs at
-once, in blocks of whole pairs, or of rows of one pair, that each hold
-at most ``_BLOCK_BYTES`` (8 MiB) of float64 distances.
+once.  It augments each path with two coordinates, so that one matrix
+product gives the exponent -|x_i - y_j|^2 / (2 eps) directly, then takes
+one exp and one matrix-vector product per block.  A block holds whole
+pairs, or rows of one pair, and at most ``_KERNEL_BLOCK_BYTES`` (1 MiB)
+of float64 exponents, so that it stays in a core's L2 cache between the
+passes.
 
 Replications are addressed per chunk: chunk k holds replications
 k * _CHUNK .. (k + 1) * _CHUNK - 1 and draws all of its paths from one
 Philox stream keyed by (seed, k).  The chunk samples its paths with one
 matrix product or FFT and sums them with one kernel call, unless the
-sampler's FFT buffer would exceed the same 8 MiB (for a full chunk, when
-d n > 1024); then it does so for consecutive sub-batches that fit,
-drawn in order from the chunk's stream.  Each chunk returns the count,
-mean and sum of squared deviations of I_eps and of I_eps^2, and the
-chunks are merged in index order with the pairwise update of Chan,
-Golub & LeVeque (1979), so results do not depend on the worker count and
-the variance does not cancel when it is small against the squared mean.
+sampler's FFT buffer would exceed ``_SAMPLER_BLOCK_BYTES`` (8 MiB; for a
+full chunk, when d n > 1024); then it does so for consecutive
+sub-batches that fit, drawn in order from the chunk's stream.  Each chunk
+returns the count, mean and sum of squared deviations of I_eps and of
+I_eps^2, and the chunks are merged in index order with the pairwise
+update of Chan, Golub & LeVeque (1979), so results do not depend on the
+worker count and the variance does not cancel when it is small against
+the squared mean.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ __all__ = [
 
 GRID_CAP = 4096
 _CHUNK = 256
-_BLOCK_BYTES = 1 << 23
+_KERNEL_BLOCK_BYTES = 1 << 20
+_SAMPLER_BLOCK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -85,24 +91,32 @@ def gauss_weight_sum(x, y, wx, wy, eps) -> np.ndarray:
     """sum_{i,j} wx_i wy_j exp(-|x_{p,i} - y_{p,j}|^2 / (2 eps)) for each pair p.
 
     x: (r, n, d), y: (r, m, d), wx: (n,), wy: (m,).  Returns an array of
-    r sums; the caller applies the (2 pi eps)^(-d/2) normalization.  The
-    squared distances are formed through a matrix product so the
-    O(r n m d) work runs inside BLAS, in blocks of whole pairs when one
-    pair fits under _BLOCK_BYTES and in blocks of rows of one pair
-    otherwise.
+    r sums; the caller applies the (2 pi eps)^(-d/2) normalization.  With
+    the augmented operands X = [x/eps, -|x|^2/(2 eps), 1] and
+    Y = [y^T; 1; -|y|^2/(2 eps)], the matrix product X Y is the exponent,
+    so the O(r n m d) work runs inside BLAS.  Each block of whole pairs
+    (when one pair fits under _KERNEL_BLOCK_BYTES) or of rows of one pair
+    then takes min(., 0), which keeps every term at most 1 where rounding
+    makes the exponent of a near-zero distance positive, one exp and one
+    matrix-vector product.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     wx = np.asarray(wx, dtype=float)
     wy = np.asarray(wy, dtype=float)
-    r, n, _ = x.shape
+    r, n, d = x.shape
     m = y.shape[1]
-    xx = np.einsum("pid,pid->pi", x, x)
-    yy = np.einsum("pjd,pjd->pj", y, y)
-    yt = y.transpose(0, 2, 1)
     inv = 0.5 / eps
-    rows = max(1, min(n, _BLOCK_BYTES // (8 * m)))
-    pairs = max(1, _BLOCK_BYTES // (8 * m * n)) if rows == n else 1
+    xa = np.empty((r, n, d + 2))
+    np.divide(x, eps, out=xa[..., :d])
+    xa[..., d] = np.einsum("pid,pid->pi", x, x) * -inv
+    xa[..., d + 1] = 1.0
+    ya = np.empty((r, d + 2, m))
+    ya[:, :d] = y.transpose(0, 2, 1)
+    ya[:, d] = 1.0
+    ya[:, d + 1] = np.einsum("pjd,pjd->pj", y, y) * -inv
+    rows = max(1, min(n, _KERNEL_BLOCK_BYTES // (8 * m)))
+    pairs = max(1, _KERNEL_BLOCK_BYTES // (8 * m * n)) if rows == n else 1
     buf = np.empty(min(pairs, r) * rows * m)
     out = np.zeros(r)
     for p0 in range(0, r, pairs):
@@ -110,12 +124,8 @@ def gauss_weight_sum(x, y, wx, wy, eps) -> np.ndarray:
         for i0 in range(0, n, rows):
             i1 = min(i0 + rows, n)
             sq = buf[:(p1 - p0) * (i1 - i0) * m].reshape(p1 - p0, i1 - i0, m)
-            np.matmul(x[p0:p1, i0:i1], yt[p0:p1], out=sq)
-            sq *= -2.0
-            sq += xx[p0:p1, i0:i1, None]
-            sq += yy[p0:p1, None, :]
-            np.maximum(sq, 0.0, out=sq)
-            sq *= -inv
+            np.matmul(xa[p0:p1, i0:i1], ya[p0:p1], out=sq)
+            np.minimum(sq, 0.0, out=sq)
             np.exp(sq, out=sq)
             out[p0:p1] += (sq @ wy) @ wx[i0:i1]
     return out
@@ -176,7 +186,7 @@ def _chunk_moments(cfg, e, grid, seed, method, index, count):
     w = grid.trapezoid_weights()
     # bytes of one replication's circulant FFT buffer: its 2d draws take
     # d FFT rows of 2n complex128 entries
-    batch = max(1, _BLOCK_BYTES // (32 * cfg.dim * grid.n_steps))
+    batch = max(1, _SAMPLER_BLOCK_BYTES // (32 * cfg.dim * grid.n_steps))
     raw = np.empty(count)
     for lo in range(0, count, batch):
         b = min(batch, count - lo)
@@ -192,6 +202,13 @@ def _chunk_moments_star(args):
 
 @dataclass(frozen=True)
 class MomentEstimate:
+    """Moments of I_eps over ``replications`` pairs, and how they were made.
+
+    ``grid_n`` is the grid's step count and ``pair_sums`` the number of
+    kernel terms summed, replications * (grid_n + 1)^2.  There is no wall
+    time field: estimates compare equal across worker counts.
+    """
+
     mean: float
     second_moment: float
     variance: float
@@ -199,6 +216,8 @@ class MomentEstimate:
     se_second: float
     replications: int
     seed: int
+    grid_n: int
+    pair_sums: int
 
 
 def mc_moments(cfg: ModelConfig, eps, grid: TimeGrid, replications: int,
@@ -229,4 +248,5 @@ def mc_moments(cfg: ModelConfig, eps, grid: TimeGrid, replications: int,
         se_mean=math.sqrt(variance / r),
         se_second=math.sqrt(m2_second / r / r),
         replications=r, seed=seed,
+        grid_n=grid.n_steps, pair_sums=r * (grid.n_steps + 1) ** 2,
     )

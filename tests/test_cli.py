@@ -137,6 +137,16 @@ class TestEstimateCommand:
         assert vals[0]["reps"] == 100
         assert vals[0]["se"] > 0
 
+    @pytest.mark.parametrize("grid_args, n", [([], 16), (["--grid-n", "20"], 20)])
+    def test_diagnostics(self, tmp_path, grid_args, n):
+        # without --grid-n the bias rule gives ceil((16/eps)^(1/2H)) = 16 steps
+        out = tmp_path / "e.json"
+        code = run_main(["estimate", "--hurst", "0.5", "--dim", "2", "--eps", "1",
+                         "--reps", "50", "--out", str(out)] + grid_args)
+        assert code == 0
+        diagnostics = json.loads(out.read_text())["results"]["diagnostics"]
+        assert diagnostics == {"grid_n": n, "pair_sums": 50 * (n + 1) ** 2}
+
 
 class TestSweepCommand:
     def test_csv_header(self, tmp_path):

@@ -1,8 +1,11 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbmilt import iltmc
 from fbmilt.covkernel import ModelConfig
@@ -75,18 +78,21 @@ def _double_loop(x, y, wx, wy, eps):
     return total
 
 
-def _kernel_inputs(r, n, d):
+def _kernel_inputs(r, n, d, m=None):
+    m = n if m is None else m
     rng = np.random.default_rng(100 * n + 10 * d + r)
-    return (rng.normal(size=(r, n, d)), rng.normal(size=(r, n, d)),
-            rng.random(n), rng.random(n))
+    return (rng.normal(size=(r, n, d)), rng.normal(size=(r, m, d)),
+            rng.random(n), rng.random(m))
 
 
 class TestGaussWeightSum:
     @pytest.mark.parametrize("r", [1, 5])
     @pytest.mark.parametrize("d", [2, 3, 4])
-    @pytest.mark.parametrize("n", [1, 7, 64, 300])
-    def test_matches_double_loop(self, n, d, r):
-        x, y, wx, wy = _kernel_inputs(r, n, d)
+    @pytest.mark.parametrize(
+        "n, m", [(1, 1), (7, 7), (64, 64), (300, 300), (1, 9), (7, 64), (300, 5)],
+        ids=["1", "7", "64", "300", "1x9", "7x64", "300x5"])
+    def test_matches_double_loop(self, n, m, d, r):
+        x, y, wx, wy = _kernel_inputs(r, n, d, m)
         got = gauss_weight_sum(x, y, wx, wy, 0.3)
         assert got.shape == (r,)
         for p in range(r):
@@ -99,8 +105,32 @@ class TestGaussWeightSum:
         # blocks with a short last block
         x, y, wx, wy = _kernel_inputs(5, 64, 3)
         whole = gauss_weight_sum(x, y, wx, wy, 0.3)
-        monkeypatch.setattr(iltmc, "_BLOCK_BYTES", 8 * 64 * cap_rows)
+        monkeypatch.setattr(iltmc, "_KERNEL_BLOCK_BYTES", 8 * 64 * cap_rows)
         np.testing.assert_allclose(gauss_weight_sum(x, y, wx, wy, 0.3), whole, rtol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.integers(1, 4), n=st.integers(1, 30), m=st.integers(1, 30),
+           d=st.integers(1, 4), eps=st.floats(0.1, 10.0), cap_rows=st.integers(1, 130),
+           scale=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_double_loop_any_block(self, r, n, m, d, eps, cap_rows, scale, seed):
+        # uniform coordinates keep every exponent above -330, far from underflow
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-scale, scale, (r, n, d))
+        y = rng.uniform(-scale, scale, (r, m, d))
+        wx, wy = rng.random(n), rng.random(m)
+        with mock.patch.object(iltmc, "_KERNEL_BLOCK_BYTES", 8 * m * cap_rows):
+            got = gauss_weight_sum(x, y, wx, wy, eps)
+        for p in range(r):
+            assert got[p] == pytest.approx(_double_loop(x[p], y[p], wx, wy, eps), rel=1e-10)
+
+    def test_terms_clamped_at_one(self):
+        # nearly coincident points far from the origin: rounding in the
+        # exponent -|x|^2/2eps + x.y/eps - |y|^2/2eps reaches 3e-7 here, and
+        # without the clamp at 0 about 45% of the terms would exceed 1
+        x, _, wx, wy = _kernel_inputs(3, 40, 3)
+        x = 1e4 + 1e-6 * x
+        got = gauss_weight_sum(x, x, wx, wy, 0.3)
+        assert np.all(got <= wx.sum() * wy.sum() * (1 + 1e-12))
 
 
 class TestIltEpsilon:
