@@ -6,7 +6,6 @@ the L2 phase transition at Hurst * dim = 2.
 
 from .covkernel import (
     ModelConfig,
-    TimeQuadruple,
     cov_rh,
     cross_det,
     det_var_z,
@@ -27,7 +26,7 @@ from .fbmgen import (
     sample_pair,
     sample_paths,
 )
-from .iltmc import MomentEstimate, SmoothingEps, grid_for_eps, heat_kernel, ilt_epsilon, mc_moments
+from .iltmc import MomentEstimate, grid_for_eps, heat_kernel, ilt_epsilon, mc_moments
 from .phasescan import EpsSchedule, PhasePoint, SweepSeries, classify, phase_grid, sweep
 from .quadmoments import (
     QuadratureResult,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "ModelConfig",
-    "TimeQuadruple",
     "cov_rh",
     "lambda_var",
     "mu_cov",
@@ -67,7 +65,6 @@ __all__ = [
     "sample_circulant",
     "sample_pair",
     "sample_paths",
-    "SmoothingEps",
     "MomentEstimate",
     "heat_kernel",
     "ilt_epsilon",

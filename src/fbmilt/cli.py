@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate, estimate, moments, sweep, phase, verify-lemmas.
-Flag values override config-file values override defaults; the config
-file is flat ``key = value`` lines with ``#`` comments.  Reports are JSON
+Each subcommand takes only the flags it reads.  Flag values override
+config-file values override defaults; the config file is flat
+``key = value`` lines with ``#`` comments and may set any field.  Reports are JSON
 (stable schema, floats serialized round-trip exact) or CSV for sweeps.
 
 Exit codes: 0 success, 2 parameter error, 3 quadrature budget exhausted,
@@ -19,7 +20,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .covkernel import ModelConfig
 from .errors import IndeterminateError, ParameterError, QuadratureBudgetError
 from .fbmgen import TimeGrid, path_to_csv, sample_pair
 from .iltmc import grid_for_eps, mc_moments
-from .phasescan import EpsSchedule, PhaseError, PhasePoint, phase_grid
+from .phasescan import MIN_ROWS, EpsSchedule, PhaseError, phase_grid
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
@@ -65,23 +66,50 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_FIELD_PARSERS = {
-    "hurst": lambda s: [float(x) for x in str(s).split(",")],
-    "dim": lambda s: [int(x) for x in str(s).split(",")],
-    "horizon": float,
-    "eps": float,
-    "eps0": float,
-    "factor": float,
-    "count": int,
-    "reps": int,
-    "grid_n": int,
-    "seed": int,
-    "method": str,
-    "tol": float,
-    "workers": int,
-    "out": str,
-    "format": str,
+def _floats(text):
+    return [float(x) for x in str(text).split(",")]
+
+
+def _ints(text):
+    return [int(x) for x in str(text).split(",")]
+
+
+class _Field(NamedTuple):
+    parse: Callable
+    commands: Tuple[str, ...]
+    choices: Optional[Tuple[str, ...]] = None
+    help: Optional[str] = None
+
+
+_MODEL = ("simulate", "estimate", "moments", "sweep", "phase")
+_SAMPLING = ("simulate", "estimate", "sweep")
+
+# every RunConfig field a flag or a config line sets: its parser, the
+# subcommands that read it, and its choices; a flag is offered only to
+# the subcommands that read it, while a config file may hold any field
+_FIELDS = {
+    "hurst": _Field(_floats, _MODEL, help="Hurst parameter in (0,1); comma list for phase"),
+    "dim": _Field(_ints, _MODEL, help="dimension >= 2; comma list for phase"),
+    "horizon": _Field(float, _MODEL),
+    "eps": _Field(float, ("estimate", "moments")),
+    "eps0": _Field(float, ("sweep", "phase")),
+    "factor": _Field(float, ("sweep", "phase")),
+    "count": _Field(int, ("sweep", "phase")),
+    "reps": _Field(int, ("estimate", "sweep")),
+    "grid_n": _Field(int, _SAMPLING),
+    "seed": _Field(int, _SAMPLING + ("verify-lemmas",)),
+    "method": _Field(str, _SAMPLING, ("cholesky", "circulant")),
+    "tol": _Field(float, ("moments", "sweep", "phase")),
+    "workers": _Field(int, ("estimate", "sweep")),
+    "out": _Field(str, COMMANDS),
+    "format": _Field(str, ("sweep",), ("json", "csv")),
 }
+# flags that sweep reads only for its Monte Carlo column, so only with reps
+_SWEEP_MC_FLAGS = ("grid_n", "seed", "method", "workers")
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,26 +119,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulation, Monte Carlo estimation, moment quadrature, phase classification.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--hurst", type=str, default=None,
-                       help="Hurst parameter in (0,1); comma list for phase")
-        p.add_argument("--dim", type=str, default=None,
-                       help="dimension >= 2; comma list for phase")
-        p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--eps0", type=float, default=None)
-        p.add_argument("--factor", type=float, default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--method", choices=["cholesky", "circulant"], default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--workers", type=int, default=None)
+    for command in COMMANDS:
+        p = sub.add_parser(command)
+        for name, field in _FIELDS.items():
+            if command in field.commands:
+                p.add_argument(_flag(name), dest=name, type=field.parse,
+                               choices=field.choices, default=None, help=field.help)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=["json", "csv"], default=None)
     return parser
 
 
@@ -125,12 +140,16 @@ def _load_config_file(path: str) -> dict:
                 raise ParameterError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _FIELD_PARSERS:
+            if key not in _FIELDS:
                 raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
+            field = _FIELDS[key]
             try:
-                values[key] = _FIELD_PARSERS[key](val.strip())
+                values[key] = field.parse(val.strip())
             except ValueError as exc:
                 raise ParameterError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            if field.choices and values[key] not in field.choices:
+                raise ParameterError(f"{path}:{lineno}: {key} must be one of "
+                                     f"{', '.join(field.choices)}, got {values[key]!r}")
     return values
 
 
@@ -138,15 +157,15 @@ def parse_args(argv) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     file_values = _load_config_file(ns.config) if ns.config else {}
     rc = RunConfig(command=ns.command, hurst=[0.5], dim=[2])
-    for name in _FIELD_PARSERS:
-        flag = getattr(ns, name, None)
-        if flag is not None:
-            value = _FIELD_PARSERS[name](flag) if name in ("hurst", "dim") else flag
+    flags = {name for name in _FIELDS if getattr(ns, name, None) is not None}
+    for name in _FIELDS:
+        if name in flags:
+            setattr(rc, name, getattr(ns, name))
         elif name in file_values:
-            value = file_values[name]
-        else:
-            continue
-        setattr(rc, name, value)
+            setattr(rc, name, file_values[name])
+    unread = [_flag(name) for name in _SWEEP_MC_FLAGS if name in flags]
+    if rc.command == "sweep" and rc.reps is None and unread:
+        raise ParameterError(f"reps: sweep reads {', '.join(unread)} only with --reps")
     _validate(rc)
     return rc
 
@@ -169,6 +188,8 @@ def _validate(rc: RunConfig) -> None:
         raise ParameterError(f"workers: must be >= 1, got {rc.workers}")
     if rc.reps is not None and rc.reps < 2:
         raise ParameterError(f"reps: must be >= 2, got {rc.reps}")
+    if rc.command == "phase" and rc.count < MIN_ROWS:
+        raise ParameterError(f"count: phase needs >= {MIN_ROWS} rows, got {rc.count}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +341,11 @@ def _schedule(rc: RunConfig, cfg: ModelConfig) -> EpsSchedule:
 def _run_sweep(rc: RunConfig) -> int:
     from .phasescan import sweep
     cfg = rc.model()
-    with_mc = rc.reps is not None
-    mc_params = {"reps": rc.reps, "seed": rc.seed, "method": rc.method,
-                 "workers": rc.workers, "grid_n": rc.grid_n} if with_mc else None
+    mc_params = None if rc.reps is None else {
+        "reps": rc.reps, "seed": rc.seed, "method": rc.method,
+        "workers": rc.workers, "grid_n": rc.grid_n}
     tol = {} if rc.tol is None else {"quad_rel_tol": rc.tol}
-    series = sweep(cfg, _schedule(rc, cfg), with_mc=with_mc, mc_params=mc_params, **tol)
+    series = sweep(cfg, _schedule(rc, cfg), mc_params=mc_params, **tol)
     rows = [_row_dict(r) for r in series.rows]
     csv_rows = [[r[k] for k in _SWEEP_HEADER] for r in rows]
     report = _report(rc, {"rows": rows, "diagnostics": {"nevals": series.nevals}})

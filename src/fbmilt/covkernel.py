@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainc
 
 from .errors import ParameterError
 
 __all__ = [
     "ModelConfig",
-    "TimeQuadruple",
     "cov_rh",
     "lambda_var",
     "mu_cov",
@@ -51,28 +51,6 @@ class ModelConfig:
     @property
     def hd(self) -> float:
         return self.hurst * self.dim
-
-
-@dataclass(frozen=True)
-class TimeQuadruple:
-    """Four time arguments (s, t, u, v), all nonnegative."""
-
-    s: float
-    t: float
-    u: float
-    v: float
-
-    def __post_init__(self):
-        for name in ("s", "t", "u", "v"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"{name} must be nonnegative")
-
-    def check_horizon(self, horizon: float) -> None:
-        if max(self.s, self.t, self.u, self.v) > horizon:
-            raise ParameterError(f"time arguments must not exceed horizon {horizon}")
-
-    def astuple(self):
-        return (self.s, self.t, self.u, self.v)
 
 
 def _check_hurst(h):
@@ -189,52 +167,13 @@ def phi_angular(theta, h):
 def lower_inc_gamma(alpha, x):
     """Lower incomplete gamma function gamma(alpha, x) = int_0^x e^-y y^(alpha-1) dy.
 
-    Series expansion for x < alpha + 1, Lentz continued fraction for the
-    upper tail otherwise; relative accuracy ~1e-14.
+    Gamma(alpha) times scipy's regularized gammainc.
     """
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if x < 0.0:
         raise ParameterError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return math.gamma(alpha)
-    lg = math.lgamma(alpha)
-    if x < alpha + 1.0:
-        # gamma(a,x) = x^a e^-x sum_n x^n / (a (a+1) ... (a+n))
-        term = 1.0 / alpha
-        total = term
-        n = alpha
-        for _ in range(500):
-            n += 1.0
-            term *= x / n
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return total * math.exp(alpha * math.log(x) - x)
-    # Upper tail Gamma(a,x) by modified Lentz; gamma = Gamma(a) - Gamma(a,x).
-    tiny = 1e-300
-    b = x + 1.0 - alpha
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, 500):
-        an = -i * (i - alpha)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    upper = math.exp(alpha * math.log(x) - x) * f
-    return math.gamma(alpha) - upper
+    return math.gamma(alpha) * float(gammainc(alpha, x))
 
 
 def gamma_bound_k(alpha):

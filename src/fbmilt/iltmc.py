@@ -41,7 +41,6 @@ from .errors import ParameterError
 from .fbmgen import FbmPathPair, TimeGrid, sample_pair, sample_paths  # noqa: F401
 
 __all__ = [
-    "SmoothingEps",
     "MomentEstimate",
     "heat_kernel",
     "gauss_weight_sum",
@@ -56,19 +55,8 @@ _KERNEL_BLOCK_BYTES = 1 << 20
 _SAMPLER_BLOCK_BYTES = 1 << 23
 
 
-@dataclass(frozen=True)
-class SmoothingEps:
-    """Heat kernel bandwidth squared; strictly positive."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not (self.eps > 0.0):
-            raise ParameterError(f"eps must be positive, got {self.eps}")
-
-
 def _eps_value(eps) -> float:
-    value = eps.eps if isinstance(eps, SmoothingEps) else float(eps)
+    value = float(eps)
     if not (value > 0.0):
         raise ParameterError(f"eps must be positive, got {value}")
     return value

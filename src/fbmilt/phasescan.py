@@ -10,6 +10,8 @@ surfaced in the outputs:
   change of m2 over the last two rows < 5%.
 * Divergent: log-log slope of m1 over the last half of the ladder
   <= -0.02 with R^2 >= 0.99, or m2 blowing up by x1e3 over the sweep.
+  The half has at least 3 points: a 2-point fit has R^2 = 1 whatever
+  the data, so classification needs MIN_ROWS = 5 complete rows.
 * Critical: reserved for exact Hurst*dim = 2 inputs, where no finite
   sweep separates logarithmic divergence from slow convergence.
 
@@ -53,6 +55,7 @@ BLOWUP_FACTOR = 1e3
 BOUNDED_WINDOW = 0.05
 CRITICAL_ATOL = 1e-9
 RATE_SIGN_CUTOFF = 0.02
+MIN_ROWS = 5
 
 
 @dataclass(frozen=True)
@@ -128,10 +131,11 @@ class PhaseError:
     kind: str  # "parameter" | "budget" | "indeterminate"
 
 
-def _rows(cfg, ladder, prev_eps, quad_rel_tol, with_mc, mc_params):
+def _rows(cfg, ladder, prev_eps, quad_rel_tol, mc_params):
     """One SweepRow per rung of ``ladder``, whose m1s come from one shared
     2D pass and whose m2s and Cauchy gaps come from one shared 4D pass per
-    region; ``prev_eps`` is the rung before ``ladder[0]``, if any.
+    region; ``prev_eps`` is the rung before ``ladder[0]``, if any.  Each
+    row carries a Monte Carlo estimate of m1 if ``mc_params`` is given.
 
     A row is complete only if its own m1, m2 and gap met their
     tolerances.  Returns (rows, integrand evaluations of the passes).
@@ -142,8 +146,8 @@ def _rows(cfg, ladder, prev_eps, quad_rel_tol, with_mc, mc_params):
     for eps, a, b, g in zip(ladder, r1, r2, rg):
         parts = [a, b] if g is None else [a, b, g]
         mc_mean = mc_se = math.nan
-        if with_mc:
-            params = dict(mc_params or {})
+        if mc_params is not None:
+            params = dict(mc_params)
             grid_n = params.pop("grid_n", None) or grid_for_eps(eps, cfg)
             grid = TimeGrid(horizon=cfg.horizon, n_steps=grid_n)
             est = mc_moments(
@@ -165,9 +169,10 @@ def _rows(cfg, ladder, prev_eps, quad_rel_tol, with_mc, mc_params):
 
 
 def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
-          with_mc: bool = False, mc_params: Optional[dict] = None,
-          quad_rel_tol: float = 3e-4) -> SweepSeries:
-    """One row of quadrature moments per ladder rung.
+          mc_params: Optional[dict] = None, quad_rel_tol: float = 3e-4) -> SweepSeries:
+    """One row of quadrature moments per ladder rung, with a Monte Carlo
+    estimate of m1 alongside when ``mc_params`` is given (the keyword
+    arguments of mc_moments, plus "reps" and "grid_n").
 
     Every rung's m1 comes from one 2D pass and every rung's m2 and Cauchy
     gap from one 4D pass per region, each over a shared mesh.  Budget
@@ -177,7 +182,7 @@ def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
     if schedule is None:
         schedule = EpsSchedule.default_for(cfg)
     ladder = [float(e) for e in schedule.ladder()]
-    rows, nevals = _rows(cfg, ladder, None, quad_rel_tol, with_mc, mc_params)
+    rows, nevals = _rows(cfg, ladder, None, quad_rel_tol, mc_params)
     return SweepSeries(hurst=cfg.hurst, dim=cfg.dim, horizon=cfg.horizon, rows=rows,
                        quad_rel_tol=quad_rel_tol, nevals=nevals)
 
@@ -243,13 +248,13 @@ def classify(series: SweepSeries, cfg: ModelConfig) -> PhasePoint:
     A tie after the threshold rules extends the ladder by one factor step
     and retries; a remaining tie is broken by the sign of the offset-aware
     rate fit of m1, and failing that an Indeterminate error is raised with
-    the series attached.  Fewer than 3 complete rows raise
+    the series attached.  Fewer than MIN_ROWS complete rows raise
     QuadratureBudgetError when budget hits left rows incomplete, and
     ParameterError otherwise.
     """
     rows = [r for r in series.rows if r.complete]
-    if len(rows) < 3:
-        message = f"classification needs >= 3 complete sweep rows, got {len(rows)}"
+    if len(rows) < MIN_ROWS:
+        message = f"classification needs >= {MIN_ROWS} complete sweep rows, got {len(rows)}"
         dropped = len(series.rows) - len(rows)
         if dropped:
             raise QuadratureBudgetError(f"{message}; {dropped} hit their quadrature budget")
@@ -262,7 +267,7 @@ def classify(series: SweepSeries, cfg: ModelConfig) -> PhasePoint:
         # extend the ladder once before deciding
         factor = rows[-1].eps / rows[-2].eps
         extra, nevals = _rows(cfg, [rows[-1].eps * factor], rows[-1].eps,
-                              series.quad_rel_tol, False, None)
+                              series.quad_rel_tol, None)
         rows = rows + extra
         series = replace(series, rows=series.rows + extra, nevals=series.nevals + nevals)
         verdict = _decide(rows)

@@ -60,8 +60,9 @@ __all__ = [
     "radial_rate",
 ]
 
-# tolerances and budgets of m1 and of the second-moment family: the
-# defaults of the one-regularizer calls and the settings of the ladders
+# tolerances and budgets, read at call time: those of m1 and of the
+# second-moment family; a rel_tol given to m1, m2 or m2_ladder replaces the
+# relative one
 _M1_ABS_TOL = 1e-10
 _M1_REL_TOL = 1e-9
 _M1_MAX_EVALS = 4_000_000
@@ -73,10 +74,15 @@ _GAP_REL_TOL = 1e-3
 _LIMIT_ABS_TOL = 1e-8
 _LIMIT_REL_TOL = 1e-4
 _LIMIT_MAX_EVALS = 20_000_000
+# of A(z), and of reduction_bound's outer quadrature over z
+_A_Z_REL_TOL = 1e-8
+_A_Z_ABS_TOL = 1e-13
+_A_Z_MAX_EVALS = 2_000_000
+_REDUCTION_REL_TOL = 1e-9
 
 # divergence shells at eps = 0: exclusion widths, tolerances and budgets of
-# the one pass (per region) that gives every shell; a rel_tol or max_evals
-# given to m1, var_limit or a_t_integral replaces them
+# the one pass (per region) that gives every shell; a rel_tol given to m1
+# replaces _M1_SHELL_REL_TOL
 _M1_SHELL_WIDTHS = 2.0 ** -np.arange(1, 8)  # mapped x = sqrt(s / T): [0, T 4^-k]^2
 _M1_SHELL_REL_TOL = 1e-5
 _M1_SHELL_MAX_EVALS = 4_000_000
@@ -260,6 +266,12 @@ def _require_converged(result, label):
     return result
 
 
+def _diverges(cfg):
+    """Whether the eps = 0 integrals are infinite: Hd >= 2, allowing for
+    rounding in the product H * d."""
+    return cfg.hd >= 2.0 - 1e-12
+
+
 def _diverged(cfg, shells, widths, exponent, excluded):
     """A diverged result from the growing partial integrals ``shells`` over
     the complements of exclusions of ``widths`` (``excluded`` names them)
@@ -329,22 +341,23 @@ def _m1_columns(eps, cfg, p, abs_tol, rel_tol, max_evals, widths=()):
     return _columns(res.value, res.error, [res], pref)
 
 
-def m1(eps, cfg: ModelConfig, abs_tol=_M1_ABS_TOL, rel_tol=None, max_evals=None):
+def m1(eps, cfg: ModelConfig, rel_tol=None):
     """First moment E[I_eps] = (2 pi)^(-d/2) * int (eps + s^2H + t^2H)^(-d/2).
 
     eps = 0 is allowed; the limiting integral is finite iff Hd < 2, and a
     diverged result with shell evidence is returned otherwise.  ``rel_tol``
-    and ``max_evals`` default to the settings of the branch taken: those of
-    the integral (_M1_*) or of its shells (_M1_SHELL_*); the shells take
-    no absolute tolerance.
+    defaults to the relative tolerance of the branch taken: that of the
+    integral (_M1_REL_TOL) or of its shells (_M1_SHELL_REL_TOL).
     """
     if eps < 0.0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
-    if eps == 0.0 and cfg.hd >= 2.0 - 1e-12:
-        return _diverged_m1(cfg, rel_tol, max_evals)
-    rel_tol = _M1_REL_TOL if rel_tol is None else rel_tol
-    max_evals = _M1_MAX_EVALS if max_evals is None else max_evals
-    (res,) = _m1_columns([eps], cfg, _m1_exponent_map(cfg, eps), abs_tol, rel_tol, max_evals)
+    diverged = eps == 0.0 and _diverges(cfg)
+    if rel_tol is None:
+        rel_tol = _M1_SHELL_REL_TOL if diverged else _M1_REL_TOL
+    if diverged:
+        return _diverged_m1(cfg, rel_tol)
+    (res,) = _m1_columns([eps], cfg, _m1_exponent_map(cfg, eps), _M1_ABS_TOL, rel_tol,
+                         _M1_MAX_EVALS)
     return _require_converged(res, "m1")
 
 
@@ -363,13 +376,11 @@ def m1_ladder(eps, cfg: ModelConfig):
     return _m1_columns(eps, cfg, 2, _M1_ABS_TOL, _M1_REL_TOL, _M1_MAX_EVALS)
 
 
-def _diverged_m1(cfg, rel_tol=None, max_evals=None):
+def _diverged_m1(cfg, rel_tol):
     """Shell evidence for m1(0) when Hd >= 2: m1(0) outside [0, T 4^-k]^2
-    for k = 1..7, from one 2D pass at ``rel_tol`` and ``max_evals``, by
-    default the shells' own."""
-    rel_tol = _M1_SHELL_REL_TOL if rel_tol is None else rel_tol
-    max_evals = _M1_SHELL_MAX_EVALS if max_evals is None else max_evals
-    shells = _m1_columns([], cfg, 2, 0.0, rel_tol, max_evals, widths=_M1_SHELL_WIDTHS)
+    for k = 1..7, from one 2D pass at ``rel_tol`` with the shells' budget."""
+    shells = _m1_columns([], cfg, 2, 0.0, rel_tol, _M1_SHELL_MAX_EVALS,
+                         widths=_M1_SHELL_WIDTHS)
     return _diverged(cfg, shells, cfg.horizon * _M1_SHELL_WIDTHS**2, 1.0 - cfg.hd,
                      "excluding [0,T*4^-k]^2")
 
@@ -446,29 +457,27 @@ def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosse
     return _columns(total, err, runs, pref)
 
 
-def m2(eps, cfg: ModelConfig, abs_tol=_M2_ABS_TOL, rel_tol=_M2_REL_TOL,
-       max_evals=_M2_MAX_EVALS):
+def m2(eps, cfg: ModelConfig, rel_tol=_M2_REL_TOL):
     """Second moment E[I_eps^2], the 4D integral of
     ((lambda+eps)(rho+eps) - mu^2)^(-d/2) times (2 pi)^-d."""
     if eps <= 0.0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    (res,) = _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=[eps])
+    (res,) = _moment_columns(cfg, _M2_ABS_TOL, rel_tol, _M2_MAX_EVALS, m2_eps=[eps])
     return _require_converged(res, "m2")
 
 
-def m_cross(eps, eta, cfg: ModelConfig, abs_tol=_M2_ABS_TOL, rel_tol=_M2_REL_TOL,
-            max_evals=_M2_MAX_EVALS):
+def m_cross(eps, eta, cfg: ModelConfig):
     """Cross moment E[I_eps I_eta]: asymmetric regularizers (lambda+eps),
     (rho+eta), symmetrized so the result is exactly invariant under
     eps <-> eta."""
     if eps <= 0.0 or eta <= 0.0:
         raise ParameterError("eps and eta must be positive")
-    (res,) = _moment_columns(cfg, abs_tol, rel_tol, max_evals, crosses=[(eps, eta)])
+    (res,) = _moment_columns(cfg, _M2_ABS_TOL, _M2_REL_TOL, _M2_MAX_EVALS,
+                             crosses=[(eps, eta)])
     return _require_converged(res, "m_cross")
 
 
-def cauchy_gap(eps, eta, cfg: ModelConfig, abs_tol=_M2_ABS_TOL, rel_tol=_GAP_REL_TOL,
-               max_evals=_M2_MAX_EVALS):
+def cauchy_gap(eps, eta, cfg: ModelConfig):
     """L2 Cauchy gap ||I_eps - I_eta||^2 = m2(eps) + m2(eta) - 2 m_cross.
 
     Computed as a single fused integrand rather than a difference of
@@ -479,7 +488,8 @@ def cauchy_gap(eps, eta, cfg: ModelConfig, abs_tol=_M2_ABS_TOL, rel_tol=_GAP_REL
     """
     if eps <= 0.0 or eta <= 0.0:
         raise ParameterError("eps and eta must be positive")
-    (res,) = _moment_columns(cfg, abs_tol, rel_tol, max_evals, gaps=[(eps, eta)])
+    (res,) = _moment_columns(cfg, _M2_ABS_TOL, _GAP_REL_TOL, _M2_MAX_EVALS,
+                             gaps=[(eps, eta)])
     return _require_converged(res, "cauchy_gap")
 
 
@@ -489,7 +499,7 @@ def m2_ladder(eps, cfg: ModelConfig, prev_eps=None, rel_tol=_M2_REL_TOL):
     shared mesh, with the budget of one m2 call.
 
     ``prev_eps`` is the rung before ``eps[0]``, if any.  m2 is integrated
-    to ``rel_tol`` and the gaps to cauchy_gap's default; a component within its
+    to ``rel_tol`` and the gaps to cauchy_gap's tolerance; a component within its
     tolerance stops steering the refinement.  Returns (m2s, gaps), one
     QuadratureResult per rung each, ``gaps[k]`` being the gap to the
     previous rung (None for the first rung without ``prev_eps``); every
@@ -508,45 +518,38 @@ def m2_ladder(eps, cfg: ModelConfig, prev_eps=None, rel_tol=_M2_REL_TOL):
     return res[: len(eps)], gaps if prev_eps is not None else [None] + gaps
 
 
-def var_limit(cfg: ModelConfig, abs_tol=_LIMIT_ABS_TOL, rel_tol=None, max_evals=None):
+def var_limit(cfg: ModelConfig):
     """Limit of Var[I_eps] as eps -> 0:
     int (lambda rho - mu^2)^(-d/2) - (lambda rho)^(-d/2), times (2 pi)^-d.
 
     Finite iff Hd < 2 (pointwise nonnegative integrand); diverged result
     with the shells of A_T, times (2 pi)^-d, as evidence otherwise.
-    ``rel_tol`` and ``max_evals`` default to the settings of the branch
-    taken (_LIMIT_* or _SHELL_*); the shells take no absolute tolerance.
     """
-    if cfg.hd >= 2.0 - 1e-12:
-        return _diverged_4d(cfg, 1.0, rel_tol, max_evals)
-    rel_tol = _LIMIT_REL_TOL if rel_tol is None else rel_tol
-    max_evals = _LIMIT_MAX_EVALS if max_evals is None else max_evals
-    (res,) = _moment_columns(cfg, abs_tol, rel_tol, max_evals, var=True, both_ends=True)
+    if _diverges(cfg):
+        return _diverged_4d(cfg, 1.0)
+    (res,) = _moment_columns(cfg, _LIMIT_ABS_TOL, _LIMIT_REL_TOL, _LIMIT_MAX_EVALS,
+                             var=True, both_ends=True)
     return _require_converged(res, "var_limit")
 
 
-def a_t_integral(cfg: ModelConfig, abs_tol=_LIMIT_ABS_TOL, rel_tol=None, max_evals=None):
-    """A_T = int_{[0,T]^4} (lambda rho - mu^2)^(-d/2); finite iff Hd < 2.
-
-    ``rel_tol`` and ``max_evals`` default as in var_limit."""
+def a_t_integral(cfg: ModelConfig):
+    """A_T = int_{[0,T]^4} (lambda rho - mu^2)^(-d/2); finite iff Hd < 2,
+    diverged result with shell evidence otherwise."""
     unscale = (2.0 * math.pi) ** cfg.dim
-    if cfg.hd >= 2.0 - 1e-12:
-        return _diverged_4d(cfg, unscale, rel_tol, max_evals)
-    rel_tol = _LIMIT_REL_TOL if rel_tol is None else rel_tol
-    max_evals = _LIMIT_MAX_EVALS if max_evals is None else max_evals
-    (res,) = _moment_columns(cfg, abs_tol / unscale, rel_tol, max_evals, m2_eps=[0.0],
-                             both_ends=True)
+    if _diverges(cfg):
+        return _diverged_4d(cfg, unscale)
+    (res,) = _moment_columns(cfg, _LIMIT_ABS_TOL / unscale, _LIMIT_REL_TOL, _LIMIT_MAX_EVALS,
+                             m2_eps=[0.0], both_ends=True)
     return _require_converged(_scaled(res, unscale), "a_t_integral")
 
 
-def _diverged_4d(cfg, scale, rel_tol=None, max_evals=None):
+def _diverged_4d(cfg, scale):
     """Shell evidence for the eps = 0 4D integrals when Hd >= 2: A_T times
     (2 pi)^-d times ``scale``, outside boxes of width 4^-k around every
     singular face of both regions, k = 1..5, from one pass per region at
-    ``rel_tol`` and ``max_evals``, by default the shells' own."""
-    rel_tol = _SHELL_REL_TOL if rel_tol is None else rel_tol
-    max_evals = _SHELL_MAX_EVALS if max_evals is None else max_evals
-    shells = _moment_columns(cfg, 0.0, rel_tol, max_evals, shells=_SHELL_WIDTHS, both_ends=True)
+    the shells' tolerance and budget (_SHELL_*)."""
+    shells = _moment_columns(cfg, 0.0, _SHELL_REL_TOL, _SHELL_MAX_EVALS, shells=_SHELL_WIDTHS,
+                             both_ends=True)
     return _diverged(cfg, [_scaled(r, scale) for r in shells], _SHELL_WIDTHS, radial_rate(cfg),
                      "excluding width 4^-k around every singular face")
 
@@ -582,7 +585,7 @@ def _gamma_ratio(a, x):
     return out
 
 
-def a_z(z, cfg: ModelConfig, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
+def a_z(z, cfg: ModelConfig):
     """A(z) = int_0^T int_0^t exp(-phi(t,v) z) dv dt, decreasing in z.
 
     With v = t*b and phi(t, t*b) = t^4H psi(b), the time integral has a
@@ -618,24 +621,25 @@ def a_z(z, cfg: ModelConfig, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
     init = np.concatenate(([0.0], 0.5 ** np.arange(depth, 0, -1)))
     res = cubature.integrate(
         f, [0.0], [0.5],
-        abs_tol=abs_tol / pref, rel_tol=rel_tol, max_evals=max_evals, init_splits=[init],
+        abs_tol=_A_Z_ABS_TOL / pref, rel_tol=_A_Z_REL_TOL, max_evals=_A_Z_MAX_EVALS,
+        init_splits=[init],
     )
     return _scaled(_result(res.value, res.error, [res]), pref)
 
 
-def reduction_bound(cfg: ModelConfig, quad_rel_tol=1e-9, a_rel_tol=1e-8):
+def reduction_bound(cfg: ModelConfig):
     """The z-transform route for int_T (phi(t,v) + phi(s,u))^(-d/2):
     (1 / Gamma(d/2)) int_0^inf z^(d/2-1) A(z)^2 dz, split at z = 1.
 
     Only established for Hd < 2 (the tail integrand decays like
     z^(d/2 - 1 - 1/H) up to logarithmic corrections).  Each A(z) is a 1D
     integral of the incomplete-gamma closed form (see a_z); both pieces
-    are scipy quad calls at ``quad_rel_tol``.  The status is "budget" when
+    are scipy quad calls at _REDUCTION_REL_TOL.  The status is "budget" when
     any A(z) evaluation hit its budget or either quad call reported a
     failure (its ier != 0: subdivision limit, roundoff, slow convergence),
     as at (0.6, 3), where the tail decays like z^-1.17.
     """
-    if cfg.hd >= 2.0 - 1e-12:
+    if _diverges(cfg):
         raise ParameterError(
             f"reduction_bound requires Hd < 2, got Hd = {cfg.hd:g}"
         )
@@ -644,12 +648,13 @@ def reduction_bound(cfg: ModelConfig, quad_rel_tol=1e-9, a_rel_tol=1e-8):
 
     def g(z):
         if z not in cache:
-            cache[z] = a_z(z, cfg, rel_tol=a_rel_tol)
+            cache[z] = a_z(z, cfg)
         return z ** (0.5 * d - 1.0) * cache[z].value ** 2
 
     def piece(lo, hi):
         # with full_output, a fourth item (the message) means quad's ier != 0
-        out = quad(g, lo, hi, epsrel=quad_rel_tol, epsabs=0.0, limit=200, full_output=1)
+        out = quad(g, lo, hi, epsrel=_REDUCTION_REL_TOL, epsabs=0.0, limit=200,
+                   full_output=1)
         return out[0], out[1], len(out) == 3
 
     head, head_err, head_ok = piece(0.0, 1.0)
@@ -658,7 +663,7 @@ def reduction_bound(cfg: ModelConfig, quad_rel_tol=1e-9, a_rel_tol=1e-8):
     value = (head + tail) / gamma_half_d
     # claimed error: outer quadrature plus the propagated A(z) tolerance
     # (A enters squared, so its relative error roughly doubles).
-    err = (head_err + tail_err) / gamma_half_d + 2.0 * a_rel_tol * abs(value)
+    err = (head_err + tail_err) / gamma_half_d + 2.0 * _A_Z_REL_TOL * abs(value)
     ok = head_ok and tail_ok and _status(cache.values()) == "converged"
     return QuadratureResult(
         value=value, error_estimate=err, subdivisions=len(cache),

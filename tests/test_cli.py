@@ -58,6 +58,38 @@ class TestParseArgs:
         assert exc.value.code == 2
 
 
+def exit_code(argv):
+    """main's exit code, also when argparse rejects ``argv`` by exiting."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestFlagsTakeEffect:
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--reps", "5", "--seed", "9", "--format", "csv"],
+        ["sweep", "--seed", "3", "--count", "3"],
+        ["phase", "--hurst", "0.25", "--dim", "2", "--count", "3"],
+    ], ids=["phase-reads-no-mc-or-format", "sweep-seed-without-reps", "phase-short-ladder"])
+    def test_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        assert exit_code(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_config_value_outside_choices(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        out = tmp_path / "s.json"
+        argv = ["sweep", "--count", "3", "--config", str(cfg), "--out", str(out)]
+        assert exit_code(argv) == 2
+        assert not out.exists()
+
+    def test_sweep_mc_flags_with_reps(self):
+        rc = cli.parse_args(["sweep", "--reps", "50", "--seed", "3", "--grid-n", "32"])
+        assert (rc.reps, rc.seed, rc.grid_n) == (50, 3, 32)
+
+
 class TestMomentsCommand:
     def test_report_and_roundtrip(self, tmp_path):
         out = tmp_path / "m.json"
@@ -215,7 +247,7 @@ class TestPhaseCommand:
         # a point whose sweep rows all hit their budget used to exit 0
         monkeypatch.setattr(quadmoments, "_M2_MAX_EVALS", 500)
         out = tmp_path / "p.json"
-        code = run_main(["phase", "--hurst", "0.5", "--dim", "2", "--count", "4",
+        code = run_main(["phase", "--hurst", "0.5", "--dim", "2", "--count", "5",
                          "--out", str(out)])
         assert code == 3
         (row,) = json.loads(out.read_text())["results"]["rows"]

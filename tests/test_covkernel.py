@@ -6,7 +6,6 @@ from scipy.special import gamma as sp_gamma, gammainc
 
 from fbmilt.covkernel import (
     ModelConfig,
-    TimeQuadruple,
     cov_rh,
     cross_det,
     det_var_z,
@@ -37,22 +36,6 @@ class TestModelConfig:
     def test_bad_horizon(self):
         with pytest.raises(ParameterError):
             ModelConfig(hurst=0.5, dim=2, horizon=0.0)
-
-
-class TestTimeQuadruple:
-    def test_astuple(self):
-        q = TimeQuadruple(0.1, 0.2, 0.3, 0.4)
-        assert q.astuple() == (0.1, 0.2, 0.3, 0.4)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ParameterError):
-            TimeQuadruple(-0.1, 0.2, 0.3, 0.4)
-
-    def test_horizon_check(self):
-        q = TimeQuadruple(0.1, 0.2, 0.3, 1.4)
-        with pytest.raises(ParameterError):
-            q.check_horizon(1.0)
-        q.check_horizon(2.0)
 
 
 class TestCovRh:

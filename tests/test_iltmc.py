@@ -12,7 +12,6 @@ from fbmilt.covkernel import ModelConfig
 from fbmilt.errors import ParameterError
 from fbmilt.fbmgen import FbmPath, FbmPathPair, TimeGrid, sample_pair
 from fbmilt.iltmc import (
-    SmoothingEps,
     gauss_weight_sum,
     grid_for_eps,
     heat_kernel,
@@ -56,16 +55,9 @@ class TestHeatKernel:
         )
         assert integral == pytest.approx(1.0, abs=1e-8)
 
-    def test_accepts_smoothing_type(self):
-        a = heat_kernel(np.zeros(2), SmoothingEps(0.5), 2)
-        b = heat_kernel(np.zeros(2), 0.5, 2)
-        assert a == b
-
     def test_bad_eps(self):
         with pytest.raises(ParameterError):
             heat_kernel(np.zeros(2), 0.0, 2)
-        with pytest.raises(ParameterError):
-            SmoothingEps(-1.0)
 
 
 def _double_loop(x, y, wx, wy, eps):

@@ -8,7 +8,6 @@ from fbmilt import quadmoments
 from fbmilt.covkernel import ModelConfig
 from fbmilt.errors import IndeterminateError, ParameterError, QuadratureBudgetError
 from fbmilt.phasescan import (
-    GAP_REL_TOL,
     EpsSchedule,
     PhaseError,
     PhasePoint,
@@ -106,14 +105,14 @@ class TestSweep:
             assert abs(row.m1 - want1.value) <= row.m1_err + want1.error_estimate
             assert abs(row.m2 - want2.value) <= row.m2_err + want2.error_estimate
             if prev is not None:
-                gap = quadmoments.cauchy_gap(prev, row.eps, cfg, rel_tol=GAP_REL_TOL)
+                gap = quadmoments.cauchy_gap(prev, row.eps, cfg)
                 assert abs(row.cauchy_gap - gap.value) <= row.gap_err + gap.error_estimate
             prev = row.eps
 
     def test_with_mc_fills_estimates(self):
         series = sweep(
             ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 3),
-            with_mc=True, mc_params={"reps": 200, "seed": 1, "grid_n": 32},
+            mc_params={"reps": 200, "seed": 1, "grid_n": 32},
         )
         for row in series.rows:
             assert math.isfinite(row.mc_mean)
@@ -156,16 +155,27 @@ class TestClassify:
         pt = classify(sweep(cfg), cfg)
         assert pt.verdict == "Convergent"
 
-    def test_needs_three_complete_rows(self):
+    def test_needs_five_complete_rows(self):
         cfg = ModelConfig(0.5, 2)
-        series = sweep(cfg, EpsSchedule(1.0, 0.5, 3))
-        with pytest.raises(ParameterError):
-            classify(replace(series, rows=series.rows[:2]), cfg)
+        series = sweep(cfg, EpsSchedule(1.0, 0.5, 5))
+        with pytest.raises(ParameterError, match=">= 5 complete sweep rows, got 4"):
+            classify(replace(series, rows=series.rows[:4]), cfg)
         # rows left incomplete by budget hits are a budget failure, not a
         # parameter one
         short = replace(series, rows=[replace(r, complete=False) for r in series.rows])
-        with pytest.raises(QuadratureBudgetError, match="3 hit their quadrature budget"):
+        with pytest.raises(QuadratureBudgetError, match="5 hit their quadrature budget"):
             classify(short, cfg)
+
+    @pytest.mark.parametrize("h", [0.25, 0.5])
+    def test_short_ladder_gets_no_verdict(self, h):
+        # a slope fitted over the last 2 of 3 or 4 rows has R^2 = 1, so
+        # growing m1 alone used to read Divergent at Hd < 2
+        cfg = ModelConfig(h, 2)
+        series = sweep(cfg, EpsSchedule(1.0, 0.5, 5))
+        for count in (3, 4):
+            with pytest.raises(ParameterError):
+                classify(replace(series, rows=series.rows[:count]), cfg)
+        assert classify(series, cfg).verdict == "Convergent"
 
     def test_indeterminate_on_flat_synthetic_series(self, monkeypatch):
         # constant moments with a non-decreasing gap tail satisfy neither
@@ -176,7 +186,7 @@ class TestClassify:
         def log_growth(eps):
             return 1.0 + 0.01 * math.log2(1.0 / eps)
 
-        def stub_rows(cfg, ladder, prev_eps, tol, with_mc, mc_params):
+        def stub_rows(cfg, ladder, prev_eps, tol, mc_params):
             return [SweepRow(eps=eps, m1=log_growth(eps), m1_err=0.0, m2=2.0,
                              m2_err=0.0, variance=1.0, cauchy_gap=0.5)
                     for eps in ladder], 0

@@ -76,9 +76,10 @@ class TestM1:
         with pytest.raises(ParameterError):
             m1(-0.1, CFG_H5D2)
 
-    def test_budget_error_carries_partial(self):
+    def test_budget_error_carries_partial(self, monkeypatch):
+        monkeypatch.setattr(quadmoments, "_M1_MAX_EVALS", 500)
         with pytest.raises(QuadratureBudgetError) as exc:
-            m1(0.0, ModelConfig(hurst=0.6, dim=3), rel_tol=1e-13, max_evals=500)
+            m1(0.0, ModelConfig(hurst=0.6, dim=3), rel_tol=1e-13)
         partial = exc.value.partial
         assert partial is not None
         assert partial.value > 0.0
@@ -89,15 +90,15 @@ class TestM1:
         assert res.nevals > 0
         assert res.subdivisions > 0
 
-    def test_diverged_branch_takes_tolerance_and_budget(self):
+    def test_diverged_branch_takes_tolerance_and_budget(self, monkeypatch):
         cfg = ModelConfig(0.75, 3)
         default = m1(0.0, cfg)
-        same = m1(0.0, cfg, rel_tol=quadmoments._M1_SHELL_REL_TOL,
-                  max_evals=quadmoments._M1_SHELL_MAX_EVALS)
+        same = m1(0.0, cfg, rel_tol=quadmoments._M1_SHELL_REL_TOL)
         assert (same.value, same.nevals) == (default.value, default.nevals)
         assert m1(0.0, cfg, rel_tol=1e-3).nevals < default.nevals
         assert default.status == "converged"
-        assert m1(0.0, cfg, max_evals=100).status == "budget"
+        monkeypatch.setattr(quadmoments, "_M1_SHELL_MAX_EVALS", 100)
+        assert m1(0.0, cfg).status == "budget"
 
     def test_monotone_in_eps(self):
         vals = [m1(e, CFG_H5D2).value for e in (0.0, 0.25, 0.5, 1.0, 2.0)]
@@ -208,10 +209,12 @@ class TestCauchyGap:
         gaps = [cauchy_gap(2.0**-k, 2.0**-(k + 1), cfg).value for k in (1, 4, 7)]
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
-    def test_budget_hit_is_raised(self):
+    def test_budget_hit_is_raised(self, monkeypatch):
         # a gap used to come back as a bare float whatever its status
+        monkeypatch.setattr(quadmoments, "_GAP_REL_TOL", 1e-12)
+        monkeypatch.setattr(quadmoments, "_M2_MAX_EVALS", 500)
         with pytest.raises(QuadratureBudgetError) as exc:
-            cauchy_gap(0.5, 0.25, CFG_H5D2, rel_tol=1e-12, max_evals=500)
+            cauchy_gap(0.5, 0.25, CFG_H5D2)
         partial = exc.value.partial
         assert partial.status == "budget"
         assert partial.nevals > 0
@@ -262,13 +265,6 @@ class TestVarLimit:
         assert res.status == "budget"
         assert 0 < res.nevals <= 600_000 + 2 * 2 * 128 * 57
         assert res.shells[-1].status == "budget"
-
-    def test_diverged_branch_takes_tolerance_and_budget(self):
-        cfg = ModelConfig(0.75, 3)
-        default = var_limit(cfg)
-        assert default.status == "converged"
-        assert var_limit(cfg, rel_tol=0.1).nevals < default.nevals
-        assert var_limit(cfg, max_evals=1000).status == "budget"
 
 
 class TestDivergenceShells:
@@ -340,20 +336,6 @@ class TestATIntegral:
     def test_diverged_at_transition(self):
         assert a_t_integral(ModelConfig(0.5, 4)).diverged
 
-    def test_diverged_branch_takes_tolerance_and_budget(self, monkeypatch):
-        cfg = ModelConfig(0.75, 3)
-        seen = []
-
-        def columns(cfg, abs_tol, rel_tol, max_evals, **kw):
-            seen.append((rel_tol, max_evals))
-            return [quadmoments.QuadratureResult(1.0 + k, 0.0, 1)
-                    for k in range(len(kw["shells"]))]
-
-        monkeypatch.setattr(quadmoments, "_moment_columns", columns)
-        a_t_integral(cfg)
-        a_t_integral(cfg, rel_tol=0.1, max_evals=1000)
-        assert seen == [(quadmoments._SHELL_REL_TOL, quadmoments._SHELL_MAX_EVALS), (0.1, 1000)]
-
     def test_bounded_by_reduction(self):
         for h in (0.25, 0.4):
             cfg = ModelConfig(h, 2)
@@ -421,15 +403,17 @@ class TestAZ:
         est, se = f.mean(), f.std() / math.sqrt(n)
         assert abs(a_z(1.0, cfg).value - est) <= 3 * se
 
-    def test_budget_hit_is_reported(self):
-        res = a_z(1.0, CFG_H5D2, rel_tol=1e-15, max_evals=200)
+    def test_budget_hit_is_reported(self, monkeypatch):
+        monkeypatch.setattr(quadmoments, "_A_Z_REL_TOL", 1e-15)
+        monkeypatch.setattr(quadmoments, "_A_Z_MAX_EVALS", 200)
+        res = a_z(1.0, CFG_H5D2)
         assert res.status == "budget"
         assert res.nevals >= 200
 
     def test_finite_at_large_z(self):
         # from z ~ 6.6e4 on the integrand gathers within 1e-9 of either
         # end of the angle interval, and psi must stay finite there
-        res = a_z(1e5, ModelConfig(0.25, 2), rel_tol=1e-8)
+        res = a_z(1e5, ModelConfig(0.25, 2))
         assert math.isfinite(res.value) and res.value > 0.0
         assert res.status == "converged"
 
