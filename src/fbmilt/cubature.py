@@ -38,6 +38,7 @@ __all__ = ["CubatureResult", "integrate", "genz_malik_rule"]
 
 _BATCH = 128  # cells bisected per refinement step
 _BLOCK_BYTES = 1 << 20  # integrand values one integrand call returns, at most about
+_MIN_WIDTH_FRAC = 1e-10  # of the box's width: a cell no wider on an axis is not split on it
 
 
 @dataclass
@@ -154,7 +155,6 @@ def integrate(
     rel_tol=1e-6,
     max_evals=10_000_000,
     init_splits=None,
-    min_width_frac=1e-10,
 ):
     """Adaptively integrate ``f`` over the box [lo, hi].
 
@@ -168,7 +168,9 @@ def integrate(
     tolerance or ``max_evals`` (points of the mesh, each evaluating all
     components) is spent.  ``init_splits``, when given, is a per-axis list
     of breakpoints defining the starting mesh (used to pre-grade toward
-    known singular faces).
+    known singular faces).  No cell is split along an axis on which it is
+    no wider than ``_MIN_WIDTH_FRAC`` of the box; the status is
+    "exhausted" when no cell can be split.
 
     A (K, m) integrand gets (K,) arrays as ``value`` and ``error``; an
     (m,) one gets floats.  ``converged`` holds one flag per component.
@@ -182,7 +184,7 @@ def integrate(
     ratio = (9.0 / 10.0) / (9.0 / 70.0)  # lambda3^2 / lambda2^2
     g1 = 1 + 2 * np.arange(ndim)  # the +/- lambda2 points of each axis: g1, g1 + 1
     g2 = g1 + 2 * ndim  # the +/- lambda3 points: g2, g2 + 1
-    min_width = min_width_frac * (hi - lo)
+    min_width = _MIN_WIDTH_FRAC * (hi - lo)
     per_call = 1  # cells per integrand call; set by each call from its K
     vector = False  # whether f returns (K, m) rather than (m,)
 

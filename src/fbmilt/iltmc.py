@@ -130,22 +130,22 @@ def ilt_epsilon(pair: FbmPathPair, eps) -> float:
     return (2.0 * math.pi * e) ** (-0.5 * first.dim) * float(raw)
 
 
-def grid_for_eps(eps, cfg: ModelConfig, cap: int = GRID_CAP) -> int:
+def grid_for_eps(eps, cfg: ModelConfig) -> int:
     """Steps needed so the path moves less than the kernel length scale
     per cell: step^H <= sqrt(eps)/4, i.e. n >= T (16/eps)^(1/2H).
 
-    Capped at ``cap`` with a warning when the cap binds.
+    Capped at GRID_CAP with a warning when the cap binds.
     """
     e = _eps_value(eps)
     n = math.ceil(cfg.horizon * (16.0 / e) ** (1.0 / (2.0 * cfg.hurst)))
     n = max(n, 16)
-    if n > cap:
+    if n > GRID_CAP:
         warnings.warn(
-            f"bias rule asks for {n} grid steps; capped at {cap} "
+            f"bias rule asks for {n} grid steps; capped at {GRID_CAP} "
             f"(discretization bias may not be negligible)",
             RuntimeWarning,
         )
-        n = cap
+        n = GRID_CAP
     return n
 
 
@@ -182,10 +182,6 @@ def _chunk_moments(cfg, e, grid, seed, method, index, count):
         raw[lo:lo + b] = gauss_weight_sum(paths[:b], paths[b:], w, w, e)
     vals = (2.0 * math.pi * e) ** (-0.5 * cfg.dim) * raw
     return _moments(vals), _moments(vals * vals)
-
-
-def _chunk_moments_star(args):
-    return _chunk_moments(*args)
 
 
 @dataclass(frozen=True)
@@ -225,9 +221,9 @@ def mc_moments(cfg: ModelConfig, eps, grid: TimeGrid, replications: int,
     ]
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_moments_star, chunks))
+            parts = list(pool.map(_chunk_moments, *zip(*chunks)))
     else:
-        parts = [_chunk_moments_star(c) for c in chunks]
+        parts = [_chunk_moments(*c) for c in chunks]
     r, mean, m2_first = reduce(_merge, (first for first, _ in parts))
     _, second, m2_second = reduce(_merge, (sq for _, sq in parts))
     variance = m2_first / r

@@ -56,6 +56,7 @@ BOUNDED_WINDOW = 0.05
 CRITICAL_ATOL = 1e-9
 RATE_SIGN_CUTOFF = 0.02
 MIN_ROWS = 5
+QUAD_REL_TOL = 3e-4  # m2 tolerance of the sweep rows, also used to extend them
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class SweepSeries:
     dim: int
     horizon: float
     rows: List[SweepRow] = field(default_factory=list)
-    quad_rel_tol: float = 3e-4  # m2 tolerance of the rows, also used to extend them
+    quad_rel_tol: float = QUAD_REL_TOL
     nevals: int = 0  # integrand evaluations of every quadrature pass behind the rows
 
     @property
@@ -169,7 +170,7 @@ def _rows(cfg, ladder, prev_eps, quad_rel_tol, mc_params):
 
 
 def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
-          mc_params: Optional[dict] = None, quad_rel_tol: float = 3e-4) -> SweepSeries:
+          mc_params: Optional[dict] = None, quad_rel_tol: float = QUAD_REL_TOL) -> SweepSeries:
     """One row of quadrature moments per ladder rung, with a Monte Carlo
     estimate of m1 alongside when ``mc_params`` is given (the keyword
     arguments of mc_moments, plus "reps" and "grid_n").
@@ -290,7 +291,7 @@ def classify(series: SweepSeries, cfg: ModelConfig) -> PhasePoint:
 
 
 def phase_grid(hs, ds, schedule: Optional[EpsSchedule] = None,
-               quad_rel_tol: float = 3e-4, horizon: float = 1.0):
+               quad_rel_tol: float = QUAD_REL_TOL, horizon: float = 1.0):
     """classify(sweep(...)) over the lexicographic (hurst, dim) grid, every
     point on the time horizon ``horizon``.
 

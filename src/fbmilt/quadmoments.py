@@ -12,8 +12,9 @@ singular sets become axis-aligned faces.  Determinants are evaluated
 through the cancellation-free decomposition
 det = phi(t,v) + phi(s,u) + cross(s,t,u,v) of nonnegative terms.
 
-The second-moment family (m2, cross moments, Cauchy gaps) shares one
-integrand map: every column is a combination of
+The second-moment family (m2, cross moments, Cauchy gaps, and at eps = 0
+A_T, the variance limit and the divergence shells) shares one integrand
+map and one starting mesh: every column is a combination of
 P(a, b) = (det + a rho + b lam + a b)^(-d/2) over the same region
 geometry, so a whole epsilon ladder's m2 values and adjacent gaps are the
 components of one vector integral over a shared mesh (m2_ladder), and
@@ -61,8 +62,8 @@ __all__ = [
 ]
 
 # tolerances and budgets, read at call time: those of m1 and of the
-# second-moment family; a rel_tol given to m1, m2 or m2_ladder replaces the
-# relative one
+# second-moment family, the finite eps = 0 4D integrals included; a rel_tol
+# given to m1, m2 or m2_ladder replaces the relative one
 _M1_ABS_TOL = 1e-10
 _M1_REL_TOL = 1e-9
 _M1_MAX_EVALS = 4_000_000
@@ -70,10 +71,6 @@ _M2_ABS_TOL = 1e-9
 _M2_REL_TOL = 1e-4
 _M2_MAX_EVALS = 6_000_000
 _GAP_REL_TOL = 1e-3
-# of the finite eps = 0 4D integrals, var_limit and a_t_integral
-_LIMIT_ABS_TOL = 1e-8
-_LIMIT_REL_TOL = 1e-4
-_LIMIT_MAX_EVALS = 20_000_000
 # of A(z), and of reduction_bound's outer quadrature over z
 _A_Z_REL_TOL = 1e-8
 _A_Z_ABS_TOL = 1e-13
@@ -147,32 +144,27 @@ def _mhalf(x, h2):
     return 0.5 * (1.0 + x**h2 - (1.0 - x) ** h2)
 
 
-def _cluster_one(alpha):
-    """Map [0,1]->[0,1] clustering cubically toward 1; returns (value, dvalue)."""
-    om = 1.0 - alpha
-    return 1.0 - om**3, 3.0 * om**2
-
-
 def _cluster_both(alpha):
-    """Smootherstep map clustering quadratically toward both 0 and 1."""
+    """Smootherstep map [0,1]->[0,1] clustering quadratically toward both 0
+    and 1; returns (value, dvalue)."""
     # clipped: within about 4e-6 of 1 the polynomial rounds above 1
     val = np.minimum(alpha**3 * (10.0 - 15.0 * alpha + 6.0 * alpha**2), 1.0)
     dval = 30.0 * alpha**2 * (1.0 - alpha) ** 2
     return val, dval
 
 
-def _region_pieces(x, region, h, horizon, both_ends):
+def _region_pieces(x, region, h, horizon):
     """Geometry of one time-ordering region in mapped unit-cube coordinates.
 
     Region "A" is (v < t, u < s) via u = s*a, v = t*b; region "B" is
     (v < t, u > s) via s = u*a, v = t*b.  The first two coordinates carry
-    a quadratic map toward the time origin.  Returns (lam, rho, det, jac).
+    a quadratic map toward the time origin, the angles a and b the
+    smootherstep map toward both their ends.  Returns (lam, rho, det, jac).
     """
     h2 = 2.0 * h
     xi, ze, al, be = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    cluster = _cluster_both if both_ends else _cluster_one
-    a, da = cluster(al)
-    b, db = cluster(be)
+    a, da = _cluster_both(al)
+    b, db = _cluster_both(be)
     p = horizon * xi * xi  # s in region A, u in region B
     r = horizon * ze * ze  # t in both regions
     jac = (2.0 * horizon * xi) * (2.0 * horizon * ze) * (p * da) * (r * db)
@@ -389,7 +381,7 @@ def _diverged_m1(cfg, rel_tol):
 # second moment family
 
 def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosses=(),
-                    var=False, shells=(), both_ends=False):
+                    var=False, shells=()):
     """The second-moment family over one shared mesh: one pass per region
     for the columns m2(e) for e in ``m2_eps``, the fused Cauchy gap for each
     pair in ``gaps``, the cross moment for each pair in ``crosses``, with
@@ -400,15 +392,15 @@ def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosse
     (P(a, b) + P(b, a)) / 2, max(P(0, 0) - (lam rho)^(-d/2), 0), and P(0, 0)
     outside every box of the width around the region's singular faces.
     Each P(e, e) is computed once per point and shared by every column
-    that uses it.  ``rel_tol`` is a scalar or one per column; ``both_ends``
-    selects the angle map that clusters toward both ends.
+    that uses it.  ``rel_tol`` is a scalar or one per column.  Every
+    column, at eps > 0 or eps = 0, shares one map (_region_pieces) and one
+    starting mesh: [0, 1/2, 1] on each axis, or _shell_splits with shells.
     Returns one QuadratureResult per column; budget hits are reported in
     their statuses, not raised.
     """
     d = cfg.dim
     pref = (2.0 * math.pi) ** (-d)
     ncols = len(m2_eps) + len(gaps) + len(crosses) + var + len(shells)
-    halves = np.array([0.0, 0.5, 1.0])
     total = 0.0
     err = 0.0
     runs = []
@@ -416,7 +408,7 @@ def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosse
         faces = _SINGULAR_FACES[region]
 
         def f(x):
-            lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon, both_ends)
+            lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
             diag = {}
 
             def same(e):
@@ -442,10 +434,8 @@ def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosse
 
         if len(shells):
             init = _shell_splits(4, faces, shells)
-        elif both_ends:
-            init = [halves] * 4
         else:
-            init = [halves] * 2 + [np.array([0.0, 0.5, 0.875, 1.0])] * 2
+            init = [np.array([0.0, 0.5, 1.0])] * 4
         res = cubature.integrate(
             f, [0.0] * 4, [1.0] * 4,
             abs_tol=abs_tol / pref / 4.0, rel_tol=rel_tol,
@@ -457,11 +447,14 @@ def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosse
     return _columns(total, err, runs, pref)
 
 
-def m2(eps, cfg: ModelConfig, rel_tol=_M2_REL_TOL):
+def m2(eps, cfg: ModelConfig, rel_tol=None):
     """Second moment E[I_eps^2], the 4D integral of
-    ((lambda+eps)(rho+eps) - mu^2)^(-d/2) times (2 pi)^-d."""
+    ((lambda+eps)(rho+eps) - mu^2)^(-d/2) times (2 pi)^-d, to ``rel_tol``
+    (default _M2_REL_TOL)."""
     if eps <= 0.0:
         raise ParameterError(f"eps must be positive, got {eps}")
+    if rel_tol is None:
+        rel_tol = _M2_REL_TOL
     (res,) = _moment_columns(cfg, _M2_ABS_TOL, rel_tol, _M2_MAX_EVALS, m2_eps=[eps])
     return _require_converged(res, "m2")
 
@@ -493,14 +486,15 @@ def cauchy_gap(eps, eta, cfg: ModelConfig):
     return _require_converged(res, "cauchy_gap")
 
 
-def m2_ladder(eps, cfg: ModelConfig, prev_eps=None, rel_tol=_M2_REL_TOL):
+def m2_ladder(eps, cfg: ModelConfig, prev_eps=None, rel_tol=None):
     """m2 at every rung of the ladder ``eps`` and the Cauchy gap between
     each rung and the one before it, from one 4D pass per region over a
     shared mesh, with the budget of one m2 call.
 
     ``prev_eps`` is the rung before ``eps[0]``, if any.  m2 is integrated
-    to ``rel_tol`` and the gaps to cauchy_gap's tolerance; a component within its
-    tolerance stops steering the refinement.  Returns (m2s, gaps), one
+    to ``rel_tol`` (default _M2_REL_TOL) and the gaps to cauchy_gap's
+    tolerance; a component within its tolerance stops steering the
+    refinement.  Returns (m2s, gaps), one
     QuadratureResult per rung each, ``gaps[k]`` being the gap to the
     previous rung (None for the first rung without ``prev_eps``); every
     result carries the cells and evaluations of the whole pass.  A budget
@@ -512,6 +506,8 @@ def m2_ladder(eps, cfg: ModelConfig, prev_eps=None, rel_tol=_M2_REL_TOL):
     if not eps or min(chain) <= 0.0:
         raise ParameterError(f"a ladder needs positive regularizers, got {chain}")
     pairs = list(zip(chain, chain[1:]))
+    if rel_tol is None:
+        rel_tol = _M2_REL_TOL
     tols = [rel_tol] * len(eps) + [_GAP_REL_TOL] * len(pairs)
     res = _moment_columns(cfg, _M2_ABS_TOL, tols, _M2_MAX_EVALS, m2_eps=eps, gaps=pairs)
     gaps = res[len(eps):]
@@ -522,24 +518,25 @@ def var_limit(cfg: ModelConfig):
     """Limit of Var[I_eps] as eps -> 0:
     int (lambda rho - mu^2)^(-d/2) - (lambda rho)^(-d/2), times (2 pi)^-d.
 
-    Finite iff Hd < 2 (pointwise nonnegative integrand); diverged result
-    with the shells of A_T, times (2 pi)^-d, as evidence otherwise.
+    Finite iff Hd < 2 (pointwise nonnegative integrand), integrated with
+    m2's tolerances and budget; diverged result with the shells of A_T,
+    times (2 pi)^-d, as evidence otherwise.
     """
     if _diverges(cfg):
         return _diverged_4d(cfg, 1.0)
-    (res,) = _moment_columns(cfg, _LIMIT_ABS_TOL, _LIMIT_REL_TOL, _LIMIT_MAX_EVALS,
-                             var=True, both_ends=True)
+    (res,) = _moment_columns(cfg, _M2_ABS_TOL, _M2_REL_TOL, _M2_MAX_EVALS, var=True)
     return _require_converged(res, "var_limit")
 
 
 def a_t_integral(cfg: ModelConfig):
-    """A_T = int_{[0,T]^4} (lambda rho - mu^2)^(-d/2); finite iff Hd < 2,
-    diverged result with shell evidence otherwise."""
+    """A_T = int_{[0,T]^4} (lambda rho - mu^2)^(-d/2): the m2 column at
+    eps = 0 without its (2 pi)^-d, with m2's tolerances and budget; finite
+    iff Hd < 2, diverged result with shell evidence otherwise."""
     unscale = (2.0 * math.pi) ** cfg.dim
     if _diverges(cfg):
         return _diverged_4d(cfg, unscale)
-    (res,) = _moment_columns(cfg, _LIMIT_ABS_TOL / unscale, _LIMIT_REL_TOL, _LIMIT_MAX_EVALS,
-                             m2_eps=[0.0], both_ends=True)
+    (res,) = _moment_columns(cfg, _M2_ABS_TOL / unscale, _M2_REL_TOL, _M2_MAX_EVALS,
+                             m2_eps=[0.0])
     return _require_converged(_scaled(res, unscale), "a_t_integral")
 
 
@@ -548,8 +545,7 @@ def _diverged_4d(cfg, scale):
     (2 pi)^-d times ``scale``, outside boxes of width 4^-k around every
     singular face of both regions, k = 1..5, from one pass per region at
     the shells' tolerance and budget (_SHELL_*)."""
-    shells = _moment_columns(cfg, 0.0, _SHELL_REL_TOL, _SHELL_MAX_EVALS, shells=_SHELL_WIDTHS,
-                             both_ends=True)
+    shells = _moment_columns(cfg, 0.0, _SHELL_REL_TOL, _SHELL_MAX_EVALS, shells=_SHELL_WIDTHS)
     return _diverged(cfg, [_scaled(r, scale) for r in shells], _SHELL_WIDTHS, radial_rate(cfg),
                      "excluding width 4^-k around every singular face")
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbmilt import cubature
 from fbmilt.cubature import CubatureResult, _initial_cells, genz_malik_rule, integrate
 
 
@@ -201,10 +202,13 @@ ORACLE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_matches_heap_driver(case):
+def test_matches_heap_driver(case, monkeypatch):
     f, lo, hi, kw, status = ORACLE_CASES[case]
+    kw = dict(kw)
+    min_width_frac = kw.pop("min_width_frac", cubature._MIN_WIDTH_FRAC)
+    monkeypatch.setattr(cubature, "_MIN_WIDTH_FRAC", min_width_frac)
     got = integrate(f, lo, hi, **kw)
-    assert _bits(got) == _bits(heap_integrate(f, lo, hi, **kw))
+    assert _bits(got) == _bits(heap_integrate(f, lo, hi, min_width_frac=min_width_frac, **kw))
     assert got.status == status
 
 

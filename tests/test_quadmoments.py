@@ -13,7 +13,6 @@ from fbmilt.errors import ParameterError, QuadratureBudgetError
 from fbmilt.quadmoments import (
     _SINGULAR_FACES,
     _cluster_both,
-    _cluster_one,
     _gamma_ratio,
     _psi,
     _region_pieces,
@@ -127,7 +126,7 @@ class TestM2:
         total = 0.0
         for region in "AB":
             def f(x):
-                lam, rho, _, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon, False)
+                lam, rho, _, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
                 return ((lam + e) * (rho + e)) ** (-0.5 * cfg.dim) * jac
 
             total += 2.0 * integrate(f, [0.0] * 4, [1.0] * 4, rel_tol=1e-5).value
@@ -157,6 +156,13 @@ class TestM2:
     def test_monotone_in_eps(self):
         vals = [m2(e, CFG_H5D2).value for e in (0.25, 0.5, 1.0, 2.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    def test_default_tolerance_read_at_call_time(self, monkeypatch):
+        cfg = ModelConfig(0.5, 2)
+        given_tol = m2(0.5, cfg, rel_tol=1e-2)
+        monkeypatch.setattr(quadmoments, "_M2_REL_TOL", 1e-2)
+        assert m2(0.5, cfg).nevals == given_tol.nevals
+        assert m2_ladder([0.5], cfg)[0][0].nevals == given_tol.nevals
 
 
 class TestMCross:
@@ -312,17 +318,16 @@ def _face_points(i, ei, j, ej, rng, n=50):
 
 
 class TestSingularFaces:
-    @pytest.mark.parametrize("both_ends", [False, True])
     @pytest.mark.parametrize("h", [0.3, 0.75])
     @pytest.mark.parametrize("region", ["A", "B"])
-    def test_det_vanishes_on_the_listed_faces_only(self, region, h, both_ends):
+    def test_det_vanishes_on_the_listed_faces_only(self, region, h):
         rng = np.random.default_rng(7)
         listed = set(_SINGULAR_FACES[region])
         assert len(listed) == (7 if region == "A" else 6)
         for i, j in itertools.combinations(range(4), 2):
             for ei, ej in itertools.product((0.0, 1.0), repeat=2):
                 x = _face_points(i, ei, j, ej, rng)
-                lam, rho, det, _ = _region_pieces(x, region, h, 1.0, both_ends)
+                lam, rho, det, _ = _region_pieces(x, region, h, 1.0)
                 if (i, ei, j, ej) in listed:
                     assert np.all(det <= 1e-14 * (lam + rho) ** 2)
                 else:
@@ -343,6 +348,17 @@ class TestATIntegral:
             rb = reduction_bound(cfg)
             assert not at.diverged
             assert at.value <= 4 * rb.value + 1e-6
+
+    @pytest.mark.parametrize("h,d", [(0.25, 2), (0.4, 2), (0.3, 3)])
+    def test_is_the_limit_of_m2(self, h, d):
+        # A_T (2 pi)^-d is the m2 column at eps = 0 on the same map and
+        # mesh; m2(eps) increases toward it as eps -> 0
+        cfg = ModelConfig(h, d)
+        pref = (2 * math.pi) ** (-d)
+        at = a_t_integral(cfg)
+        near = m2(1e-6, cfg)
+        assert m2(1e-4, cfg).value < near.value
+        assert abs(near.value - pref * at.value) <= near.error_estimate + pref * at.error_estimate
 
 
 def a_z_2d(z, cfg, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
@@ -516,19 +532,17 @@ _geometry = dict(
     h=st.floats(0.1, 0.95),
     horizon=st.floats(0.1, 3.0),
     region=st.sampled_from("AB"),
-    both_ends=st.booleans(),
 )
 
 
-def _angles(x, both_ends):
+def _angles(x):
     """The angle ratios (a, b) of a mapped unit-cube point."""
-    cluster = _cluster_both if both_ends else _cluster_one
-    return cluster(x[2])[0], cluster(x[3])[0]
+    return _cluster_both(x[2])[0], _cluster_both(x[3])[0]
 
 
-def _times(x, region, horizon, both_ends):
+def _times(x, region, horizon):
     """(s, t, u, v) of a mapped unit-cube point, rebuilt from the region maps."""
-    a, b = _angles(x, both_ends)
+    a, b = _angles(x)
     p, r = horizon * x[0] ** 2, horizon * x[1] ** 2
     if region == "A":  # u = s a, v = t b
         return p, r, p * a, r * b
@@ -546,20 +560,18 @@ def _rounding_slack(x, y, h):
 
 
 class TestRegionPieces:
-    @pytest.mark.parametrize("cluster", [_cluster_one, _cluster_both])
-    def test_angle_maps_stay_in_unit_interval(self, cluster):
+    def test_angle_map_stays_in_unit_interval(self):
         alpha = np.concatenate([np.linspace(0.0, 1e-5, 1001), np.linspace(1.0 - 1e-5, 1.0, 1001)])
-        val, dval = cluster(alpha)
+        val, dval = _cluster_both(alpha)
         assert np.all((val >= 0.0) & (val <= 1.0))
         assert np.all(dval >= 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(**_geometry)
-    @example(x=[0.5, 0.5, 1.0 - 1e-6, 1.0 - 2.0**-53], h=0.3, horizon=1.0, region="A",
-             both_ends=True)
-    def test_matches_covariance_kernel(self, x, h, horizon, region, both_ends):
-        lam, rho, det, _ = _region_pieces(np.array([x]), region, h, horizon, both_ends)
-        s, t, u, v = _times(x, region, horizon, both_ends)
+    @example(x=[0.5, 0.5, 1.0 - 1e-6, 1.0 - 2.0**-53], h=0.3, horizon=1.0, region="A")
+    def test_matches_covariance_kernel(self, x, h, horizon, region):
+        lam, rho, det, _ = _region_pieces(np.array([x]), region, h, horizon)
+        s, t, u, v = _times(x, region, horizon)
         assert lam[0] == pytest.approx(lambda_var(s, t, h), rel=1e-12)
         assert rho[0] == pytest.approx(lambda_var(u, v, h), rel=1e-12)
         # both are cancellation-free, but round differently where det << lam rho;
@@ -569,18 +581,18 @@ class TestRegionPieces:
         # change of |t - v|^2H and |s - u|^2H
         want = det_var_z(s, t, u, v, h)
         scale = lam[0] + rho[0]
-        ang = max(min(a, 1.0 - a) for a in _angles(x, both_ends))
+        ang = max(min(a, 1.0 - a) for a in _angles(x))
         tol = (1e-8 * want + 1e-12 * lam[0] * rho[0] + 1e-14 * ang * scale**2
                + 2.0 * scale * (_rounding_slack(t, v, h) + _rounding_slack(s, u, h)))
         assert abs(det[0] - want) <= tol
 
     @settings(max_examples=200, deadline=None)
     @given(c=st.floats(0.1, 10.0), **_geometry)
-    def test_det_homogeneous_of_degree_4h(self, c, x, h, horizon, region, both_ends):
+    def test_det_homogeneous_of_degree_4h(self, c, x, h, horizon, region):
         # scaling the horizon scales (s, t, u, v) and leaves the angles alone
         pt = np.array([x])
-        lam, rho, det, _ = _region_pieces(pt, region, h, horizon, both_ends)
-        lam_c, rho_c, det_c, _ = _region_pieces(pt, region, h, c * horizon, both_ends)
+        lam, rho, det, _ = _region_pieces(pt, region, h, horizon)
+        lam_c, rho_c, det_c, _ = _region_pieces(pt, region, h, c * horizon)
         assert lam_c[0] == pytest.approx(c ** (2 * h) * lam[0], rel=1e-12)
         tol = 1e-9 * det_c[0] + 1e-13 * lam_c[0] * rho_c[0]
         assert abs(det_c[0] - c ** (4 * h) * det[0]) <= tol
