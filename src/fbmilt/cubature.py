@@ -10,7 +10,11 @@ K values over the K errors, ``split_dim`` and ``alive`` of shape
 (cap,)), which grow by doubling.  Each refinement step takes the
 ``_BATCH`` alive, splittable cells of largest error, ties going to the
 older cell, and bisects all of them at once along each cell's direction
-of largest fourth divided difference.  With several components the error
+of largest fourth divided difference.  The rule is one matrix,
+R = [w7 | w5 | D] of shape (npoints, 2 + ndim) with D the fourth-difference
+stencil (genz_malik_rule), so one product of the (K cells, npoints)
+values with R gives every cell's two estimates and its signed fourth
+differences.  With several components the error
 and the differences of a cell are the largest over the components still
 short of their tolerance, each divided by that tolerance.  The running
 values and errors are updated in that order: every split cell
@@ -55,7 +59,12 @@ class CubatureResult:
 def genz_malik_rule(ndim):
     """Points and weights of the degree-7/5 Genz-Malik pair on [-1, 1]^ndim.
 
-    Returns (points, w7, w5) with weights scaled to the 2^ndim cube volume.
+    Returns (points, w7, w5, R) with weights scaled to the 2^ndim cube
+    volume.  R = [w7 | w5 | D], of shape (npoints, 2 + ndim), is the whole
+    rule as one matrix: for values ``vals`` (rows of npoints), ``vals @ R``
+    holds the degree-7 and degree-5 sums and, per axis i, the signed fourth
+    difference f(+l3 e_i) + f(-l3 e_i) - 2 f(0)
+    - (l3/l2)^2 (f(+l2 e_i) + f(-l2 e_i) - 2 f(0)) that D takes.
     """
     n = ndim
     l2 = np.sqrt(9.0 / 70.0)
@@ -108,7 +117,27 @@ def genz_malik_rule(ndim):
             0.0,
         ]
     )
-    return pts, w7[grp], w5[grp]
+    ratio = (9.0 / 10.0) / (9.0 / 70.0)  # l3^2 / l2^2
+    rule = np.zeros((len(pts), 2 + n))
+    rule[:, 0] = w7[grp]
+    rule[:, 1] = w5[grp]
+    for i in range(n):
+        g1 = 1 + 2 * i  # +/- l2 along axis i: g1, g1 + 1; +/- l3: g1 + 2n, g1 + 2n + 1
+        rule[0, 2 + i] = 2.0 * ratio - 2.0
+        rule[[g1, g1 + 1], 2 + i] = -ratio
+        rule[[g1 + 2 * n, g1 + 2 * n + 1], 2 + i] = 1.0
+    for a in (pts, rule):  # cached: shared by every caller
+        a.flags.writeable = False
+    return pts, rule[:, 0], rule[:, 1], rule
+
+
+def _gemm(a, b):
+    """``a @ b``, always by GEMM.  numpy hands a one-row ``a`` to GEMV, which
+    sums in another order, so a row's bits would depend on whether other
+    rows come along; a one-row ``a`` is doubled instead."""
+    if len(a) == 1:
+        return (a.repeat(2, axis=0) @ b)[:1]
+    return a @ b
 
 
 def _initial_cells(lo, hi, init_splits):
@@ -178,12 +207,9 @@ def integrate(
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     ndim = len(lo)
-    pts, w7, w5 = genz_malik_rule(ndim)
+    pts, _, _, rule = genz_malik_rule(ndim)
     npts = len(pts)
     pts_t = np.ascontiguousarray(pts.T)
-    ratio = (9.0 / 10.0) / (9.0 / 70.0)  # lambda3^2 / lambda2^2
-    g1 = 1 + 2 * np.arange(ndim)  # the +/- lambda2 points of each axis: g1, g1 + 1
-    g2 = g1 + 2 * ndim  # the +/- lambda3 points: g2, g2 + 1
     min_width = _MIN_WIDTH_FRAC * (hi - lo)
     per_call = 1  # cells per integrand call; set by each call from its K
     vector = False  # whether f returns (K, m) rather than (m,)
@@ -203,16 +229,13 @@ def integrate(
         vector = out.ndim == 2
         ncomp = len(out) if vector else 1
         per_call = max(1, min(2 * _BATCH, _BLOCK_BYTES // (8 * npts * ncomp)))
-        vals = out.reshape(-1, npts)  # one row per (component, cell)
+        # one row per (component, cell): degree-7 sum, degree-5 sum, fourth differences
+        sums = _gemm(out.reshape(-1, npts), rule)
         vol = hw.prod(axis=1)
-        i7 = ((vals * w7).sum(axis=1).reshape(-1, m)) * vol
-        i5 = ((vals * w5).sum(axis=1).reshape(-1, m)) * vol
-        fc = vals[:, :1]
-        diffs = np.abs(
-            vals[:, g2] + vals[:, g2 + 1] - 2 * fc
-            - ratio * (vals[:, g1] + vals[:, g1 + 1] - 2 * fc)
-        )
-        return np.concatenate((i7, np.abs(i7 - i5))), diffs.reshape(-1, m, ndim)
+        i7 = sums[:, 0].reshape(-1, m) * vol
+        i5 = sums[:, 1].reshape(-1, m) * vol
+        diffs = np.abs(sums[:, 2:]).reshape(-1, m, ndim)
+        return np.concatenate((i7, np.abs(i7 - i5))), diffs
 
     def evaluate(clo, chi):
         # slices of whole cells; cells are independent, so slicing changes no bit

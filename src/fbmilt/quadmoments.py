@@ -18,7 +18,11 @@ map and one starting mesh: every column is a combination of
 P(a, b) = (det + a rho + b lam + a b)^(-d/2) over the same region
 geometry, so a whole epsilon ladder's m2 values and adjacent gaps are the
 components of one vector integral over a shared mesh (m2_ladder), and
-every rung's m1 likewise (m1_ladder).
+every rung's m1 likewise (m1_ladder).  For each block of points, every
+distinct P(a, b) is one row [a, b, ab, 1] of a coefficient matrix C:
+the bases are the one product C @ [rho; lam; 1; det], raised to -d/2 in
+one call, and the columns are the rows of M P for a combination matrix M
+of +-1 and 1/2 (_moment_integrand).  m1's rungs are stacked the same way.
 
 At eps = 0 with Hd >= 2 the integrals diverge; this is decided by the
 analytic radial exponent and corroborated by a sequence of growing
@@ -33,7 +37,6 @@ components of one pass per region.  A diverged result's status is
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional
@@ -129,19 +132,18 @@ class QuadratureResult:
 # ---------------------------------------------------------------------------
 # scaled covariance helpers (no validation; hot path of the integrands)
 
-def _psi(x, h2, xc=None):
-    """phi_det(1, x) for x in [0, 1], cancellation-safe at both endpoints;
-    ``xc`` is 1 - x when the caller has it more accurately than 1 - x."""
-    b = x**h2
-    c = (1.0 - x if xc is None else xc) ** h2
+def _psi(b, c):
+    """phi_det(1, x) for x in [0, 1] from b = x^2H and c = (1 - x)^2H,
+    cancellation-safe at both endpoints."""
     direct = b - 0.25 * (1.0 + b - c) ** 2
     expanded = 0.5 * (1.0 + b) * c - 0.25 * (1.0 - b) ** 2 - 0.25 * c * c
     return np.maximum(np.where(c < 0.5 * (1.0 + b), expanded, direct), 0.0)
 
 
-def _mhalf(x, h2):
-    """R_H(1, x) for x in [0, 1]: (1 + x^2H - (1-x)^2H) / 2."""
-    return 0.5 * (1.0 + x**h2 - (1.0 - x) ** h2)
+def _mhalf(b, c):
+    """R_H(1, x) = (1 + x^2H - (1-x)^2H) / 2 for x in [0, 1], from
+    b = x^2H and c = (1 - x)^2H."""
+    return 0.5 * (1.0 + b - c)
 
 
 def _cluster_both(alpha):
@@ -170,34 +172,41 @@ def _region_pieces(x, region, h, horizon):
     jac = (2.0 * horizon * xi) * (2.0 * horizon * ze) * (p * da) * (r * db)
     ph2 = p**h2
     rh2 = r**h2
-    psi_a = _psi(a, h2)
-    psi_b = _psi(b, h2)
-    ma = _mhalf(a, h2)
-    mb = _mhalf(b, h2)
+    ah, ach = a**h2, (1.0 - a) ** h2
+    bh, bch = b**h2, (1.0 - b) ** h2
+    ma = _mhalf(ah, ach)
+    mb = _mhalf(bh, bch)
     if region == "A":
         lam = ph2 + rh2
-        rho = ph2 * a**h2 + rh2 * b**h2
-        chi = np.maximum(a**h2 + b**h2 - 2.0 * ma * mb, 0.0)
+        rho = ph2 * ah + rh2 * bh
+        chi = np.maximum(ah + bh - 2.0 * ma * mb, 0.0)
     else:
-        lam = ph2 * a**h2 + rh2
-        rho = ph2 + rh2 * b**h2
+        lam = ph2 * ah + rh2
+        rho = ph2 + rh2 * bh
         chi = np.maximum(1.0 + (a * b) ** h2 - 2.0 * ma * mb, 0.0)
-    det = rh2 * rh2 * psi_b + ph2 * ph2 * psi_a + ph2 * rh2 * chi
+    det = rh2 * rh2 * _psi(bh, bch) + ph2 * ph2 * _psi(ah, ach) + ph2 * rh2 * chi
     return lam, rho, det, jac
 
 
 def _power(base, dexp):
+    """``base`` raised in place to -d/2 for d = ``dexp``, with 0 where that
+    is not finite (a base that is 0 or so small that the power overflows)."""
     with np.errstate(divide="ignore", over="ignore"):
-        out = base ** (-0.5 * dexp)
-    return np.where(np.isfinite(out), out, 0.0)
+        base **= -0.5 * dexp
+    base[~np.isfinite(base)] = 0.0
+    return base
 
 
 def _face_distance(x, faces):
-    """Chebyshev distance from each point of ``x`` to the nearest face
-    {x_i = e_i, x_j = e_j} of ``faces``."""
-    return np.minimum.reduce([
-        np.maximum(np.abs(x[:, i] - ei), np.abs(x[:, j] - ej)) for i, ei, j, ej in faces
-    ])
+    """Chebyshev distance from each point of ``x``, in the unit cube, to the
+    nearest face {x_i = e_i, x_j = e_j} of ``faces``."""
+    # distances to 0 and to 1 of each coordinate: |x - 1| is 1 - x exactly
+    near = (x, 1.0 - x)
+    dists = (np.maximum(near[int(ei)][:, i], near[int(ej)][:, j]) for i, ei, j, ej in faces)
+    out = next(dists)
+    for dist in dists:
+        np.minimum(out, dist, out=out)
+    return out
 
 
 def _shell_splits(ndim, faces, widths):
@@ -307,19 +316,20 @@ def _m1_columns(eps, cfg, p, abs_tol, rel_tol, max_evals, widths=()):
     T = cfg.horizon
     pref = (2.0 * math.pi) ** (-0.5 * d)
 
+    # the regularizer of each stacked power: every rung, then 0 for the shells
+    rungs = list(eps) + ([0.0] if len(widths) else [])
+    rungs = np.array(rungs)[:, None]
+
     def f(x):
         xi, ze = x[:, 0], x[:, 1]
         sh = (T * xi**p) ** h2
         th = (T * ze**p) ** h2
         jac = (T * p) ** 2 * (xi * ze) ** (p - 1)
-        out = np.empty((len(eps) + len(widths), len(jac)))
-        for row, e in zip(out, eps):
-            np.multiply(_power(e + sh + th, d), jac, out=row)
+        out = _power(rungs + (sh + th), d)
         if len(widths):
-            base = _power(sh + th, d) * jac
             dist = _face_distance(x, _ORIGIN_FACE)
-            for row, w in zip(out[len(eps):], widths):
-                np.multiply(base, dist >= w, out=row)
+            out = np.concatenate((out[: len(eps)], out[len(eps):] * (dist >= widths[:, None])))
+        out *= jac
         return out
 
     if len(widths):
@@ -380,60 +390,82 @@ def _diverged_m1(cfg, rel_tol):
 # ---------------------------------------------------------------------------
 # second moment family
 
+def _moment_integrand(cfg, region, m2_eps=(), gaps=(), crosses=(), var=False, shells=()):
+    """One region's integrand of _moment_columns: maps (m, 4) mapped points
+    to the (K, m) columns m2(e) for e in ``m2_eps``, the gap of each pair in
+    ``gaps``, the cross moment of each pair in ``crosses``, the variance
+    limit if ``var`` and one shell per width in ``shells``, times the
+    Jacobian.
+
+    Each distinct P(a, b) = (det + a rho + b lam + ab)^(-d/2) is one row
+    [a, b, ab, 1] of C: the bases are one GEMM C @ [rho; lam; 1; det] of
+    nonnegative terms, raised to -d/2 together.  The m2, gap and cross
+    columns are the rows of M P, M of +-1 and 1/2: P(e, e),
+    P(a, a) + P(b, b) - P(a, b) - P(b, a) (cancelling pointwise) and
+    (P(a, b) + P(b, a)) / 2.  M is applied term by term: a GEMM over the
+    30-odd rows of P rounds a point by how many points share the call.
+    From the P(0, 0) row: max(P(0, 0) - (lam rho)^(-d/2), 0), and P(0, 0)
+    outside every box of the shell's width around a singular face.
+    """
+    d = cfg.dim
+    faces = _SINGULAR_FACES[region]
+    pairs = [(e, e) for e in m2_eps]
+    pairs += [ab for a, b in gaps for ab in ((a, a), (b, b), (a, b), (b, a))]
+    pairs += [ab for a, b in crosses for ab in ((a, b), (b, a))]
+    if var or len(shells):
+        pairs.append((0.0, 0.0))
+    index = {ab: i for i, ab in enumerate(dict.fromkeys(pairs))}  # row of each distinct P(a, b)
+    coef = np.array([[a, b, a * b, 1.0] for a, b in index])
+    diag = [index[e, e] for e in m2_eps]
+    gap_rows = [(index[a, a], index[b, b], index[a, b], index[b, a]) for a, b in gaps]
+    cross_rows = [(index[a, b], index[b, a]) for a, b in crosses]
+    zero = index.get((0.0, 0.0))
+    ncols = len(m2_eps) + len(gaps) + len(crosses) + var + len(shells)
+
+    def f(x):
+        lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
+        n = len(jac)
+        p = _power(cubature._gemm(coef, np.stack((rho, lam, np.ones(n), det))), d)
+        out = np.empty((ncols, n))
+        cols = iter(out)
+        for i in diag:
+            np.copyto(next(cols), p[i])
+        for i, j, k, l in gap_rows:
+            col = np.add(p[i], p[j], out=next(cols))
+            col -= p[k]
+            col -= p[l]
+        for k, l in cross_rows:
+            col = np.add(p[k], p[l], out=next(cols))
+            col *= 0.5
+        if var:
+            np.maximum(p[zero] - _power(lam * rho, d), 0.0, out=next(cols))
+        if len(shells):
+            dist = _face_distance(x, faces)
+            for w in shells:
+                np.multiply(p[zero], dist >= w, out=next(cols))
+        out *= jac
+        return out
+
+    return f
+
+
 def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosses=(),
                     var=False, shells=()):
     """The second-moment family over one shared mesh: one pass per region
-    for the columns m2(e) for e in ``m2_eps``, the fused Cauchy gap for each
-    pair in ``gaps``, the cross moment for each pair in ``crosses``, with
-    ``var`` the variance limit, and one shell per width in ``shells``.
-
-    With P(a, b) = (det + a rho + b lam + a b)^(-d/2), the integrands are
-    P(e, e), P(a, a) + P(b, b) - P(a, b) - P(b, a),
-    (P(a, b) + P(b, a)) / 2, max(P(0, 0) - (lam rho)^(-d/2), 0), and P(0, 0)
-    outside every box of the width around the region's singular faces.
-    Each P(e, e) is computed once per point and shared by every column
-    that uses it.  ``rel_tol`` is a scalar or one per column.  Every
-    column, at eps > 0 or eps = 0, shares one map (_region_pieces) and one
-    starting mesh: [0, 1/2, 1] on each axis, or _shell_splits with shells.
-    Returns one QuadratureResult per column; budget hits are reported in
-    their statuses, not raised.
+    of _moment_integrand's columns (which see).  ``rel_tol`` is a scalar or
+    one per column.  Every column, at eps > 0 or eps = 0, shares one map
+    (_region_pieces) and one starting mesh: [0, 1/2, 1] on each axis, or
+    _shell_splits with shells.  Returns one QuadratureResult per column;
+    budget hits are reported in their statuses, not raised.
     """
-    d = cfg.dim
-    pref = (2.0 * math.pi) ** (-d)
-    ncols = len(m2_eps) + len(gaps) + len(crosses) + var + len(shells)
+    pref = (2.0 * math.pi) ** (-cfg.dim)
     total = 0.0
     err = 0.0
     runs = []
     for region in ("A", "B"):
-        faces = _SINGULAR_FACES[region]
-
-        def f(x):
-            lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
-            diag = {}
-
-            def same(e):
-                if e not in diag:
-                    diag[e] = _power(det + e * (lam + rho) + e * e, d)
-                return diag[e]
-
-            def mixed(a, b):
-                return _power(det + a * rho + b * lam + a * b, d)
-
-            dist = _face_distance(x, faces) if len(shells) else None
-            cols = itertools.chain(  # lazily, one column's temporaries at a time
-                map(same, m2_eps),
-                (same(a) + same(b) - mixed(a, b) - mixed(b, a) for a, b in gaps),
-                (0.5 * (mixed(a, b) + mixed(b, a)) for a, b in crosses),
-                (np.maximum(same(0.0) - _power(lam * rho, d), 0.0) for _ in range(var)),
-                (same(0.0) * (dist >= w) for w in shells),
-            )
-            out = np.empty((ncols, len(jac)))
-            for row, col in zip(out, cols):
-                np.multiply(col, jac, out=row)
-            return out
-
+        f = _moment_integrand(cfg, region, m2_eps, gaps, crosses, var, shells)
         if len(shells):
-            init = _shell_splits(4, faces, shells)
+            init = _shell_splits(4, _SINGULAR_FACES[region], shells)
         else:
             init = [np.array([0.0, 0.5, 1.0])] * 4
         res = cubature.integrate(
@@ -605,7 +637,8 @@ def a_z(z, cfg: ModelConfig):
 
     def f(x):
         b, db = _cluster_both(x[:, 0])
-        psi = np.concatenate((_psi(b, h2), _psi(1.0 - b, h2, b)))  # angles b, 1 - b
+        bh, bch = b**h2, (1.0 - b) ** h2  # 1 - b exact where b is small
+        psi = np.concatenate((_psi(bh, bch), _psi(bch, bh)))  # angles b, 1 - b
         g = _gamma_ratio(a, scale * psi)
         return (g[: len(b)] + g[len(b):]) * db
 

@@ -11,17 +11,18 @@ from fbmilt.cubature import CubatureResult, _initial_cells, genz_malik_rule, int
 
 
 def test_rule_shapes():
-    pts, w7, w5 = genz_malik_rule(2)
+    pts, w7, w5, rule = genz_malik_rule(2)
     assert pts.shape == (17, 2)
-    pts4, w74, w54 = genz_malik_rule(4)
+    pts4, w74, w54, rule4 = genz_malik_rule(4)
     assert pts4.shape == (57, 4)
     assert w7.shape == (17,) and w5.shape == (17,)
+    assert rule.shape == (17, 4) and rule4.shape == (57, 6)
 
 
 def test_rule_weights_sum_to_volume():
     # integrating f = 1 must give the cell volume for both rules
     for n in (2, 3, 4):
-        _, w7, w5 = genz_malik_rule(n)
+        _, w7, w5, _ = genz_malik_rule(n)
         assert w7.sum() == pytest.approx(2.0**n, rel=1e-13)
         assert w5.sum() == pytest.approx(2.0**n, rel=1e-13)
 
@@ -36,7 +37,7 @@ def test_polynomial_exactness_degree7(powers):
     def mono(k):  # integral of x^k over [-1, 1]
         return 0.0 if k % 2 else 2.0 / (k + 1)
 
-    pts, w7, _ = genz_malik_rule(2)
+    pts, w7, _, _ = genz_malik_rule(2)
     got = float((f(pts) * w7).sum())
     assert got == pytest.approx(mono(p) * mono(q), rel=1e-12, abs=1e-12)
 
@@ -107,6 +108,27 @@ def test_anisotropic_split_direction():
     assert res.value == pytest.approx(want, rel=1e-8, abs=1e-12)
 
 
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+def test_rule_matrix_matches_the_elementwise_rule(ndim):
+    pts, w7, w5, rule = genz_malik_rule(ndim)
+    vals = np.random.default_rng(ndim).standard_normal((50, len(pts)))
+    ratio = (9.0 / 10.0) / (9.0 / 70.0)
+    fc = vals[:, :1]
+    terms = [vals * w7, vals * w5]  # each row's terms; the sum is its entry
+    for i in range(ndim):
+        p1, p3 = 1 + 2 * i, 1 + 2 * ndim + 2 * i
+        terms.append(np.column_stack((vals[:, p3], vals[:, p3 + 1], -2.0 * fc[:, 0],
+                                      -ratio * vals[:, p1], -ratio * vals[:, p1 + 1],
+                                      2.0 * ratio * fc[:, 0])))
+    want = np.column_stack([t.sum(axis=1) for t in terms])
+    scale = np.column_stack([np.abs(t).sum(axis=1) for t in terms])
+    got = vals @ rule
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    # each row's sums, alone or with others, carry the same bits
+    for i in range(len(vals)):
+        assert np.array_equal(cubature._gemm(vals[i : i + 1], rule), got[i : i + 1])
+
+
 # ---------------------------------------------------------------------------
 # oracle: the heap-and-lists driver that the array driver replaced
 
@@ -118,9 +140,8 @@ def heap_integrate(f, lo, hi, abs_tol=0.0, rel_tol=1e-6, max_evals=10_000_000,
     alive cell, so no alive flags are kept."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     ndim = len(lo)
-    pts, w7, w5 = genz_malik_rule(ndim)
+    pts, _, _, rule = genz_malik_rule(ndim)
     npts = len(pts)
-    ratio = (9.0 / 10.0) / (9.0 / 70.0)
     min_width = min_width_frac * (hi - lo)
 
     def eval_cells(clo, chi):
@@ -128,14 +149,9 @@ def heap_integrate(f, lo, hi, abs_tol=0.0, rel_tol=1e-6, max_evals=10_000_000,
         x = cen[:, None, :] + hw[:, None, :] * pts[None, :, :]
         vals = np.asarray(f(x.reshape(-1, ndim)), dtype=float).reshape(len(clo), npts)
         vol = np.prod(hw, axis=1)
-        i7, i5 = (vals * w7).sum(axis=1) * vol, (vals * w5).sum(axis=1) * vol
-        fc = vals[:, 0]
-        diffs = np.empty((len(clo), ndim))
-        for i in range(ndim):
-            p1, p3 = 1 + 2 * i, 1 + 2 * ndim + 2 * i
-            diffs[:, i] = np.abs(vals[:, p3] + vals[:, p3 + 1] - 2 * fc
-                                 - ratio * (vals[:, p1] + vals[:, p1 + 1] - 2 * fc))
-        diffs = np.where(chi - clo > min_width[None, :], diffs, -1.0)
+        sums = cubature._gemm(vals, rule)
+        i7, i5 = sums[:, 0] * vol, sums[:, 1] * vol
+        diffs = np.where(chi - clo > min_width[None, :], np.abs(sums[:, 2:]), -1.0)
         return i7, np.abs(i7 - i5), np.argmax(diffs, axis=1), diffs.max(axis=1) >= 0.0
 
     clo, chi = _initial_cells(lo, hi, init_splits)

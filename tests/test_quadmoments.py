@@ -1,12 +1,16 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fbmilt import quadmoments
+from fbmilt import cubature, quadmoments
 from fbmilt.covkernel import ModelConfig, det_var_z, lambda_var
 from fbmilt.cubature import integrate
 from fbmilt.errors import ParameterError, QuadratureBudgetError
@@ -14,6 +18,7 @@ from fbmilt.quadmoments import (
     _SINGULAR_FACES,
     _cluster_both,
     _gamma_ratio,
+    _moment_integrand,
     _psi,
     _region_pieces,
     _shell_splits,
@@ -365,7 +370,7 @@ def a_z_2d(z, cfg, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
     """Independent route for A(z): the double time integral itself, with
     v = t*b, phi(t, t*b) = t^4H psi(b), the smootherstep map on b and a
     quartic map t = T tau^4 that resolves the t ~ z^(-1/4H) scale."""
-    h4 = 4.0 * cfg.hurst
+    h2, h4 = 2.0 * cfg.hurst, 4.0 * cfg.hurst
     T = cfg.horizon
 
     def f(x):
@@ -373,7 +378,7 @@ def a_z_2d(z, cfg, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
         b, db = _cluster_both(be)
         t = T * tau**4
         jac = 4.0 * T * tau**3 * t * db
-        return np.exp(-(t**h4) * _psi(b, 2.0 * cfg.hurst) * z) * jac
+        return np.exp(-(t**h4) * _psi(b**h2, (1.0 - b) ** h2) * z) * jac
 
     return integrate(f, [0.0, 0.0], [1.0, 1.0], abs_tol=abs_tol, rel_tol=rel_tol,
                      max_evals=max_evals, init_splits=[np.array([0.0, 0.5, 1.0])] * 2)
@@ -596,3 +601,83 @@ class TestRegionPieces:
         assert lam_c[0] == pytest.approx(c ** (2 * h) * lam[0], rel=1e-12)
         tol = 1e-9 * det_c[0] + 1e-13 * lam_c[0] * rho_c[0]
         assert abs(det_c[0] - c ** (4 * h) * det[0]) <= tol
+
+
+# ---------------------------------------------------------------------------
+# the second-moment integrand, column by column
+
+
+def _near_faces(faces, rng, n=200):
+    """``n`` points of the unit cube, the first half each within 1e-4 to
+    0.1 of a face of ``faces`` on both of its axes, so every shell excludes
+    some."""
+    x = rng.uniform(0.0, 1.0, (n, 4))
+    for k in range(n // 2):
+        i, ei, j, ej = faces[k % len(faces)]
+        x[k, i] = abs(ei - 10.0 ** rng.uniform(-4.0, -1.0))
+        x[k, j] = abs(ej - 10.0 ** rng.uniform(-4.0, -1.0))
+    return np.asfortranarray(x)  # as cubature passes it: contiguous columns
+
+
+class TestMomentIntegrand:
+    @pytest.mark.parametrize("region", ["A", "B"])
+    def test_columns_match_their_direct_formulas(self, region):
+        cfg = ModelConfig(0.4, 3)
+        faces = _SINGULAR_FACES[region]
+        x = _near_faces(faces, np.random.default_rng(11))
+        m2_eps, gaps, crosses = [0.5, 0.25, 0.0], [(0.5, 0.25), (0.25, 0.25)], [(0.5, 0.125)]
+        widths = quadmoments._SHELL_WIDTHS
+        got = _moment_integrand(cfg, region, m2_eps, gaps, crosses, True, widths)(x)
+        assert got.shape == (3 + 2 + 1 + 1 + len(widths), len(x))
+
+        lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
+
+        def p(a, b):
+            return (det + a * rho + b * lam + a * b) ** (-0.5 * cfg.dim) * jac
+
+        rows = iter(got)
+        for e in m2_eps:
+            assert next(rows) == pytest.approx(p(e, e), rel=1e-12, abs=0.0)
+        for a, b in gaps:
+            terms = (p(a, a), p(b, b), -p(a, b), -p(b, a))
+            assert np.all(np.abs(next(rows) - sum(terms)) <= 1e-12 * sum(map(np.abs, terms)))
+        for a, b in crosses:
+            assert next(rows) == pytest.approx(0.5 * (p(a, b) + p(b, a)), rel=1e-12, abs=0.0)
+        var = np.maximum(p(0.0, 0.0) - (lam * rho) ** (-0.5 * cfg.dim) * jac, 0.0)
+        assert np.all(np.abs(next(rows) - var) <= 1e-12 * p(0.0, 0.0))
+        dist = np.min([np.maximum(np.abs(x[:, i] - ei), np.abs(x[:, j] - ej))
+                       for i, ei, j, ej in faces], axis=0)
+        for w in widths:
+            want = np.where(dist >= w, p(0.0, 0.0), 0.0)
+            assert next(rows) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert np.any(dist < widths[0]) and np.any(dist < widths[-1])
+
+
+# BLAS runs inside the integrand and the rule: the passes must not depend on
+# how the cubature slices cells into calls, nor on BLAS's thread count
+_SLICING_PASSES = {  # the pass's results, and its number of columns
+    "m2_ladder": (lambda: sum(m2_ladder([2.0**-k for k in range(1, 7)], ModelConfig(0.5, 3),
+                                        prev_eps=1.0), []), 12),
+    "shells": (lambda: var_limit(ModelConfig(0.75, 3)).shells, 5),
+}
+
+
+def _pass_bits(name):
+    run, _ = _SLICING_PASSES[name]
+    return [[r.value.hex(), r.error_estimate.hex(), r.nevals, r.subdivisions] for r in run()]
+
+
+@pytest.mark.parametrize("name", sorted(_SLICING_PASSES))
+def test_pass_bits_do_not_depend_on_slicing_or_blas_threads(name, monkeypatch):
+    want = _pass_bits(name)
+    ncols = _SLICING_PASSES[name][1]
+    with monkeypatch.context() as patch:
+        patch.setattr(cubature, "_BLOCK_BYTES", ncols * 57 * 8 * 10)  # ten cells a call
+        assert _pass_bits(name) == want
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.join(here, os.pardir, "src"), here]))
+    code = f"import json, test_quadmoments as t; print(json.dumps(t._pass_bits({name!r})))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert json.loads(out) == want
