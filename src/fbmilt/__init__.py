@@ -13,7 +13,6 @@ from .covkernel import (
     lambda_var,
     lower_inc_gamma,
     mu_cov,
-    phi_angular,
     phi_det,
 )
 from .errors import IndeterminateError, ParameterError, QuadratureBudgetError
@@ -52,7 +51,6 @@ __all__ = [
     "det_var_z",
     "cross_det",
     "phi_det",
-    "phi_angular",
     "lower_inc_gamma",
     "gamma_bound_k",
     "ParameterError",

@@ -6,8 +6,8 @@ config-file values override defaults; the config file is flat
 ``key = value`` lines with ``#`` comments and may set any field.  Reports are JSON
 (stable schema, floats serialized round-trip exact) or CSV for sweeps.
 
-Exit codes: 0 success, 2 parameter error, 3 quadrature budget exhausted,
-4 indeterminate classification.
+Exit codes: 0 success, 1 a verify-lemmas check failed, 2 parameter error,
+3 quadrature budget exhausted, 4 indeterminate classification.
 """
 
 from __future__ import annotations
@@ -171,14 +171,9 @@ def parse_args(argv) -> RunConfig:
 
 
 def _validate(rc: RunConfig) -> None:
-    for d in rc.dim:
-        if d < 2:
-            raise ParameterError(f"dim: must be >= 2 (one-dimensional case excluded), got {d}")
     for h in rc.hurst:
-        if not (0.0 < h < 1.0):
-            raise ParameterError(f"hurst: must lie in (0, 1), got {h}")
-    if rc.horizon <= 0.0:
-        raise ParameterError(f"horizon: must be positive, got {rc.horizon}")
+        for d in rc.dim:
+            ModelConfig(h, d, rc.horizon)
     if rc.command == "estimate":
         if rc.eps is None or rc.eps <= 0.0:
             raise ParameterError("eps: estimate requires a positive eps")
@@ -383,11 +378,19 @@ def _run_phase(rc: RunConfig) -> int:
 
 
 def _run_verify_lemmas(rc: RunConfig) -> int:
+    worst, checks = covkernel.gamma_bound_excess()
+    violation = covkernel.superadditivity_violation(100_000, np.random.default_rng(rc.seed))
+    mismatch = covkernel.homogeneity_mismatch(10_000, np.random.default_rng(rc.seed))
+    ratios = {h: covkernel.angular_ratios(h) for h in covkernel.LEMMA_HURSTS}
     suites = {
-        "gamma_bound": _check_gamma_bound(),
-        "superadditivity": _check_superadditivity(rc.seed),
-        "homogeneity": _check_homogeneity(rc.seed),
-        "angular_asymptotics": _check_angular(),
+        "gamma_bound": (worst <= 0.0, f"{checks} checks, worst excess {worst:.3e}"),
+        "superadditivity": (violation <= 1e-12, f"worst normalized violation {violation:.3e}"),
+        "homogeneity": (mismatch <= 1e-9, f"worst relative mismatch {mismatch:.3e}"),
+        "angular_asymptotics": (
+            all(0.9 <= r <= 1.1 for pair in ratios.values() for r in pair),
+            "ratios to theta^2H at both endpoints: "
+            + "; ".join(f"H={h}: {lo:.4f}/{hi:.4f}" for h, (lo, hi) in ratios.items()),
+        ),
     }
     report = _report(rc, {"rows": [
         {"suite": name, "passed": passed, "detail": detail}
@@ -398,61 +401,6 @@ def _run_verify_lemmas(rc: RunConfig) -> int:
     line = ", ".join(f"{k}={'pass' if v[0] else 'FAIL'}" for k, v in suites.items())
     _say(rc, f"verify-lemmas: {line}")
     return 0 if all_pass else 1
-
-
-def _check_gamma_bound():
-    worst = 0.0
-    checks = 0
-    for alpha in (0.25, 0.5, 1.0, 2.0, 4.0):
-        k = covkernel.gamma_bound_k(alpha)
-        for frac in (0.25, 0.5, 0.75):
-            e = alpha * frac
-            for x in np.logspace(-6, 6, 121):
-                excess = covkernel.lower_inc_gamma(alpha, x) - k * x**e
-                worst = max(worst, excess)
-                checks += 1
-    return worst <= 0.0, f"{checks} checks, worst excess {worst:.3e}"
-
-
-def _check_superadditivity(seed):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for h in (0.25, 0.5, 0.75):
-        t = rng.uniform(0.0, 1.0, 100_000)
-        v = t * rng.uniform(0.0, 1.0, t.size)
-        s = rng.uniform(0.0, 1.0, t.size)
-        u = s * rng.uniform(0.0, 1.0, t.size)
-        lhs = covkernel.det_var_z(s, t, u, v, h)
-        rhs = covkernel.phi_det(t, v, h) + covkernel.phi_det(s, u, h)
-        scale = np.maximum(1.0, lhs + rhs)
-        worst = max(worst, float(((rhs - lhs) / scale).max()))
-    return worst <= 1e-12, f"worst normalized violation {worst:.3e}"
-
-
-def _check_homogeneity(seed):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for h in (0.25, 0.5, 0.75):
-        t = rng.uniform(0.01, 1.0, 10_000)
-        v = rng.uniform(0.01, 1.0, t.size)
-        c = rng.uniform(0.01, 10.0, t.size)
-        base = covkernel.phi_det(t, v, h)
-        scaled = covkernel.phi_det(c * t, c * v, h)
-        rel = np.abs(scaled - c ** (4.0 * h) * base) / np.maximum(np.abs(scaled), 1e-300)
-        worst = max(worst, float(rel.max()))
-    return worst <= 1e-9, f"worst relative mismatch {worst:.3e}"
-
-
-def _check_angular():
-    theta = 1e-5
-    ok = True
-    details = []
-    for h in (0.25, 0.5, 0.75):
-        lo = covkernel.phi_angular(theta, h) / theta ** (2.0 * h)
-        hi = covkernel.phi_angular(math.pi / 4.0 - theta, h) / theta ** (2.0 * h)
-        details.append(f"H={h}: {lo:.4f}/{hi:.4f}")
-        ok = ok and 0.9 <= lo <= 1.1 and 0.9 <= hi <= 1.1
-    return ok, "ratios to theta^2H at both endpoints: " + "; ".join(details)
 
 
 _RUNNERS = {

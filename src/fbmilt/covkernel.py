@@ -5,7 +5,8 @@ parameter: the fBm covariance R_H, the variances lambda/rho and covariance
 mu of differences of the two independent processes, the associated
 2x2 covariance determinants, and the lower incomplete gamma function with
 its power bound.  All functions accept scalars or numpy arrays and
-broadcast elementwise.
+broadcast elementwise.  The lemma checks at the end are shared by
+``fbmilt verify-lemmas`` and the acceptance suite, each with its own bounds.
 """
 
 from __future__ import annotations
@@ -26,10 +27,21 @@ __all__ = [
     "det_var_z",
     "cross_det",
     "phi_det",
-    "phi_angular",
     "lower_inc_gamma",
     "gamma_bound_k",
+    "gamma_bound_excess",
+    "superadditivity_violation",
+    "homogeneity_mismatch",
+    "angular_ratios",
 ]
+
+# the lemma checks' Hurst indices, the (alpha, e = alpha * frac, x) grid of
+# the power bound, and the angle of the unit-circle asymptotics
+LEMMA_HURSTS = (0.25, 0.5, 0.75)
+_GAMMA_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
+_GAMMA_FRACS = (0.25, 0.5, 0.75)
+_GAMMA_XS = np.logspace(-6, 6, 121)
+_ANGLE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -41,8 +53,7 @@ class ModelConfig:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.hurst < 1.0):
-            raise ParameterError(f"hurst must lie in (0, 1), got {self.hurst}")
+        _check_hurst(self.hurst)
         if int(self.dim) != self.dim or self.dim < 2:
             raise ParameterError(f"dim must be an integer >= 2, got {self.dim}")
         if not (self.horizon > 0.0):
@@ -152,18 +163,6 @@ def det_var_z(s, t, u, v, h):
     return out if np.ndim(out) else float(out)
 
 
-def phi_angular(theta, h):
-    """phi_det evaluated on the unit circle, phi(cos theta, sin theta).
-
-    Defined for theta in [0, pi/4], the range the angular integrals run
-    over; vanishes at both endpoints.
-    """
-    theta_arr = np.asarray(theta, dtype=float)
-    if np.any(theta_arr < 0.0) or np.any(theta_arr > math.pi / 4 + 1e-15):
-        raise ParameterError("theta must lie in [0, pi/4]")
-    return phi_det(np.cos(theta_arr), np.sin(theta_arr), h)
-
-
 def lower_inc_gamma(alpha, x):
     """Lower incomplete gamma function gamma(alpha, x) = int_0^x e^-y y^(alpha-1) dy.
 
@@ -181,3 +180,55 @@ def gamma_bound_k(alpha):
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     return max(1.0 / alpha, math.gamma(alpha))
+
+
+# lemma checks: each returns what it measures and applies no bound
+
+def gamma_bound_excess():
+    """(worst, checks): the largest gamma(alpha, x) - K(alpha) x^e over the
+    grid of alpha, e = alpha * frac and x in [1e-6, 1e6], and the number
+    of grid points.  The power bound holds on the grid iff worst <= 0."""
+    excess = [lower_inc_gamma(alpha, x) - gamma_bound_k(alpha) * x ** (alpha * frac)
+              for alpha in _GAMMA_ALPHAS for frac in _GAMMA_FRACS for x in _GAMMA_XS]
+    return float(max(excess)), len(excess)
+
+
+def superadditivity_violation(n, rng):
+    """Largest violation of det Var(Z) >= phi(t, v) + phi(s, u), relative
+    to max(1, lhs + rhs), or 0 if none: for each H, ``n`` draws from ``rng``
+    of t, v = tU, s and u = sU in that order."""
+    worst = 0.0
+    for h in LEMMA_HURSTS:
+        t = rng.uniform(0.0, 1.0, n)
+        v = t * rng.uniform(0.0, 1.0, n)
+        s = rng.uniform(0.0, 1.0, n)
+        u = s * rng.uniform(0.0, 1.0, n)
+        lhs = det_var_z(s, t, u, v, h)
+        rhs = phi_det(t, v, h) + phi_det(s, u, h)
+        worst = max(worst, float(((rhs - lhs) / np.maximum(1.0, lhs + rhs)).max()))
+    return worst
+
+
+def homogeneity_mismatch(n, rng):
+    """Largest relative gap between phi(ct, cv) and c^4H phi(t, v) over
+    ``n`` draws per H of t, v in [0.01, 1] and c in [0.01, 10] from ``rng``;
+    near the diagonal, how ct - cv rounds sets it, so it depends on the draw."""
+    worst = 0.0
+    for h in LEMMA_HURSTS:
+        t = rng.uniform(0.01, 1.0, n)
+        v = rng.uniform(0.01, 1.0, n)
+        c = rng.uniform(0.01, 10.0, n)
+        base = phi_det(t, v, h)
+        scaled = phi_det(c * t, c * v, h)
+        rel = np.abs(scaled - c ** (4.0 * h) * base) / np.maximum(np.abs(scaled), 1e-300)
+        worst = max(worst, float(rel.max()))
+    return worst
+
+
+def angular_ratios(h):
+    """(lo, hi): phi_det(cos theta, sin theta) / delta^2H at theta = delta and
+    pi/4 - delta, delta = 1e-5; on the unit circle phi vanishes like the 2H
+    power of the angle at both ends of [0, pi/4], so both tend to 1."""
+    scale = _ANGLE ** (2.0 * h)
+    return tuple(phi_det(math.cos(theta), math.sin(theta), h) / scale
+                 for theta in (_ANGLE, math.pi / 4.0 - _ANGLE))

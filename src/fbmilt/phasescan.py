@@ -108,10 +108,6 @@ class SweepSeries:
     quad_rel_tol: float = QUAD_REL_TOL
     nevals: int = 0  # integrand evaluations of every quadrature pass behind the rows
 
-    @property
-    def config(self) -> ModelConfig:
-        return ModelConfig(hurst=self.hurst, dim=self.dim, horizon=self.horizon)
-
 
 @dataclass(frozen=True)
 class PhasePoint:

@@ -1,8 +1,9 @@
 """Deterministic quadrature of the moment integrals of the smoothed
 intersection local time.
 
-The first moment is a 2D integral of (eps + s^2H + t^2H)^(-d/2), the
-second moment and its cross-regularizer variants are 4D integrals of
+The first moment is a 2D integral of (eps + s^2H + t^2H)^(-d/2) (at
+eps = 0 and Hd < 2, by homogeneity, a 1D one), the second moment and its
+cross-regularizer variants are 4D integrals of
 ((lambda+eps)(rho+eta) - mu^2)^(-d/2) over [0,T]^4.  The 4D integrands
 concentrate near the origin and near the plane (s,t) = (u,v), so the
 cube is split by the time orderings (v<t, u<s) / (v<t, u>s) -- the two
@@ -149,9 +150,10 @@ def _mhalf(b, c):
 def _cluster_both(alpha):
     """Smootherstep map [0,1]->[0,1] clustering quadratically toward both 0
     and 1; returns (value, dvalue)."""
-    # clipped: within about 4e-6 of 1 the polynomial rounds above 1
-    val = np.minimum(alpha**3 * (10.0 - 15.0 * alpha + 6.0 * alpha**2), 1.0)
-    dval = 30.0 * alpha**2 * (1.0 - alpha) ** 2
+    a2 = alpha * alpha
+    # clipped: within about 5e-6 of 1 the polynomial rounds above 1
+    val = np.minimum(a2 * alpha * (10.0 + alpha * (6.0 * alpha - 15.0)), 1.0)
+    dval = 30.0 * a2 * (1.0 - alpha) ** 2
     return val, dval
 
 
@@ -298,15 +300,9 @@ def _diverged(cfg, shells, widths, exponent, excluded):
 # ---------------------------------------------------------------------------
 # first moment
 
-def _m1_exponent_map(cfg, eps):
-    if eps > 0.0 or cfg.hd >= 2.0:
-        return 2
-    return max(2, min(8, int(math.ceil(2.0 / (2.0 - cfg.hd))) + 1))
-
-
-def _m1_columns(eps, cfg, p, abs_tol, rel_tol, max_evals, widths=()):
+def _m1_columns(eps, cfg, abs_tol, rel_tol, max_evals, widths=()):
     """m1 at every regularizer in ``eps`` from one shared-mesh 2D pass,
-    with the time axes mapped by x -> T x^p; one QuadratureResult each.
+    with the time axes mapped by x -> T x^2; one QuadratureResult each.
 
     Each width w in ``widths`` adds a column after them: the eps = 0
     integrand outside the square [0, w]^2 of the mapped coordinates.
@@ -322,9 +318,9 @@ def _m1_columns(eps, cfg, p, abs_tol, rel_tol, max_evals, widths=()):
 
     def f(x):
         xi, ze = x[:, 0], x[:, 1]
-        sh = (T * xi**p) ** h2
-        th = (T * ze**p) ** h2
-        jac = (T * p) ** 2 * (xi * ze) ** (p - 1)
+        sh = (T * xi**2) ** h2
+        th = (T * ze**2) ** h2
+        jac = (2.0 * T) ** 2 * (xi * ze)
         out = _power(rungs + (sh + th), d)
         if len(widths):
             dist = _face_distance(x, _ORIGIN_FACE)
@@ -347,9 +343,12 @@ def m1(eps, cfg: ModelConfig, rel_tol=None):
     """First moment E[I_eps] = (2 pi)^(-d/2) * int (eps + s^2H + t^2H)^(-d/2).
 
     eps = 0 is allowed; the limiting integral is finite iff Hd < 2, and a
-    diverged result with shell evidence is returned otherwise.  ``rel_tol``
-    defaults to the relative tolerance of the branch taken: that of the
-    integral (_M1_REL_TOL) or of its shells (_M1_SHELL_REL_TOL).
+    diverged result with shell evidence is returned otherwise.  Where it is
+    finite it is one 1D integral by homogeneity: with s = t b on s < t the
+    integrand is t^-Hd (1 + b^2H)^(-d/2), so
+    m1(0) = 2 (2 pi)^(-d/2) T^(2-Hd) / (2-Hd) int_0^1 (1 + b^2H)^(-d/2) db.
+    ``rel_tol`` defaults to the relative tolerance of the branch taken:
+    that of the integral (_M1_REL_TOL) or of its shells (_M1_SHELL_REL_TOL).
     """
     if eps < 0.0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
@@ -358,9 +357,16 @@ def m1(eps, cfg: ModelConfig, rel_tol=None):
         rel_tol = _M1_SHELL_REL_TOL if diverged else _M1_REL_TOL
     if diverged:
         return _diverged_m1(cfg, rel_tol)
-    (res,) = _m1_columns([eps], cfg, _m1_exponent_map(cfg, eps), _M1_ABS_TOL, rel_tol,
-                         _M1_MAX_EVALS)
-    return _require_converged(res, "m1")
+    if eps > 0.0:
+        (res,) = _m1_columns([eps], cfg, _M1_ABS_TOL, rel_tol, _M1_MAX_EVALS)
+        return _require_converged(res, "m1")
+    d, hd = cfg.dim, cfg.hd
+    pref = 2.0 * (2.0 * math.pi) ** (-0.5 * d) * cfg.horizon ** (2.0 - hd) / (2.0 - hd)
+    res = cubature.integrate(
+        lambda x: (1.0 + x[:, 0] ** (2.0 * cfg.hurst)) ** (-0.5 * d), [0.0], [1.0],
+        abs_tol=_M1_ABS_TOL / pref, rel_tol=rel_tol, max_evals=_M1_MAX_EVALS,
+    )
+    return _require_converged(_scaled(_result(res.value, res.error, [res]), pref), "m1")
 
 
 def m1_ladder(eps, cfg: ModelConfig):
@@ -375,14 +381,13 @@ def m1_ladder(eps, cfg: ModelConfig):
     eps = [float(e) for e in eps]
     if not eps or min(eps) <= 0.0:
         raise ParameterError(f"a ladder needs positive regularizers, got {eps}")
-    return _m1_columns(eps, cfg, 2, _M1_ABS_TOL, _M1_REL_TOL, _M1_MAX_EVALS)
+    return _m1_columns(eps, cfg, _M1_ABS_TOL, _M1_REL_TOL, _M1_MAX_EVALS)
 
 
 def _diverged_m1(cfg, rel_tol):
     """Shell evidence for m1(0) when Hd >= 2: m1(0) outside [0, T 4^-k]^2
     for k = 1..7, from one 2D pass at ``rel_tol`` with the shells' budget."""
-    shells = _m1_columns([], cfg, 2, 0.0, rel_tol, _M1_SHELL_MAX_EVALS,
-                         widths=_M1_SHELL_WIDTHS)
+    shells = _m1_columns([], cfg, 0.0, rel_tol, _M1_SHELL_MAX_EVALS, widths=_M1_SHELL_WIDTHS)
     return _diverged(cfg, shells, cfg.horizon * _M1_SHELL_WIDTHS**2, 1.0 - cfg.hd,
                      "excluding [0,T*4^-k]^2")
 

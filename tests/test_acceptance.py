@@ -19,10 +19,9 @@ from fbmilt import cubature
 from fbmilt.covkernel import (
     ModelConfig,
     cov_rh,
-    det_var_z,
-    gamma_bound_k,
-    lower_inc_gamma,
+    gamma_bound_excess,
     phi_det,
+    superadditivity_violation,
 )
 from fbmilt.fbmgen import TimeGrid, sample_cholesky, sample_circulant
 from fbmilt.iltmc import grid_for_eps, mc_moments
@@ -104,19 +103,8 @@ def test_criterion_3_mc_quadrature_coherence():
 
 
 def test_criterion_4_determinant_superadditivity():
-    rng = np.random.default_rng(0)
     t0 = time.monotonic()
-    worst = 0.0
-    n = 1_000_000
-    for h in (0.25, 0.5, 0.75):
-        t = rng.uniform(0.0, 1.0, n)
-        v = t * rng.uniform(0.0, 1.0, n)
-        s = rng.uniform(0.0, 1.0, n)
-        u = s * rng.uniform(0.0, 1.0, n)
-        lhs = det_var_z(s, t, u, v, h)
-        rhs = phi_det(t, v, h) + phi_det(s, u, h)
-        scale = np.maximum(1.0, np.abs(lhs) + np.abs(rhs))
-        worst = max(worst, float(((rhs - lhs) / scale).max()))
+    worst = superadditivity_violation(1_000_000, np.random.default_rng(0))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-12 and elapsed < 10.0
     _verdict(4, ok, f"superadditivity over 3x10^6 quadruples, worst "
@@ -125,15 +113,7 @@ def test_criterion_4_determinant_superadditivity():
 
 def test_criterion_5_gamma_bound():
     t0 = time.monotonic()
-    worst = -math.inf
-    checks = 0
-    for alpha in (0.25, 0.5, 1.0, 2.0, 4.0):
-        k = gamma_bound_k(alpha)
-        for frac in (0.25, 0.5, 0.75):
-            e = alpha * frac
-            for x in np.logspace(-6, 6, 121):
-                worst = max(worst, lower_inc_gamma(alpha, x) - k * x**e)
-                checks += 1
+    worst, checks = gamma_bound_excess()
     elapsed = time.monotonic() - t0
     ok = worst <= 0.0 and elapsed < 1.0
     _verdict(5, ok, f"incomplete-gamma bound, {checks} grid checks, "

@@ -311,6 +311,16 @@ class TestVerifyLemmasCommand:
         }
         assert all(r["passed"] for r in rows)
 
+    def test_failed_check_exits_1(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli.covkernel, "superadditivity_violation", lambda n, rng: 1.0)
+        out = tmp_path / "l.json"
+        assert run_main(["verify-lemmas", "--out", str(out)]) == 1
+        rows = json.loads(out.read_text())["results"]["rows"]
+        assert {r["suite"]: r["passed"] for r in rows} == {
+            "gamma_bound": True, "superadditivity": False, "homogeneity": True,
+            "angular_asymptotics": True,
+        }
+
 
 class TestMainErrorPaths:
     def test_parameter_error_exit_2(self, capsys):

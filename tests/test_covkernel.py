@@ -6,14 +6,15 @@ from scipy.special import gamma as sp_gamma, gammainc
 
 from fbmilt.covkernel import (
     ModelConfig,
+    angular_ratios,
     cov_rh,
     cross_det,
     det_var_z,
+    gamma_bound_excess,
     gamma_bound_k,
     lambda_var,
     lower_inc_gamma,
     mu_cov,
-    phi_angular,
     phi_det,
 )
 from fbmilt.errors import ParameterError
@@ -178,25 +179,20 @@ class TestPhiDet:
 
 
 class TestPhiAngular:
+    # phi_det on the unit circle, phi(cos theta, sin theta), theta in [0, pi/4]
     def test_endpoints(self):
-        assert phi_angular(0.0, 0.5) == 0.0
-        assert phi_angular(math.pi / 4, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert phi_det(1.0, 0.0, 0.5) == 0.0
+        theta = math.pi / 4
+        assert phi_det(math.cos(theta), math.sin(theta), 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
         want = math.sqrt(3) / 4 - 0.25
-        assert phi_angular(math.pi / 6, 0.5) == pytest.approx(want, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            phi_angular(-0.01, 0.5)
-        with pytest.raises(ParameterError):
-            phi_angular(1.0, 0.5)
+        theta = math.pi / 6
+        assert phi_det(math.cos(theta), math.sin(theta), 0.5) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("h", [0.25, 0.5, 0.75])
     def test_asymptotics_both_ends(self, h):
-        theta = 1e-5
-        lo = phi_angular(theta, h) / theta ** (2 * h)
-        hi = phi_angular(math.pi / 4 - theta, h) / theta ** (2 * h)
+        lo, hi = angular_ratios(h)
         assert 0.9 <= lo <= 1.1
         assert 0.9 <= hi <= 1.1
 
@@ -241,15 +237,11 @@ class TestGammaBoundK:
         assert gamma_bound_k(0.5) == pytest.approx(2.0)
 
     def test_power_bound_grid(self):
-        violations = 0
-        for alpha in (0.25, 0.5, 1.0, 2.0, 4.0):
-            k = gamma_bound_k(alpha)
-            for frac in (0.25, 0.5, 0.75):
-                e = alpha * frac
-                for x in np.logspace(-6, 6, 121):
-                    if lower_inc_gamma(alpha, x) > k * x**e:
-                        violations += 1
-        assert violations == 0
+        # the true worst excess, not one floored at 0: the bound is never
+        # tight on the grid
+        worst, checks = gamma_bound_excess()
+        assert checks == 5 * 3 * 121
+        assert worst < 0.0
 
 
 class TestCrossDet:

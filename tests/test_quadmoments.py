@@ -51,6 +51,24 @@ def m1_closed_form(eps, horizon=1.0):
     return val / (2.0 * math.pi)
 
 
+def m1_limit_2d(cfg):
+    """Independent route for m1(0) at Hd < 2: the 2D integral of
+    (s^2H + t^2H)^(-d/2) (2 pi)^(-d/2) itself, with both times mapped by
+    x -> T x^p; near the origin the mapped integrand is ~ r^(p(2-Hd)-2),
+    bounded for p > 2/(2-Hd)."""
+    h2, d, T = 2.0 * cfg.hurst, cfg.dim, cfg.horizon
+    p = max(2, min(8, math.ceil(2.0 / (2.0 - cfg.hd)) + 1))
+    pref = (2.0 * math.pi) ** (-0.5 * d)
+
+    def f(x):
+        s, t = T * x[:, 0] ** p, T * x[:, 1] ** p
+        jac = (T * p) ** 2 * (x[:, 0] * x[:, 1]) ** (p - 1)
+        return pref * (s**h2 + t**h2) ** (-0.5 * d) * jac
+
+    return integrate(f, [0.0, 0.0], [1.0, 1.0], abs_tol=1e-10, rel_tol=1e-9,
+                     max_evals=4_000_000, init_splits=[np.array([0.0, 0.25, 1.0])] * 2)
+
+
 class TestM1:
     @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
     def test_closed_form(self, eps):
@@ -65,6 +83,26 @@ class TestM1:
 
     def test_limit_value(self):
         assert m1(0.0, CFG_H5D2).value == pytest.approx(math.log(2) / math.pi, rel=1e-8)
+
+    @pytest.mark.parametrize("h,d,want", [
+        (0.95, 2, 2.47858388547527512102831588885),
+        (0.49, 4, 0.628332450249270858374432918569),
+        (0.66, 3, 4.02319525675035808621265390781),
+    ], ids=["0.95-2", "0.49-4", "0.66-3"])
+    def test_limit_converges_near_the_transition(self, h, d, want):
+        # a 2D pass ran out of m1's budget here; want is a 30-digit mpmath
+        # value of 2 (2pi)^(-d/2) / (2-Hd) int_0^1 (1 + b^2H)^(-d/2) db
+        res = m1(0.0, ModelConfig(h, d))
+        assert res.status == "converged"
+        assert abs(res.value - want) <= res.error_estimate
+
+    @pytest.mark.parametrize("h,d", [(0.75, 2), (0.6, 3), (0.45, 4)])
+    def test_limit_matches_the_2d_integral(self, h, d):
+        cfg = ModelConfig(h, d)
+        res = m1(0.0, cfg)
+        direct = m1_limit_2d(cfg)
+        assert direct.status == "converged"
+        assert abs(res.value - direct.value) <= res.error_estimate + direct.error
 
     def test_diverged_at_critical(self):
         res = m1(0.0, ModelConfig(hurst=0.5, dim=4))
