@@ -174,6 +174,15 @@ def _validate(rc: RunConfig) -> None:
     for h in rc.hurst:
         for d in rc.dim:
             ModelConfig(h, d, rc.horizon)
+    # every float lands in the report's config, which JSON cannot give nan or inf
+    for name, field in _FIELDS.items():
+        value = getattr(rc, name)
+        if field.parse is float and value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name}: must be finite, got {value}")
+    if rc.tol is not None and rc.tol <= 0.0:
+        raise ParameterError(f"tol: must be positive, got {rc.tol}")
+    if rc.grid_n is not None and rc.grid_n < 1:
+        raise ParameterError(f"grid_n: must be >= 1, got {rc.grid_n}")
     if rc.command == "estimate":
         if rc.eps is None or rc.eps <= 0.0:
             raise ParameterError("eps: estimate requires a positive eps")
@@ -256,7 +265,7 @@ def _say(rc: RunConfig, message: str) -> None:
 
 def _run_simulate(rc: RunConfig) -> int:
     cfg = rc.model()
-    n = rc.grid_n or 256
+    n = 256 if rc.grid_n is None else rc.grid_n
     grid = TimeGrid(horizon=rc.horizon, n_steps=n)
     pair = sample_pair(grid, cfg, rc.seed, method=rc.method)
     if rc.out:
@@ -275,7 +284,7 @@ def _run_simulate(rc: RunConfig) -> int:
 def _run_estimate(rc: RunConfig) -> int:
     cfg = rc.model()
     reps = rc.reps or 1000
-    n = rc.grid_n or grid_for_eps(rc.eps, cfg)
+    n = grid_for_eps(rc.eps, cfg) if rc.grid_n is None else rc.grid_n
     grid = TimeGrid(horizon=rc.horizon, n_steps=n)
     est = mc_moments(cfg, rc.eps, grid, replications=reps, seed=rc.seed,
                      method=rc.method, workers=rc.workers)

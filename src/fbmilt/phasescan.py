@@ -145,7 +145,9 @@ def _rows(cfg, ladder, prev_eps, quad_rel_tol, mc_params):
         mc_mean = mc_se = math.nan
         if mc_params is not None:
             params = dict(mc_params)
-            grid_n = params.pop("grid_n", None) or grid_for_eps(eps, cfg)
+            grid_n = params.pop("grid_n", None)
+            if grid_n is None:
+                grid_n = grid_for_eps(eps, cfg)
             grid = TimeGrid(horizon=cfg.horizon, n_steps=grid_n)
             est = mc_moments(
                 cfg, eps, grid,

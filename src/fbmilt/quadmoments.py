@@ -2,7 +2,7 @@
 intersection local time.
 
 The first moment is a 2D integral of (eps + s^2H + t^2H)^(-d/2) (at
-eps = 0 and Hd < 2, by homogeneity, a 1D one), the second moment and its
+eps = 0, by homogeneity, a 1D one), the second moment and its
 cross-regularizer variants are 4D integrals of
 ((lambda+eps)(rho+eta) - mu^2)^(-d/2) over [0,T]^4.  The 4D integrands
 concentrate near the origin and near the plane (s,t) = (u,v), so the
@@ -28,12 +28,13 @@ of +-1 and 1/2 (_moment_integrand).  m1's rungs are stacked the same way.
 At eps = 0 with Hd >= 2 the integrals diverge; this is decided by the
 analytic radial exponent and corroborated by a sequence of growing
 partial integrals over shrinking-exclusion shells, both recorded in the
-result's divergence evidence.  A shell excludes a box of width delta
-around every codimension-2 face of the mapped cube on which the
-integrand is singular; the starting mesh has a breakpoint at every box
-edge, so each shell is a union of whole cells and all shells are the
-components of one pass per region.  A diverged result's status is
-"budget" when any of its shells missed its tolerance.
+result's divergence evidence.  m1(0)'s shells, outside [0, delta]^2,
+are its angular integral times a closed-form radial factor.  A 4D shell
+excludes a box of width delta around every codimension-2 face of the
+mapped cube on which the integrand is singular; the starting mesh has a
+breakpoint at every box edge, so each shell is a union of whole cells
+and all shells are the components of one pass per region.  A diverged
+result's status is "budget" when any of its shells missed its tolerance.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import List, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaln
+from scipy.special import exprel, gammainc, gammaln, hyp1f1
 
 from . import cubature
 from .covkernel import ModelConfig
@@ -81,12 +82,10 @@ _A_Z_ABS_TOL = 1e-13
 _A_Z_MAX_EVALS = 2_000_000
 _REDUCTION_REL_TOL = 1e-9
 
-# divergence shells at eps = 0: exclusion widths, tolerances and budgets of
-# the one pass (per region) that gives every shell; a rel_tol given to m1
-# replaces _M1_SHELL_REL_TOL
-_M1_SHELL_WIDTHS = 2.0 ** -np.arange(1, 8)  # mapped x = sqrt(s / T): [0, T 4^-k]^2
-_M1_SHELL_REL_TOL = 1e-5
-_M1_SHELL_MAX_EVALS = 4_000_000
+# divergence shells at eps = 0: m1(0)'s excluded squares [0, delta]^2 as
+# delta / T, and the exclusion widths, tolerance and budget of the 4D pass
+# (per region) that gives every 4D shell
+_M1_SHELL_WIDTHS = 4.0 ** -np.arange(1, 8)
 _SHELL_WIDTHS = 4.0 ** -np.arange(1, 6)
 _SHELL_REL_TOL = 3e-3
 _SHELL_MAX_EVALS = 20_000_000
@@ -101,7 +100,6 @@ _SINGULAR_FACES = {
     "B": ((0, 0.0, 1, 0.0), (0, 0.0, 3, 0.0), (0, 0.0, 3, 1.0), (1, 0.0, 2, 0.0),
           (1, 0.0, 2, 1.0), (2, 1.0, 3, 1.0)),
 }
-_ORIGIN_FACE = ((0, 0.0, 1, 0.0),)  # of m1's (s, t) square
 
 
 @dataclass
@@ -300,21 +298,14 @@ def _diverged(cfg, shells, widths, exponent, excluded):
 # ---------------------------------------------------------------------------
 # first moment
 
-def _m1_columns(eps, cfg, abs_tol, rel_tol, max_evals, widths=()):
+def _m1_columns(eps, cfg, rel_tol):
     """m1 at every regularizer in ``eps`` from one shared-mesh 2D pass,
-    with the time axes mapped by x -> T x^2; one QuadratureResult each.
-
-    Each width w in ``widths`` adds a column after them: the eps = 0
-    integrand outside the square [0, w]^2 of the mapped coordinates.
-    """
+    with the time axes mapped by x -> T x^2; one QuadratureResult each."""
     h2 = 2.0 * cfg.hurst
     d = cfg.dim
     T = cfg.horizon
     pref = (2.0 * math.pi) ** (-0.5 * d)
-
-    # the regularizer of each stacked power: every rung, then 0 for the shells
-    rungs = list(eps) + ([0.0] if len(widths) else [])
-    rungs = np.array(rungs)[:, None]
+    rungs = np.array(eps)[:, None]
 
     def f(x):
         xi, ze = x[:, 0], x[:, 1]
@@ -322,51 +313,50 @@ def _m1_columns(eps, cfg, abs_tol, rel_tol, max_evals, widths=()):
         th = (T * ze**2) ** h2
         jac = (2.0 * T) ** 2 * (xi * ze)
         out = _power(rungs + (sh + th), d)
-        if len(widths):
-            dist = _face_distance(x, _ORIGIN_FACE)
-            out = np.concatenate((out[: len(eps)], out[len(eps):] * (dist >= widths[:, None])))
         out *= jac
         return out
 
-    if len(widths):
-        init = _shell_splits(2, _ORIGIN_FACE, widths)
-    else:
-        init = [np.array([0.0, 0.25, 1.0])] * 2
     res = cubature.integrate(
         f, [0.0, 0.0], [1.0, 1.0],
-        abs_tol=abs_tol / pref, rel_tol=rel_tol, max_evals=max_evals, init_splits=init,
+        abs_tol=_M1_ABS_TOL / pref, rel_tol=rel_tol, max_evals=_M1_MAX_EVALS,
+        init_splits=[np.array([0.0, 0.25, 1.0])] * 2,
     )
     return _columns(res.value, res.error, [res], pref)
 
 
 def m1(eps, cfg: ModelConfig, rel_tol=None):
-    """First moment E[I_eps] = (2 pi)^(-d/2) * int (eps + s^2H + t^2H)^(-d/2).
+    """First moment E[I_eps] = (2 pi)^(-d/2) * int (eps + s^2H + t^2H)^(-d/2),
+    to ``rel_tol`` (default _M1_REL_TOL).
 
     eps = 0 is allowed; the limiting integral is finite iff Hd < 2, and a
-    diverged result with shell evidence is returned otherwise.  Where it is
-    finite it is one 1D integral by homogeneity: with s = t b on s < t the
-    integrand is t^-Hd (1 + b^2H)^(-d/2), so
-    m1(0) = 2 (2 pi)^(-d/2) T^(2-Hd) / (2-Hd) int_0^1 (1 + b^2H)^(-d/2) db.
-    ``rel_tol`` defaults to the relative tolerance of the branch taken:
-    that of the integral (_M1_REL_TOL) or of its shells (_M1_SHELL_REL_TOL).
+    diverged result with shell evidence is returned otherwise.  At eps = 0
+    it is one 1D integral by homogeneity: with s = t b on s < t the
+    integrand is t^-Hd (1 + b^2H)^(-d/2), so with g = 2 - Hd and
+    K = int_0^1 (1 + b^2H)^(-d/2) db, m1(0) = c / g for
+    c = 2 (2 pi)^(-d/2) T^g K.  Where that diverges, the shell outside
+    [0, delta]^2 is the part with t > delta on s < t:
+    c int_delta^T t^(g-1) dt / T^g = c (-L) exprel(g L), L = log(delta / T),
+    finite at g = 0 and without cancellation near it.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
-    diverged = eps == 0.0 and _diverges(cfg)
     if rel_tol is None:
-        rel_tol = _M1_SHELL_REL_TOL if diverged else _M1_REL_TOL
-    if diverged:
-        return _diverged_m1(cfg, rel_tol)
+        rel_tol = _M1_REL_TOL
     if eps > 0.0:
-        (res,) = _m1_columns([eps], cfg, _M1_ABS_TOL, rel_tol, _M1_MAX_EVALS)
+        (res,) = _m1_columns([eps], cfg, rel_tol)
         return _require_converged(res, "m1")
-    d, hd = cfg.dim, cfg.hd
-    pref = 2.0 * (2.0 * math.pi) ** (-0.5 * d) * cfg.horizon ** (2.0 - hd) / (2.0 - hd)
+    d, g = cfg.dim, 2.0 - cfg.hd
+    pref = 2.0 * (2.0 * math.pi) ** (-0.5 * d)
     res = cubature.integrate(
         lambda x: (1.0 + x[:, 0] ** (2.0 * cfg.hurst)) ** (-0.5 * d), [0.0], [1.0],
         abs_tol=_M1_ABS_TOL / pref, rel_tol=rel_tol, max_evals=_M1_MAX_EVALS,
     )
-    return _require_converged(_scaled(_result(res.value, res.error, [res]), pref), "m1")
+    c = _scaled(_result(res.value, res.error, [res]), pref * cfg.horizon**g)
+    if not _diverges(cfg):
+        return _require_converged(_scaled(c, 1.0 / g), "m1")
+    shells = [_scaled(c, float(-L * exprel(g * L))) for L in np.log(_M1_SHELL_WIDTHS)]
+    return _diverged(cfg, shells, cfg.horizon * _M1_SHELL_WIDTHS, 1.0 - cfg.hd,
+                     "excluding [0,T*4^-k]^2")
 
 
 def m1_ladder(eps, cfg: ModelConfig):
@@ -379,17 +369,9 @@ def m1_ladder(eps, cfg: ModelConfig):
     status of each result that missed its tolerance, not raised.
     """
     eps = [float(e) for e in eps]
-    if not eps or min(eps) <= 0.0:
+    if not eps or not all(e > 0.0 for e in eps):
         raise ParameterError(f"a ladder needs positive regularizers, got {eps}")
-    return _m1_columns(eps, cfg, _M1_ABS_TOL, _M1_REL_TOL, _M1_MAX_EVALS)
-
-
-def _diverged_m1(cfg, rel_tol):
-    """Shell evidence for m1(0) when Hd >= 2: m1(0) outside [0, T 4^-k]^2
-    for k = 1..7, from one 2D pass at ``rel_tol`` with the shells' budget."""
-    shells = _m1_columns([], cfg, 0.0, rel_tol, _M1_SHELL_MAX_EVALS, widths=_M1_SHELL_WIDTHS)
-    return _diverged(cfg, shells, cfg.horizon * _M1_SHELL_WIDTHS**2, 1.0 - cfg.hd,
-                     "excluding [0,T*4^-k]^2")
+    return _m1_columns(eps, cfg, _M1_REL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +470,7 @@ def m2(eps, cfg: ModelConfig, rel_tol=None):
     """Second moment E[I_eps^2], the 4D integral of
     ((lambda+eps)(rho+eps) - mu^2)^(-d/2) times (2 pi)^-d, to ``rel_tol``
     (default _M2_REL_TOL)."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ParameterError(f"eps must be positive, got {eps}")
     if rel_tol is None:
         rel_tol = _M2_REL_TOL
@@ -500,7 +482,7 @@ def m_cross(eps, eta, cfg: ModelConfig):
     """Cross moment E[I_eps I_eta]: asymmetric regularizers (lambda+eps),
     (rho+eta), symmetrized so the result is exactly invariant under
     eps <-> eta."""
-    if eps <= 0.0 or eta <= 0.0:
+    if not (eps > 0.0 and eta > 0.0):
         raise ParameterError("eps and eta must be positive")
     (res,) = _moment_columns(cfg, _M2_ABS_TOL, _M2_REL_TOL, _M2_MAX_EVALS,
                              crosses=[(eps, eta)])
@@ -516,7 +498,7 @@ def cauchy_gap(eps, eta, cfg: ModelConfig):
     QuadratureBudgetError, carrying the partial result, when the budget
     runs out, as m2 does.
     """
-    if eps <= 0.0 or eta <= 0.0:
+    if not (eps > 0.0 and eta > 0.0):
         raise ParameterError("eps and eta must be positive")
     (res,) = _moment_columns(cfg, _M2_ABS_TOL, _GAP_REL_TOL, _M2_MAX_EVALS,
                              gaps=[(eps, eta)])
@@ -540,7 +522,7 @@ def m2_ladder(eps, cfg: ModelConfig, prev_eps=None, rel_tol=None):
     """
     eps = [float(e) for e in eps]
     chain = eps if prev_eps is None else [float(prev_eps)] + eps
-    if not eps or min(chain) <= 0.0:
+    if not eps or not all(e > 0.0 for e in chain):
         raise ParameterError(f"a ladder needs positive regularizers, got {chain}")
     pairs = list(zip(chain, chain[1:]))
     if rel_tol is None:
@@ -595,23 +577,16 @@ def _gamma_ratio(a, x):
     (DLMF 8.2.1) over x^a, for a > 0 and x >= 0: decreasing in x from its
     value 1/a at x = 0.
 
-    Below x = a + 1 (and below 700, so the partial sums stay finite) it is
-    the series e^-x sum_n x^n / (a (a+1) ... (a+n)) (DLMF 8.7.1), whose
-    terms decrease from the first, summed to the first term under 1e-17
-    of the leading one; above, gammainc and gammaln in log space, where
-    the regularized gamma(a, x) / Gamma(a) is at least about 1/2.
-    x^-a is never formed: it overflows for small H.
+    Below x = a + 1 (and below 700, where M, which grows like e^x, stays
+    finite) it is e^-x M(1, a+1, x) / a (DLMF 8.5.1), M Kummer's function;
+    above, gammainc and gammaln in log space, where the regularized
+    gamma(a, x) / Gamma(a) is at least about 1/2.  x^-a is never formed:
+    it overflows for small H.
     """
     out = np.empty_like(x)
     small = x < min(a + 1.0, 700.0)
     xs = x[small]
-    xmax = xs.max(initial=0.0)
-    term, nterms = 1.0, 0
-    while term > 1e-17:
-        nterms += 1
-        term *= xmax / (a + nterms)
-    ratios = xs / (a + np.arange(1.0, nterms + 1.0))[:, None]
-    out[small] = np.exp(-xs) * (1.0 + np.cumprod(ratios, axis=0).sum(axis=0)) / a
+    out[small] = np.exp(-xs) * hyp1f1(1.0, a + 1.0, xs) / a
     xl = x[~small]
     with np.errstate(divide="ignore"):  # log of an underflowed gammainc: G = 0
         out[~small] = np.exp(gammaln(a) + np.log(gammainc(a, xl)) - a * np.log(xl))
@@ -632,7 +607,7 @@ def a_z(z, cfg: ModelConfig):
     toward 0 down to the angle where z psi(b) T^4H ~ 1.  A budget hit is
     reported in the result's status, not raised.
     """
-    if z < 0.0:
+    if not z >= 0.0:
         raise ParameterError(f"z must be nonnegative, got {z}")
     h2 = 2.0 * cfg.hurst
     T = cfg.horizon

@@ -71,11 +71,26 @@ class TestFlagsTakeEffect:
         ["phase", "--reps", "5", "--seed", "9", "--format", "csv"],
         ["sweep", "--seed", "3", "--count", "3"],
         ["phase", "--hurst", "0.25", "--dim", "2", "--count", "3"],
-    ], ids=["phase-reads-no-mc-or-format", "sweep-seed-without-reps", "phase-short-ladder"])
+        ["moments", "--eps", "nan"],
+        ["moments", "--eps", "inf"],
+        ["estimate", "--eps", "nan", "--reps", "10"],
+        ["sweep", "--count", "3", "--eps0", "inf"],
+        ["moments", "--eps", "0.5", "--horizon", "inf"],
+        ["moments", "--eps", "0.5", "--tol", "nan"],
+        ["moments", "--eps", "0.5", "--tol", "-1"],
+        ["moments", "--eps", "0.5", "--tol", "0"],
+        ["simulate", "--grid-n", "0"],
+        ["estimate", "--eps", "1", "--reps", "10", "--grid-n", "0"],
+        ["sweep", "--count", "3", "--reps", "10", "--grid-n", "0"],
+    ], ids=["phase-reads-no-mc-or-format", "sweep-seed-without-reps", "phase-short-ladder",
+            "eps-nan", "eps-inf", "estimate-eps-nan", "eps0-inf", "horizon-inf",
+            "tol-nan", "tol-negative", "tol-zero",
+            "simulate-grid-n-0", "estimate-grid-n-0", "sweep-grid-n-0"])
     def test_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "r.json"
         assert exit_code(argv + ["--out", str(out)]) == 2
         assert not out.exists()
+        assert "error:" in capsys.readouterr().err
 
     def test_config_value_outside_choices(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -119,6 +119,12 @@ class TestSweep:
             assert row.mc_se > 0.0
             assert abs(row.mc_mean - row.m1) <= 4 * row.mc_se
 
+    def test_zero_grid_rejected(self):
+        # a zero grid is an error, not a request for the default grid
+        with pytest.raises(ParameterError):
+            sweep(ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 3),
+                  mc_params={"reps": 200, "seed": 1, "grid_n": 0})
+
 
 def _synthetic_series(eps, m1s, m2s):
     rows = []

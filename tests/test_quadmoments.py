@@ -135,11 +135,11 @@ class TestM1:
     def test_diverged_branch_takes_tolerance_and_budget(self, monkeypatch):
         cfg = ModelConfig(0.75, 3)
         default = m1(0.0, cfg)
-        same = m1(0.0, cfg, rel_tol=quadmoments._M1_SHELL_REL_TOL)
+        same = m1(0.0, cfg, rel_tol=quadmoments._M1_REL_TOL)
         assert (same.value, same.nevals) == (default.value, default.nevals)
         assert m1(0.0, cfg, rel_tol=1e-3).nevals < default.nevals
         assert default.status == "converged"
-        monkeypatch.setattr(quadmoments, "_M1_SHELL_MAX_EVALS", 100)
+        monkeypatch.setattr(quadmoments, "_M1_MAX_EVALS", 100)
         assert m1(0.0, cfg).status == "budget"
 
     def test_monotone_in_eps(self):
@@ -270,6 +270,29 @@ class TestCauchyGap:
         assert math.isfinite(partial.value) and partial.error_estimate > 0.0
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda: m1(NAN, CFG_H5D2),
+    lambda: m2(NAN, CFG_H5D2),
+    lambda: m_cross(NAN, 0.1, CFG_H5D2),
+    lambda: m_cross(0.1, NAN, CFG_H5D2),
+    lambda: cauchy_gap(NAN, 0.1, CFG_H5D2),
+    lambda: cauchy_gap(0.1, NAN, CFG_H5D2),
+    lambda: m1_ladder([0.5, NAN], CFG_H5D2),
+    lambda: m2_ladder([NAN], CFG_H5D2),
+    lambda: m2_ladder([0.5], CFG_H5D2, prev_eps=NAN),
+    lambda: a_z(NAN, CFG_H5D2),
+], ids=["m1", "m2", "m_cross-eps", "m_cross-eta", "cauchy_gap-eps", "cauchy_gap-eta",
+        "m1_ladder", "m2_ladder", "m2_ladder-prev", "a_z"])
+def test_nan_regularizer_rejected(call):
+    # a comparison with NaN is false, so a guard written as "x <= 0"
+    # or "min(...) <= 0" would let it through
+    with pytest.raises(ParameterError):
+        call()
+
+
 class TestLadders:
     def test_positive_regularizers_required(self):
         with pytest.raises(ParameterError):
@@ -335,6 +358,38 @@ class TestDivergenceShells:
         assert [float(v) for v in tail.split(",")] == [float(f"{v:.4g}") for v in values]
         assert res.shell_rate < 0.0
         assert res.radial_exponent == (1.0 - cfg.hd if fn == "m1" else radial_rate(cfg))
+
+    @pytest.mark.parametrize("h,d,T", [(0.75, 3, 1.0), (0.5, 4, 2.0)])
+    def test_m1_shells_match_the_2d_integral(self, h, d, T):
+        # m1(0) outside [0, delta]^2 is the 2D integral over the rectangles
+        # [delta, T] x [0, T] and [0, delta] x [delta, T], away from the origin
+        cfg = ModelConfig(h, d, T)
+        res = m1(0.0, cfg)
+        pref = (2 * math.pi) ** (-0.5 * d)
+
+        def f(x):
+            return pref * (x[:, 0] ** (2 * h) + x[:, 1] ** (2 * h)) ** (-0.5 * d)
+
+        for k in (1, 4, 7):
+            delta, shell = res.shell_widths[k - 1], res.shells[k - 1]
+            assert delta == T * 4.0**-k
+            parts = [integrate(f, lo, hi, abs_tol=0.0, rel_tol=1e-9, max_evals=2_000_000)
+                     for lo, hi in (([delta, 0.0], [T, T]), ([0.0, delta], [delta, T]))]
+            assert all(p.status == "converged" for p in parts)
+            direct = sum(p.value for p in parts)
+            assert abs(shell.value - direct) <= shell.error_estimate + sum(p.error for p in parts)
+
+    def test_m1_shells_continuous_at_the_transition(self):
+        # within 1e-12 of Hd = 2 the radial factor has no cancellation: the
+        # shells are finite, grow, and match those at Hd = 2
+        near = m1(0.0, ModelConfig(0.5 - 1e-13, 4))
+        at = m1(0.0, ModelConfig(0.5, 4))
+        assert near.diverged and near.status == "converged"
+        values = [s.value for s in near.shells]
+        assert all(math.isfinite(v) for v in values)
+        assert all(b > a > 0.0 for a, b in zip(values, values[1:]))
+        for a, b in zip(near.shells, at.shells):
+            assert a.value == pytest.approx(b.value, rel=1e-9)
 
     def test_m1_shell_rate_approaches_the_radial_integral(self):
         # m1(0) outside [0, delta]^2 grows like delta^(2 - Hd)
