@@ -5,11 +5,13 @@ The first moment is a 2D integral of (eps + s^2H + t^2H)^(-d/2) (at
 eps = 0, by homogeneity, a 1D one), the second moment and its
 cross-regularizer variants are 4D integrals of
 ((lambda+eps)(rho+eta) - mu^2)^(-d/2) over [0,T]^4.  The 4D integrands
-concentrate near the origin and near the plane (s,t) = (u,v), so the
-cube is split by the time orderings (v<t, u<s) / (v<t, u>s) -- the two
-remaining orderings mirror these under swapping the pairs (s,t) and
-(u,v) -- and each piece is integrated in ratio coordinates in which both
-singular sets become axis-aligned faces.  Determinants are evaluated
+are unchanged by the role swap (s,t,u,v) -> (t,s,v,u) and by the pair
+swap (s,t,u,v) -> (u,v,s,t), which between them carry t to every
+coordinate, so each is four times its integral over {t largest}.  They
+concentrate near the origin and near the plane (s,t) = (u,v), so
+{t largest} is split by the orderings u < s and s < u, and each piece
+is integrated in ratio coordinates in which both singular sets become
+axis-aligned faces.  Determinants are evaluated
 through the cancellation-free decomposition
 det = phi(t,v) + phi(s,u) + cross(s,t,u,v) of nonnegative terms.
 
@@ -30,8 +32,9 @@ analytic radial exponent and corroborated by a sequence of growing
 partial integrals over shrinking-exclusion shells, both recorded in the
 result's divergence evidence.  m1(0)'s shells, outside [0, delta]^2,
 are its angular integral times a closed-form radial factor.  A 4D shell
-excludes a box of width delta around every codimension-2 face of the
-mapped cube on which the integrand is singular; the starting mesh has a
+excludes a box of width delta around every face of the mapped cube on
+which the integrand is singular (the slab zeta < delta at the time
+origin, a box around each codimension-2 face); the starting mesh has a
 breakpoint at every box edge, so each shell is a union of whole cells
 and all shells are the components of one pass per region.  A diverged
 result's status is "budget" when any of its shells missed its tolerance.
@@ -90,15 +93,16 @@ _SHELL_WIDTHS = 4.0 ** -np.arange(1, 6)
 _SHELL_REL_TOL = 3e-3
 _SHELL_MAX_EVALS = 20_000_000
 
-# the codimension-2 faces {x_i = e_i, x_j = e_j}, as (i, e_i, j, e_j), of
-# each region's mapped cube (xi, zeta, alpha, beta) on which det vanishes:
-# the time origin, the diagonal (s, t) = (u, v), and the faces where one
-# of B_t - B~_s and B_v - B~_u is degenerate or the two coincide
+# the faces of each region's mapped cube (w, zeta, alpha, beta) on which det
+# vanishes: the time origin {zeta = 0}, which is a whole face (every time is
+# at most t) and is written (1, 0.0, 1, 0.0), and the codimension-2 faces
+# {x_i = e_i, x_j = e_j}, as (i, e_i, j, e_j): the diagonal (s, t) = (u, v)
+# and the faces where one of B_t - B~_s and B_v - B~_u is degenerate or
+# the two coincide
 _SINGULAR_FACES = {
-    "A": ((0, 0.0, 1, 0.0), (0, 0.0, 3, 0.0), (0, 0.0, 3, 1.0), (1, 0.0, 2, 0.0),
-          (1, 0.0, 2, 1.0), (2, 0.0, 3, 0.0), (2, 1.0, 3, 1.0)),
-    "B": ((0, 0.0, 1, 0.0), (0, 0.0, 3, 0.0), (0, 0.0, 3, 1.0), (1, 0.0, 2, 0.0),
-          (1, 0.0, 2, 1.0), (2, 1.0, 3, 1.0)),
+    "A": ((1, 0.0, 1, 0.0), (0, 0.0, 3, 0.0), (0, 0.0, 3, 1.0), (2, 0.0, 3, 0.0),
+          (2, 1.0, 3, 1.0)),
+    "B": ((1, 0.0, 1, 0.0), (0, 0.0, 3, 0.0), (0, 0.0, 3, 1.0), (2, 1.0, 3, 1.0)),
 }
 
 
@@ -156,35 +160,51 @@ def _cluster_both(alpha):
 
 
 def _region_pieces(x, region, h, horizon):
-    """Geometry of one time-ordering region in mapped unit-cube coordinates.
+    """Geometry of one time-ordering region in mapped unit-cube coordinates
+    (w, zeta, alpha, beta).
 
-    Region "A" is (v < t, u < s) via u = s*a, v = t*b; region "B" is
-    (v < t, u > s) via s = u*a, v = t*b.  The first two coordinates carry
-    a quadratic map toward the time origin, the angles a and b the
-    smootherstep map toward both their ends.  Returns (lam, rho, det, jac).
+    With t = T zeta^2 the largest time, region "A" is (u < s < t, v < t)
+    via s = t w^2, u = s a, v = t b, and region "B" is (s < u < t, v < t)
+    via u = t w^2, s = u a, v = t b: the map x -> T x^2 on the first
+    coordinate with xi = zeta w, whose Jacobian carries the factor zeta.
+    The angles a and b carry the smootherstep map toward both their ends.
+    Returns (lam, rho, det, jac).
     """
     h2 = 2.0 * h
-    xi, ze, al, be = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+    w, ze, al, be = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
     a, da = _cluster_both(al)
     b, db = _cluster_both(be)
+    xi = ze * w
     p = horizon * xi * xi  # s in region A, u in region B
     r = horizon * ze * ze  # t in both regions
-    jac = (2.0 * horizon * xi) * (2.0 * horizon * ze) * (p * da) * (r * db)
+    jac = (2.0 * horizon * xi * ze) * (2.0 * horizon * ze) * (p * da) * (r * db)
     ph2 = p**h2
     rh2 = r**h2
     ah, ach = a**h2, (1.0 - a) ** h2
     bh, bch = b**h2, (1.0 - b) ** h2
     ma = _mhalf(ah, ach)
     mb = _mhalf(bh, bch)
+    pa, pb = _psi(ah, ach), _psi(bh, bch)
+    # chi, the cross term over (st)^2H in A and (tu)^2H in B, is
+    # ar^2 + br^2 - 2 ma mb in A and 1 + (ar br)^2 - 2 ma mb in B, with
+    # ar = a^H, br = b^H: both vanish at a = b = 1, where the differences of
+    # order-1 terms would leave rounding.  Written as a square plus
+    # 2 (ar br - ma mb) = 2 (ah bh - ma^2 mb^2) / (ar br + ma mb), where
+    # ah bh - ma^2 mb^2 = ah pb + pa mb^2 since psi = x^2H - m^2, every term
+    # is nonnegative
+    ar, br = np.sqrt(ah), np.sqrt(bh)
+    num = ah * pb + pa * (mb * mb)
+    den = ar * br + ma * mb
+    cross = 2.0 * np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     if region == "A":
         lam = ph2 + rh2
         rho = ph2 * ah + rh2 * bh
-        chi = np.maximum(ah + bh - 2.0 * ma * mb, 0.0)
+        chi = (ar - br) ** 2 + cross
     else:
         lam = ph2 * ah + rh2
         rho = ph2 + rh2 * bh
-        chi = np.maximum(1.0 + (a * b) ** h2 - 2.0 * ma * mb, 0.0)
-    det = rh2 * rh2 * _psi(bh, bch) + ph2 * ph2 * _psi(ah, ach) + ph2 * rh2 * chi
+        chi = (1.0 - ar * br) ** 2 + cross
+    det = rh2 * rh2 * pb + ph2 * ph2 * pa + ph2 * rh2 * chi
     return lam, rho, det, jac
 
 
@@ -199,7 +219,8 @@ def _power(base, dexp):
 
 def _face_distance(x, faces):
     """Chebyshev distance from each point of ``x``, in the unit cube, to the
-    nearest face {x_i = e_i, x_j = e_j} of ``faces``."""
+    nearest face {x_i = e_i, x_j = e_j} of ``faces`` (with i = j, the
+    codimension-1 face {x_i = e_i})."""
     # distances to 0 and to 1 of each coordinate: |x - 1| is 1 - x exactly
     near = (x, 1.0 - x)
     dists = (np.maximum(near[int(ei)][:, i], near[int(ej)][:, j]) for i, ei, j, ej in faces)
@@ -457,11 +478,11 @@ def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosse
             init = [np.array([0.0, 0.5, 1.0])] * 4
         res = cubature.integrate(
             f, [0.0] * 4, [1.0] * 4,
-            abs_tol=abs_tol / pref / 4.0, rel_tol=rel_tol,
+            abs_tol=abs_tol / pref / 8.0, rel_tol=rel_tol,
             max_evals=max_evals // 2, init_splits=init,
         )
-        total += 2.0 * res.value
-        err += 2.0 * res.error
+        total += 4.0 * res.value
+        err += 4.0 * res.error
         runs.append(res)
     return _columns(total, err, runs, pref)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as sp_gamma, gammainc
 
 from fbmilt.covkernel import (
@@ -138,6 +140,26 @@ class TestDetVarZ:
             rhs = phi_det(t, v, h) + phi_det(s, u, h)
             scale = np.maximum(1.0, lhs + rhs)
             assert np.max((rhs - lhs) / scale) <= 1e-12
+
+
+_time = st.floats(0.0, 3.0)
+
+
+class TestSwapSymmetries:
+    # the role swap (s,t,u,v) -> (t,s,v,u) and the pair swap -> (u,v,s,t)
+    # carry t to every coordinate, so the second-moment integrand over
+    # [0,T]^4 is four times its integral over {t largest}
+    @settings(max_examples=300, deadline=None)
+    @given(s=_time, t=_time, u=_time, v=_time, h=st.floats(0.05, 0.95))
+    def test_det_and_variances_under_the_swaps(self, s, t, u, v, h):
+        det = det_var_z(s, t, u, v, h)
+        lam, rho = lambda_var(s, t, h), lambda_var(u, v, h)
+        tol = 1e-13 * (lam + rho) ** 2
+        assert abs(det_var_z(t, s, v, u, h) - det) <= tol
+        assert abs(det_var_z(u, v, s, t, h) - det) <= tol
+        assert lambda_var(t, s, h) == pytest.approx(lam, rel=1e-15, abs=0.0)
+        assert lambda_var(v, u, h) == pytest.approx(rho, rel=1e-15, abs=0.0)
+        assert (lambda_var(u, v, h), lambda_var(s, t, h)) == (rho, lam)
 
 
 class TestPhiDet:

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import json
 import math
@@ -14,6 +15,7 @@ from fbmilt import cubature, quadmoments
 from fbmilt.covkernel import ModelConfig, det_var_z, lambda_var
 from fbmilt.cubature import integrate
 from fbmilt.errors import ParameterError, QuadratureBudgetError
+from fbmilt.phasescan import QUAD_REL_TOL, EpsSchedule
 from fbmilt.quadmoments import (
     _SINGULAR_FACES,
     _cluster_both,
@@ -164,7 +166,8 @@ class TestM2:
 
     def test_factorizes_without_cross_term(self):
         # with the cross covariance mu dropped, the m2 integrand
-        # ((lam + e)(rho + e))^(-d/2) factorizes into two m1 integrands
+        # ((lam + e)(rho + e))^(-d/2) factorizes into two m1 integrands;
+        # the two regions cover {t largest}, a quarter of [0, T]^4
         cfg, e = CFG_H5D2, 1.0
         total = 0.0
         for region in "AB":
@@ -172,7 +175,7 @@ class TestM2:
                 lam, rho, _, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
                 return ((lam + e) * (rho + e)) ** (-0.5 * cfg.dim) * jac
 
-            total += 2.0 * integrate(f, [0.0] * 4, [1.0] * 4, rel_tol=1e-5).value
+            total += 4.0 * integrate(f, [0.0] * 4, [1.0] * 4, rel_tol=1e-5).value
         got = (2 * math.pi) ** (-cfg.dim) * total
         assert got == pytest.approx(m1(e, cfg).value ** 2, rel=1e-4)
 
@@ -309,6 +312,14 @@ class TestLadders:
         assert abs(gaps[0].value - want.value) <= gaps[0].error_estimate + want.error_estimate
         assert m2s[0].nevals == gaps[1].nevals > 0  # one shared pass
 
+    def test_sweep_ladder_evaluation_count(self):
+        # a sweep's 4D pass at (0.5, 4) made 742,368 evaluations when the
+        # regions covered {v < t} rather than {t largest}
+        cfg = ModelConfig(0.5, 4)
+        m2s, gaps = m2_ladder(EpsSchedule.default_for(cfg).ladder(), cfg, rel_tol=QUAD_REL_TOL)
+        assert all(r.status == "converged" for r in m2s + gaps[1:])
+        assert m2s[0].nevals <= 400_000
+
 
 class TestVarLimit:
     def test_finite_below_transition(self):
@@ -343,6 +354,7 @@ class TestDivergenceShells:
     @pytest.mark.parametrize("fn,h,d", [
         ("m1", 0.75, 3), ("m1", 0.5, 4), ("m1", 0.8, 3), ("m1", 0.7, 3), ("m1", 0.6, 4),
         ("m1", 0.9, 4), ("var_limit", 0.75, 3), ("var_limit", 0.5, 4), ("var_limit", 0.9, 3),
+        ("var_limit", 0.9, 4), ("var_limit", 0.95, 3),
     ])
     def test_every_shell_converges_and_grows(self, fn, h, d):
         cfg = ModelConfig(h, d)
@@ -407,7 +419,7 @@ class TestDivergenceShells:
 
 
 def _face_points(i, ei, j, ej, rng, n=50):
-    """``n`` points of the face {x_i = e_i, x_j = e_j}, the other two
+    """``n`` points of the face {x_i = e_i, x_j = e_j}, the other
     coordinates drawn from [0.25, 0.75], away from the other faces."""
     x = rng.uniform(0.25, 0.75, (n, 4))
     x[:, i] = ei
@@ -415,21 +427,41 @@ def _face_points(i, ei, j, ej, rng, n=50):
     return x
 
 
+# the time origin {zeta = 0}, a whole face of the mapped cube
+_ORIGIN = (1, 0.0, 1, 0.0)
+
+
 class TestSingularFaces:
     @pytest.mark.parametrize("h", [0.3, 0.75])
     @pytest.mark.parametrize("region", ["A", "B"])
+    def test_det_vanishes_on_the_time_origin(self, region, h):
+        # zeta = 0 is t = 0, and every other time is at most t
+        assert _ORIGIN in _SINGULAR_FACES[region]
+        x = np.random.default_rng(3).uniform(0.0, 1.0, (200, 4))
+        x[:, 1] = 0.0
+        lam, rho, det, _ = _region_pieces(x, region, h, 1.0)
+        assert np.all(det == 0.0) and np.all(lam == 0.0) and np.all(rho == 0.0)
+
+    @pytest.mark.parametrize("h", [0.3, 0.75])
+    @pytest.mark.parametrize("region", ["A", "B"])
     def test_det_vanishes_on_the_listed_faces_only(self, region, h):
+        # the codimension-2 faces away from the time origin, zeta = 1 included
         rng = np.random.default_rng(7)
-        listed = set(_SINGULAR_FACES[region])
-        assert len(listed) == (7 if region == "A" else 6)
+        listed = set(_SINGULAR_FACES[region]) - {_ORIGIN}
+        assert len(listed) == (4 if region == "A" else 3)
+        seen = set()
         for i, j in itertools.combinations(range(4), 2):
             for ei, ej in itertools.product((0.0, 1.0), repeat=2):
+                if (1, 0.0) in ((i, ei), (j, ej)):
+                    continue  # on the time origin
+                seen.add((i, ei, j, ej))
                 x = _face_points(i, ei, j, ej, rng)
                 lam, rho, det, _ = _region_pieces(x, region, h, 1.0)
                 if (i, ei, j, ej) in listed:
                     assert np.all(det <= 1e-14 * (lam + rho) ** 2)
                 else:
                     assert np.all(det > 1e-6 * lam * rho)
+        assert len(seen) == 18 and listed <= seen
 
 
 class TestATIntegral:
@@ -457,6 +489,17 @@ class TestATIntegral:
         near = m2(1e-6, cfg)
         assert m2(1e-4, cfg).value < near.value
         assert abs(near.value - pref * at.value) <= near.error_estimate + pref * at.error_estimate
+
+    @pytest.mark.parametrize("h,d", [(0.75, 2), (0.78, 2), (0.8, 2), (0.53, 3)])
+    def test_converges_near_the_transition(self, h, d):
+        cfg = ModelConfig(h, d)
+        at, vl = a_t_integral(cfg), var_limit(cfg)
+        assert at.status == vl.status == "converged"
+        assert 0.0 < vl.value <= (2 * math.pi) ** (-d) * at.value
+        if (h, d) == (0.75, 2):
+            # 25.78209 +- 1.6e-3: the 3D integral over the face s = 1 times
+            # the radial factor 4 T^(4-2Hd) / (4-2Hd), by homogeneity
+            assert abs(at.value - 25.78209) <= at.error_estimate + 1.6e-3
 
 
 def a_z_2d(z, cfg, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
@@ -641,10 +684,34 @@ def _angles(x):
 def _times(x, region, horizon):
     """(s, t, u, v) of a mapped unit-cube point, rebuilt from the region maps."""
     a, b = _angles(x)
-    p, r = horizon * x[0] ** 2, horizon * x[1] ** 2
-    if region == "A":  # u = s a, v = t b
+    r = horizon * x[1] ** 2
+    p = r * x[0] ** 2
+    if region == "A":  # s = t w^2, u = s a, v = t b
         return p, r, p * a, r * b
-    return p * a, r, p, r * b  # s = u a, v = t b
+    return p * a, r, p, r * b  # u = t w^2, s = u a, v = t b
+
+
+def _det_decimal(x, region, h):
+    """det of a mapped unit-cube point from lambda rho - mu^2 in decimal
+    arithmetic at the context's precision, with the angle ratios the
+    float map gives and the times rebuilt exactly from them (T = 1)."""
+    D = decimal.Decimal
+    a, b = (D(float(y)) for y in _angles(x))
+    w, ze = D(float(x[0])), D(float(x[1]))
+    t = ze * ze
+    p = t * w * w
+    s, u = (p, p * a) if region == "A" else (p * a, p)
+    v = t * b
+    h2 = D(2.0 * h)
+
+    def pw(y):
+        return y**h2 if y else D(0)
+
+    def cov(y, z):
+        return (pw(y) + pw(z) - pw(abs(y - z))) / 2
+
+    mu = cov(t, v) + cov(s, u)
+    return (pw(t) + pw(s)) * (pw(v) + pw(u)) - mu * mu
 
 
 def _rounding_slack(x, y, h):
@@ -658,6 +725,25 @@ def _rounding_slack(x, y, h):
 
 
 class TestRegionPieces:
+    @pytest.mark.parametrize("horizon", [1.0, 2.0])
+    @pytest.mark.parametrize("region", ["A", "B"])
+    def test_jacobian_integrates_to_the_region_volume(self, region, horizon):
+        # {t largest, u < s} and {t largest, s < u}: T^4 / 8 each
+        def f(x):
+            return _region_pieces(x, region, 0.5, horizon)[3]
+
+        res = integrate(f, [0.0] * 4, [1.0] * 4, abs_tol=0.0, rel_tol=1e-6)
+        assert res.status == "converged"
+        assert res.value == pytest.approx(horizon**4 / 8.0, rel=1e-8)
+        assert abs(res.value - horizon**4 / 8.0) <= res.error
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+           horizon=st.floats(0.1, 3.0), region=st.sampled_from("AB"))
+    def test_t_is_the_largest_time(self, x, horizon, region):
+        s, t, u, v = _times(x, region, horizon)
+        assert max(s, u, v) <= t
+
     def test_angle_map_stays_in_unit_interval(self):
         alpha = np.concatenate([np.linspace(0.0, 1e-5, 1001), np.linspace(1.0 - 1e-5, 1.0, 1001)])
         val, dval = _cluster_both(alpha)
@@ -683,6 +769,22 @@ class TestRegionPieces:
         tol = (1e-8 * want + 1e-12 * lam[0] * rho[0] + 1e-14 * ang * scale**2
                + 2.0 * scale * (_rounding_slack(t, v, h) + _rounding_slack(s, u, h)))
         assert abs(det[0] - want) <= tol
+
+    @pytest.mark.parametrize("h", [0.75, 0.9])
+    @pytest.mark.parametrize("region", ["A", "B"])
+    def test_det_keeps_its_digits_near_the_diagonal_face(self, region, h):
+        # 1e-3 to 4e-3 from alpha = beta = 1, 1 - a and 1 - b are about
+        # 1e-8 and det is of order (1 - b)^2H: a cross term formed as a
+        # difference of order-1 terms would leave rounding of order 1e-16
+        rng = np.random.default_rng(5)
+        x = np.column_stack([rng.uniform(0.25, 1.0, (40, 2)),
+                             1.0 - rng.uniform(1e-3, 4e-3, (40, 2))])
+        _, _, det, _ = _region_pieces(x, region, h, 1.0)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            for row, got in zip(x, det):
+                want = float(_det_decimal(row, region, h))
+                assert abs(got - want) <= 1e-8 * want
 
     @settings(max_examples=200, deadline=None)
     @given(c=st.floats(0.1, 10.0), **_geometry)
