@@ -135,20 +135,14 @@ def phi_det(t, v, h):
 def cross_det(s, t, u, v, h):
     """Mixed term t^2H u^2H + s^2H v^2H - 2 R_H(t,v) R_H(s,u).
 
-    Nonnegative (by R_H(t,v) <= t^H v^H); completes the exact identity
-    det Var(Z) = phi(t,v) + phi(s,u) + cross_det(s,t,u,v).
+    Nonnegative (by 0 <= R_H(t,v) <= t^H v^H); completes the exact identity
+    det Var(Z) = phi(t,v) + phi(s,u) + cross_det(s,t,u,v).  Formed without
+    cancellation near (s,t) = (u,v) as (t^H u^H - s^H v^H)^2 + 2 (XY - RR')
+    with X = t^H v^H, Y = s^H u^H, R = R(t,v), R' = R(s,u) and
+    XY - RR' = (X^2 phi(s,u) + R'^2 phi(t,v)) / (XY + RR'), all nonnegative.
     """
-    _check_hurst(h)
-    for name, x in (("s", s), ("t", t), ("u", u), ("v", v)):
-        _check_nonneg(name, x)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    h2 = 2.0 * h
-    out = (t * u) ** h2 + (s * v) ** h2 - 2.0 * cov_rh(t, v, h) * cov_rh(s, u, h)
-    out = np.maximum(out, 0.0)
-    return out if out.ndim else float(out)
+    out = _det_terms(s, t, u, v, h)[2]
+    return out if np.ndim(out) else float(out)
 
 
 def det_var_z(s, t, u, v, h):
@@ -159,8 +153,26 @@ def det_var_z(s, t, u, v, h):
     nonnegative: the result is nonnegative by construction and does not
     suffer the lambda*rho vs mu^2 cancellation near (s,t) = (u,v).
     """
-    out = phi_det(t, v, h) + phi_det(s, u, h) + cross_det(s, t, u, v, h)
+    out = sum(_det_terms(s, t, u, v, h))
     return out if np.ndim(out) else float(out)
+
+
+def _det_terms(s, t, u, v, h):
+    """(phi(t,v), phi(s,u), cross_det(s,t,u,v)), the phis computed once."""
+    _check_hurst(h)
+    for name, x in (("s", s), ("t", t), ("u", u), ("v", v)):
+        _check_nonneg(name, x)
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    phi_tv, phi_su = phi_det(t, v, h), phi_det(s, u, h)
+    sh, th, uh, vh = s**h, t**h, u**h, v**h
+    r_tv, r_su = cov_rh(t, v, h), cov_rh(s, u, h)
+    num = (th * vh) ** 2 * phi_su + r_su * r_su * phi_tv
+    den = np.asarray(th * vh * sh * uh + r_tv * r_su)
+    ratio = np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
+    return phi_tv, phi_su, (th * uh - sh * vh) ** 2 + 2.0 * ratio
 
 
 def lower_inc_gamma(alpha, x):

@@ -11,13 +11,13 @@ coordinate, so each is four times its integral over {t largest}.  They
 concentrate near the origin and near the plane (s,t) = (u,v), so
 {t largest} is split by the orderings u < s and s < u, and each piece
 is integrated in ratio coordinates in which both singular sets become
-axis-aligned faces.  Determinants are evaluated
-through the cancellation-free decomposition
-det = phi(t,v) + phi(s,u) + cross(s,t,u,v) of nonnegative terms.
+axis-aligned faces.  Determinants are evaluated through the
+cancellation-free decomposition det = phi(t,v) + phi(s,u) + cross(s,t,u,v)
+of nonnegative terms.
 
-The second-moment family (m2, cross moments, Cauchy gaps, and at eps = 0
-A_T, the variance limit and the divergence shells) shares one integrand
-map and one starting mesh: every column is a combination of
+The second-moment family at eps > 0 (m2, cross moments, Cauchy gaps)
+shares one integrand map and one starting mesh: every column is a
+combination of
 P(a, b) = (det + a rho + b lam + a b)^(-d/2) over the same region
 geometry, so a whole epsilon ladder's m2 values and adjacent gaps are the
 components of one vector integral over a shared mesh (m2_ladder), and
@@ -27,17 +27,17 @@ the bases are the one product C @ [rho; lam; 1; det], raised to -d/2 in
 one call, and the columns are the rows of M P for a combination matrix M
 of +-1 and 1/2 (_moment_integrand).  m1's rungs are stacked the same way.
 
-At eps = 0 with Hd >= 2 the integrals diverge; this is decided by the
-analytic radial exponent and corroborated by a sequence of growing
-partial integrals over shrinking-exclusion shells, both recorded in the
-result's divergence evidence.  m1(0)'s shells, outside [0, delta]^2,
-are its angular integral times a closed-form radial factor.  A 4D shell
-excludes a box of width delta around every face of the mapped cube on
-which the integrand is singular (the slab zeta < delta at the time
-origin, a box around each codimension-2 face); the starting mesh has a
-breakpoint at every box edge, so each shell is a union of whole cells
-and all shells are the components of one pass per region.  A diverged
-result's status is "budget" when any of its shells missed its tolerance.
+At eps = 0 the mapped integrand is zeta^(g-1), g = 8 - 4Hd, times its
+value on the slice zeta = 1 (t = T): det is homogeneous of degree 4H in
+the times, which scale as zeta^2, and the Jacobian carries zeta^7.  So
+each eps = 0 integral is one 3D pass over (w, alpha, beta) times the
+closed-form radial factor int_delta^1 zeta^(g-1) dzeta, finite at
+delta = 0 iff Hd < 2.  At Hd >= 2 the divergence evidence is the radial
+exponent and partial integrals (shells) growing as exclusions shrink:
+[0, delta]^2 for m1(0), whose shells are radial factors of the same form,
+and for the 4D integrals the slab zeta < delta and a box of width delta
+around every singular face of the slice, each a union of starting cells.
+A diverged result's status is "budget" when any shell missed its tolerance.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 # tolerances and budgets, read at call time: those of m1 and of the
-# second-moment family, the finite eps = 0 4D integrals included; a rel_tol
+# second-moment family, the eps = 0 integrals included; a rel_tol
 # given to m1, m2 or m2_ladder replaces the relative one
 _M1_ABS_TOL = 1e-10
 _M1_REL_TOL = 1e-9
@@ -86,23 +86,19 @@ _A_Z_MAX_EVALS = 2_000_000
 _REDUCTION_REL_TOL = 1e-9
 
 # divergence shells at eps = 0: m1(0)'s excluded squares [0, delta]^2 as
-# delta / T, and the exclusion widths, tolerance and budget of the 4D pass
-# (per region) that gives every 4D shell
+# delta / T, and the exclusion widths and tolerance of the 3D pass (per
+# region) that gives every 4D shell
 _M1_SHELL_WIDTHS = 4.0 ** -np.arange(1, 8)
 _SHELL_WIDTHS = 4.0 ** -np.arange(1, 6)
 _SHELL_REL_TOL = 3e-3
-_SHELL_MAX_EVALS = 20_000_000
 
-# the faces of each region's mapped cube (w, zeta, alpha, beta) on which det
-# vanishes: the time origin {zeta = 0}, which is a whole face (every time is
-# at most t) and is written (1, 0.0, 1, 0.0), and the codimension-2 faces
-# {x_i = e_i, x_j = e_j}, as (i, e_i, j, e_j): the diagonal (s, t) = (u, v)
-# and the faces where one of B_t - B~_s and B_v - B~_u is degenerate or
-# the two coincide
+# the faces {x_i = e_i, x_j = e_j}, as (i, e_i, j, e_j), of each region's
+# slice (w, alpha, beta) on which det vanishes: the diagonal (s,t) = (u,v)
+# and where one of B_t - B~_s and B_v - B~_u is degenerate or the two
+# coincide.  In 4D det also vanishes on the time origin zeta = 0
 _SINGULAR_FACES = {
-    "A": ((1, 0.0, 1, 0.0), (0, 0.0, 3, 0.0), (0, 0.0, 3, 1.0), (2, 0.0, 3, 0.0),
-          (2, 1.0, 3, 1.0)),
-    "B": ((1, 0.0, 1, 0.0), (0, 0.0, 3, 0.0), (0, 0.0, 3, 1.0), (2, 1.0, 3, 1.0)),
+    "A": ((0, 0.0, 2, 0.0), (0, 0.0, 2, 1.0), (1, 0.0, 2, 0.0), (1, 1.0, 2, 1.0)),
+    "B": ((0, 0.0, 2, 0.0), (0, 0.0, 2, 1.0), (1, 1.0, 2, 1.0)),
 }
 
 
@@ -219,8 +215,7 @@ def _power(base, dexp):
 
 def _face_distance(x, faces):
     """Chebyshev distance from each point of ``x``, in the unit cube, to the
-    nearest face {x_i = e_i, x_j = e_j} of ``faces`` (with i = j, the
-    codimension-1 face {x_i = e_i})."""
+    nearest face {x_i = e_i, x_j = e_j} of ``faces``."""
     # distances to 0 and to 1 of each coordinate: |x - 1| is 1 - x exactly
     near = (x, 1.0 - x)
     dists = (np.maximum(near[int(ei)][:, i], near[int(ej)][:, j]) for i, ei, j, ej in faces)
@@ -230,13 +225,11 @@ def _face_distance(x, faces):
     return out
 
 
-def _shell_splits(ndim, faces, widths):
-    """Starting breakpoints of each axis of the unit cube: both ends and
-    every edge of the exclusion boxes {|x_i - e_i| < w, |x_j - e_j| < w}
-    around ``faces``, for each w in ``widths``.  Each starting cell, and
-    so each cell of the mesh, lies wholly inside or wholly outside every
-    box."""
-    axes = [{0.0, 1.0} for _ in range(ndim)]
+def _shell_splits(faces, widths):
+    """Starting breakpoints of each axis of the slice: 0, 1/2, 1 and each
+    edge of the boxes {|x_i - e_i| < w, |x_j - e_j| < w} around ``faces``,
+    w in ``widths``: every cell lies wholly inside or outside each box."""
+    axes = [{0.0, 0.5, 1.0} for _ in range(3)]
     for i, ei, j, ej in faces:
         axes[i].update(abs(ei - widths))
         axes[j].update(abs(ej - widths))
@@ -292,6 +285,15 @@ def _diverges(cfg):
     """Whether the eps = 0 integrals are infinite: Hd >= 2, allowing for
     rounding in the product H * d."""
     return cfg.hd >= 2.0 - 1e-12
+
+
+def _radial_factor(g, width):
+    """int_width^1 x^(g-1) dx for width in [0, 1): 1/g at width 0 (g > 0), else
+    (-L) exprel(g L) with L = log(width): finite at g = 0, no cancellation near it."""
+    if width == 0.0:
+        return 1.0 / g
+    L = math.log(width)
+    return float(-L * exprel(g * L))
 
 
 def _diverged(cfg, shells, widths, exponent, excluded):
@@ -356,8 +358,7 @@ def m1(eps, cfg: ModelConfig, rel_tol=None):
     K = int_0^1 (1 + b^2H)^(-d/2) db, m1(0) = c / g for
     c = 2 (2 pi)^(-d/2) T^g K.  Where that diverges, the shell outside
     [0, delta]^2 is the part with t > delta on s < t:
-    c int_delta^T t^(g-1) dt / T^g = c (-L) exprel(g L), L = log(delta / T),
-    finite at g = 0 and without cancellation near it.
+    c int_delta^T t^(g-1) dt / T^g, the radial factor at delta / T.
     """
     if not eps >= 0.0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
@@ -374,8 +375,8 @@ def m1(eps, cfg: ModelConfig, rel_tol=None):
     )
     c = _scaled(_result(res.value, res.error, [res]), pref * cfg.horizon**g)
     if not _diverges(cfg):
-        return _require_converged(_scaled(c, 1.0 / g), "m1")
-    shells = [_scaled(c, float(-L * exprel(g * L))) for L in np.log(_M1_SHELL_WIDTHS)]
+        return _require_converged(_scaled(c, _radial_factor(g, 0.0)), "m1")
+    shells = [_scaled(c, _radial_factor(g, w)) for w in _M1_SHELL_WIDTHS]
     return _diverged(cfg, shells, cfg.horizon * _M1_SHELL_WIDTHS, 1.0 - cfg.hd,
                      "excluding [0,T*4^-k]^2")
 
@@ -398,12 +399,11 @@ def m1_ladder(eps, cfg: ModelConfig):
 # ---------------------------------------------------------------------------
 # second moment family
 
-def _moment_integrand(cfg, region, m2_eps=(), gaps=(), crosses=(), var=False, shells=()):
-    """One region's integrand of _moment_columns: maps (m, 4) mapped points
-    to the (K, m) columns m2(e) for e in ``m2_eps``, the gap of each pair in
-    ``gaps``, the cross moment of each pair in ``crosses``, the variance
-    limit if ``var`` and one shell per width in ``shells``, times the
-    Jacobian.
+def _moment_integrand(cfg, region, m2_eps=(), gaps=(), crosses=(), var=False):
+    """One region's integrand of the second-moment family: maps (m, 4)
+    mapped points to the (K, m) columns m2(e) for e in ``m2_eps``, the gap
+    of each pair in ``gaps``, the cross moment of each pair in ``crosses``
+    and the variance limit if ``var``, times the Jacobian.
 
     Each distinct P(a, b) = (det + a rho + b lam + ab)^(-d/2) is one row
     [a, b, ab, 1] of C: the bases are one GEMM C @ [rho; lam; 1; det] of
@@ -412,15 +412,13 @@ def _moment_integrand(cfg, region, m2_eps=(), gaps=(), crosses=(), var=False, sh
     P(a, a) + P(b, b) - P(a, b) - P(b, a) (cancelling pointwise) and
     (P(a, b) + P(b, a)) / 2.  M is applied term by term: a GEMM over the
     30-odd rows of P rounds a point by how many points share the call.
-    From the P(0, 0) row: max(P(0, 0) - (lam rho)^(-d/2), 0), and P(0, 0)
-    outside every box of the shell's width around a singular face.
+    The variance limit's is max(P(0, 0) - (lam rho)^(-d/2), 0).
     """
     d = cfg.dim
-    faces = _SINGULAR_FACES[region]
     pairs = [(e, e) for e in m2_eps]
     pairs += [ab for a, b in gaps for ab in ((a, a), (b, b), (a, b), (b, a))]
     pairs += [ab for a, b in crosses for ab in ((a, b), (b, a))]
-    if var or len(shells):
+    if var:
         pairs.append((0.0, 0.0))
     index = {ab: i for i, ab in enumerate(dict.fromkeys(pairs))}  # row of each distinct P(a, b)
     coef = np.array([[a, b, a * b, 1.0] for a, b in index])
@@ -428,7 +426,7 @@ def _moment_integrand(cfg, region, m2_eps=(), gaps=(), crosses=(), var=False, sh
     gap_rows = [(index[a, a], index[b, b], index[a, b], index[b, a]) for a, b in gaps]
     cross_rows = [(index[a, b], index[b, a]) for a, b in crosses]
     zero = index.get((0.0, 0.0))
-    ncols = len(m2_eps) + len(gaps) + len(crosses) + var + len(shells)
+    ncols = len(m2_eps) + len(gaps) + len(crosses) + var
 
     def f(x):
         lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
@@ -447,44 +445,47 @@ def _moment_integrand(cfg, region, m2_eps=(), gaps=(), crosses=(), var=False, sh
             col *= 0.5
         if var:
             np.maximum(p[zero] - _power(lam * rho, d), 0.0, out=next(cols))
-        if len(shells):
-            dist = _face_distance(x, faces)
-            for w in shells:
-                np.multiply(p[zero], dist >= w, out=next(cols))
         out *= jac
         return out
 
     return f
 
 
-def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosses=(),
-                    var=False, shells=()):
-    """The second-moment family over one shared mesh: one pass per region
-    of _moment_integrand's columns (which see).  ``rel_tol`` is a scalar or
-    one per column.  Every column, at eps > 0 or eps = 0, shares one map
-    (_region_pieces) and one starting mesh: [0, 1/2, 1] on each axis, or
-    _shell_splits with shells.  Returns one QuadratureResult per column;
-    budget hits are reported in their statuses, not raised.
-    """
+def _limit_integrand(cfg, region, widths, var):
+    """One region's eps = 0 integrand on the slice zeta = 1 (t = T): maps
+    (m, 3) points (w, alpha, beta) to the m2 column at eps = 0, or ``var``'s,
+    outside the boxes of each width in ``widths`` around the singular faces,
+    times its radial factor: the 4D integrand outside them and zeta < width."""
+    f = _moment_integrand(cfg, region, m2_eps=[] if var else [0.0], var=var)
+    radial = np.array([_radial_factor(8.0 - 4.0 * cfg.hd, w) for w in widths])[:, None]
+
+    def on_slice(y):
+        out = radial * f(np.insert(y.T, 1, 1.0, axis=0).T)  # zeta = 1
+        if widths.any():  # a width 0 excludes nothing
+            out *= _face_distance(y, _SINGULAR_FACES[region]) >= widths[:, None]
+        return out
+
+    return on_slice
+
+
+def _region_passes(cfg, abs_tol, rel_tol, max_evals, passes):
+    """(2 pi)^-d times the integral over [0, T]^4: 4 times the sum of the passes (f, init),
+    f from the mesh ``init``; one QuadratureResult per column, budget hits in its status."""
     pref = (2.0 * math.pi) ** (-cfg.dim)
-    total = 0.0
-    err = 0.0
-    runs = []
-    for region in ("A", "B"):
-        f = _moment_integrand(cfg, region, m2_eps, gaps, crosses, var, shells)
-        if len(shells):
-            init = _shell_splits(4, _SINGULAR_FACES[region], shells)
-        else:
-            init = [np.array([0.0, 0.5, 1.0])] * 4
-        res = cubature.integrate(
-            f, [0.0] * 4, [1.0] * 4,
-            abs_tol=abs_tol / pref / 8.0, rel_tol=rel_tol,
-            max_evals=max_evals // 2, init_splits=init,
-        )
-        total += 4.0 * res.value
-        err += 4.0 * res.error
-        runs.append(res)
-    return _columns(total, err, runs, pref)
+    runs = [cubature.integrate(f, [0.0] * len(init), [1.0] * len(init),
+                               abs_tol=abs_tol / pref / 8.0, rel_tol=rel_tol,
+                               max_evals=max_evals // 2, init_splits=init)
+            for f, init in passes]
+    return _columns(sum(4.0 * r.value for r in runs), sum(4.0 * r.error for r in runs),
+                    runs, pref)
+
+
+def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosses=()):
+    """The second-moment family at eps > 0: one 4D pass per region of
+    _moment_integrand's columns (which see) from [0, 1/2, 1] on each axis."""
+    init = [np.array([0.0, 0.5, 1.0])] * 4
+    return _region_passes(cfg, abs_tol, rel_tol, max_evals,
+                          [(_moment_integrand(cfg, r, m2_eps, gaps, crosses), init) for r in "AB"])
 
 
 def m2(eps, cfg: ModelConfig, rel_tol=None):
@@ -558,35 +559,32 @@ def var_limit(cfg: ModelConfig):
     """Limit of Var[I_eps] as eps -> 0:
     int (lambda rho - mu^2)^(-d/2) - (lambda rho)^(-d/2), times (2 pi)^-d.
 
-    Finite iff Hd < 2 (pointwise nonnegative integrand), integrated with
-    m2's tolerances and budget; diverged result with the shells of A_T,
-    times (2 pi)^-d, as evidence otherwise.
+    Finite iff Hd < 2 (pointwise nonnegative integrand), with m2's
+    tolerances and budget; else diverged, with A_T (2 pi)^-d's shells as evidence.
     """
-    if _diverges(cfg):
-        return _diverged_4d(cfg, 1.0)
-    (res,) = _moment_columns(cfg, _M2_ABS_TOL, _M2_REL_TOL, _M2_MAX_EVALS, var=True)
-    return _require_converged(res, "var_limit")
+    return _limit(cfg, True, 1.0, "var_limit")
 
 
 def a_t_integral(cfg: ModelConfig):
     """A_T = int_{[0,T]^4} (lambda rho - mu^2)^(-d/2): the m2 column at
     eps = 0 without its (2 pi)^-d, with m2's tolerances and budget; finite
     iff Hd < 2, diverged result with shell evidence otherwise."""
-    unscale = (2.0 * math.pi) ** cfg.dim
-    if _diverges(cfg):
-        return _diverged_4d(cfg, unscale)
-    (res,) = _moment_columns(cfg, _M2_ABS_TOL / unscale, _M2_REL_TOL, _M2_MAX_EVALS,
-                             m2_eps=[0.0])
-    return _require_converged(_scaled(res, unscale), "a_t_integral")
+    return _limit(cfg, False, (2.0 * math.pi) ** cfg.dim, "a_t_integral")
 
 
-def _diverged_4d(cfg, scale):
-    """Shell evidence for the eps = 0 4D integrals when Hd >= 2: A_T times
-    (2 pi)^-d times ``scale``, outside boxes of width 4^-k around every
-    singular face of both regions, k = 1..5, from one pass per region at
-    the shells' tolerance and budget (_SHELL_*)."""
-    shells = _moment_columns(cfg, 0.0, _SHELL_REL_TOL, _SHELL_MAX_EVALS, shells=_SHELL_WIDTHS)
-    return _diverged(cfg, [_scaled(r, scale) for r in shells], _SHELL_WIDTHS, radial_rate(cfg),
+def _limit(cfg, var, scale, label):
+    """(2 pi)^-d ``scale`` times the variance limit (``var``) or A_T at Hd < 2
+    to m2's tolerances, else A_T's shells at widths 4^-k, k = 1..5, to
+    _SHELL_REL_TOL: one 3D pass per region of _limit_integrand, m2's budget."""
+    diverged = _diverges(cfg)
+    widths = _SHELL_WIDTHS if diverged else np.zeros(1)
+    tols = (0.0, _SHELL_REL_TOL) if diverged else (_M2_ABS_TOL / scale, _M2_REL_TOL)
+    passes = [(_limit_integrand(cfg, r, widths, var and not diverged),
+               _shell_splits(_SINGULAR_FACES[r], widths)) for r in "AB"]
+    res = [_scaled(r, scale) for r in _region_passes(cfg, *tols, _M2_MAX_EVALS, passes)]
+    if not diverged:
+        return _require_converged(res[0], label)
+    return _diverged(cfg, res, _SHELL_WIDTHS, radial_rate(cfg),
                      "excluding width 4^-k around every singular face")
 
 
@@ -702,7 +700,8 @@ def reduction_bound(cfg: ModelConfig):
 
 
 def radial_rate(cfg: ModelConfig) -> float:
-    """Exponent 3 - 2Hd of the radial factor in the spherical-coordinate
-    lower bound; the radial integral converges iff it exceeds -1, i.e.
+    """Exponent 3 - 2Hd of t in the eps = 0 second-moment integrand on
+    {t largest} at fixed angles (zeta^(g-1) dzeta, g = 8 - 4Hd, with
+    t = T zeta^2): the radial integral converges iff it exceeds -1, i.e.
     iff Hd < 2."""
     return 3.0 - 2.0 * cfg.hd

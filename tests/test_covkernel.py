@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -128,6 +129,30 @@ class TestDetVarZ:
             stable = det_var_z(s, t, u, v, h)
             scale = np.maximum(1.0, np.abs(raw))
             assert np.max(np.abs(stable - raw) / scale) < 1e-10
+
+    @pytest.mark.parametrize("h,s,t,u,v", [
+        (0.9, 0.5, 1.0, 0.5 * (1 - 2e-8), 1 - 3e-8),
+        (0.75, 0.5, 1.0, 0.5 * (1 - 2e-8), 1 - 3e-8),
+        (0.9, 0.2, 0.7, 0.2 * (1 - 1e-6), 0.7 * (1 + 4e-7)),
+        (0.95, 0.8, 0.4, 0.8 * (1 - 3e-9), 0.4 * (1 - 1e-9)),
+    ])
+    def test_keeps_its_digits_near_the_diagonal(self, h, s, t, u, v):
+        # near (s,t) = (u,v) det is tiny and the cross term, formed as a
+        # difference of order-1 terms, would be all rounding (3.4e-3 off at
+        # the first point, 24% at the last); reference: lambda rho - mu^2
+        # in 40-digit decimal arithmetic at the same float times
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            D = decimal.Decimal
+            ds, dt, du, dv = (D(x) for x in (s, t, u, v))
+            h2 = D(2.0 * h)
+
+            def cov(y, z):
+                return (y**h2 + z**h2 - abs(y - z) ** h2) / 2
+
+            mu = cov(dt, dv) + cov(ds, du)
+            want = float((ds**h2 + dt**h2) * (du**h2 + dv**h2) - mu * mu)
+        assert det_var_z(s, t, u, v, h) == pytest.approx(want, rel=1e-8, abs=0.0)
 
     def test_superadditivity(self):
         rng = np.random.default_rng(6)

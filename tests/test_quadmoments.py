@@ -19,9 +19,12 @@ from fbmilt.phasescan import QUAD_REL_TOL, EpsSchedule
 from fbmilt.quadmoments import (
     _SINGULAR_FACES,
     _cluster_both,
+    _face_distance,
     _gamma_ratio,
+    _limit_integrand,
     _moment_integrand,
     _psi,
+    _radial_factor,
     _region_pieces,
     _shell_splits,
     a_t_integral,
@@ -341,12 +344,14 @@ class TestVarLimit:
         assert "2.25" in res.divergence_evidence
 
     def test_diverged_reports_shell_budget_hits(self, monkeypatch):
-        # a pass too small for the inner shells reports their budget hits
-        monkeypatch.setattr(quadmoments, "_SHELL_MAX_EVALS", 600_000)
+        # a pass too small for the inner shells (the default pass takes
+        # about 129k evaluations here) reports their budget hits; each
+        # region may overshoot its half by one step of 2 * 128 cells of 33
+        monkeypatch.setattr(quadmoments, "_M2_MAX_EVALS", 60_000)
         res = var_limit(ModelConfig(0.75, 3))
         assert res.diverged
         assert res.status == "budget"
-        assert 0 < res.nevals <= 600_000 + 2 * 2 * 128 * 57
+        assert 0 < res.nevals <= 60_000 + 2 * 2 * 128 * 33
         assert res.shells[-1].status == "budget"
 
 
@@ -370,6 +375,8 @@ class TestDivergenceShells:
         assert [float(v) for v in tail.split(",")] == [float(f"{v:.4g}") for v in values]
         assert res.shell_rate < 0.0
         assert res.radial_exponent == (1.0 - cfg.hd if fn == "m1" else radial_rate(cfg))
+        if (fn, h, d) == ("var_limit", 0.9, 4):
+            assert res.nevals <= 1_200_000  # the 4D pass took 2.76M
 
     @pytest.mark.parametrize("h,d,T", [(0.75, 3, 1.0), (0.5, 4, 2.0)])
     def test_m1_shells_match_the_2d_integral(self, h, d, T):
@@ -392,16 +399,17 @@ class TestDivergenceShells:
             assert abs(shell.value - direct) <= shell.error_estimate + sum(p.error for p in parts)
 
     def test_m1_shells_continuous_at_the_transition(self):
-        # within 1e-12 of Hd = 2 the radial factor has no cancellation: the
-        # shells are finite, grow, and match those at Hd = 2
-        near = m1(0.0, ModelConfig(0.5 - 1e-13, 4))
-        at = m1(0.0, ModelConfig(0.5, 4))
-        assert near.diverged and near.status == "converged"
-        values = [s.value for s in near.shells]
-        assert all(math.isfinite(v) for v in values)
-        assert all(b > a > 0.0 for a, b in zip(values, values[1:]))
-        for a, b in zip(near.shells, at.shells):
-            assert a.value == pytest.approx(b.value, rel=1e-9)
+        # within 1e-12 of Hd = 2 the radial factor, which m1(0) and the 3D
+        # passes share, has no cancellation: the shells are finite, grow,
+        # and match those at Hd = 2
+        for fn in (lambda cfg: m1(0.0, cfg), var_limit):
+            near, at = fn(ModelConfig(0.5 - 1e-13, 4)), fn(ModelConfig(0.5, 4))
+            assert near.diverged and near.status == "converged"
+            values = [s.value for s in near.shells]
+            assert all(math.isfinite(v) for v in values)
+            assert all(b > a > 0.0 for a, b in zip(values, values[1:]))
+            for a, b in zip(near.shells, at.shells):
+                assert a.value == pytest.approx(b.value, rel=1e-9)
 
     def test_m1_shell_rate_approaches_the_radial_integral(self):
         # m1(0) outside [0, delta]^2 grows like delta^(2 - Hd)
@@ -409,34 +417,58 @@ class TestDivergenceShells:
             cfg = ModelConfig(h, d)
             assert m1(0.0, cfg).shell_rate == pytest.approx(2.0 - cfg.hd, abs=0.05)
 
+    def test_4d_shells_match_the_4d_integral(self):
+        # a shell is A_T (2 pi)^-d outside the slab zeta < delta and the boxes
+        # of width delta around the singular faces of the slice (w, alpha,
+        # beta): here integrated in 4D, with the zeta axis split at delta
+        cfg = ModelConfig(0.5, 4)
+        res = var_limit(cfg)
+        pref = (2 * math.pi) ** (-cfg.dim)
+        widths = res.shell_widths[:2]
+        direct = np.zeros(2)
+        errs = np.zeros(2)
+        for region, faces in _SINGULAR_FACES.items():
+            def f(x, faces=faces, region=region):
+                _, _, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
+                dist = np.minimum(x[:, 1], _face_distance(x[:, [0, 2, 3]], faces))
+                return np.stack([(dist >= w) * det ** (-0.5 * cfg.dim) * jac for w in widths])
+
+            splits = _shell_splits(faces, np.array(widths))
+            init = [splits[0], np.array([0.0, *sorted(widths), 1.0]), splits[1], splits[2]]
+            part = integrate(f, [0.0] * 4, [1.0] * 4, rel_tol=1e-3, max_evals=4_000_000,
+                             init_splits=init)
+            assert part.status == "converged"
+            direct += 4.0 * pref * part.value
+            errs += 4.0 * pref * part.error
+        for shell, want, err in zip(res.shells, direct, errs):
+            assert abs(shell.value - want) <= shell.error_estimate + err
+
     def test_shells_are_unions_of_starting_cells(self):
         # every starting cell lies wholly inside or outside each exclusion box
         for faces in _SINGULAR_FACES.values():
-            splits = _shell_splits(4, faces, quadmoments._SHELL_WIDTHS)
+            splits = _shell_splits(faces, quadmoments._SHELL_WIDTHS)
             for i, ei, j, ej in faces:
                 for w in quadmoments._SHELL_WIDTHS:
                     assert abs(ei - w) in splits[i] and abs(ej - w) in splits[j]
 
 
 def _face_points(i, ei, j, ej, rng, n=50):
-    """``n`` points of the face {x_i = e_i, x_j = e_j}, the other
-    coordinates drawn from [0.25, 0.75], away from the other faces."""
-    x = rng.uniform(0.25, 0.75, (n, 4))
-    x[:, i] = ei
-    x[:, j] = ej
-    return x
-
-
-# the time origin {zeta = 0}, a whole face of the mapped cube
-_ORIGIN = (1, 0.0, 1, 0.0)
+    """``n`` points of the mapped cube (w, zeta, alpha, beta) on the face
+    {y_i = e_i, y_j = e_j} of the slice (w, alpha, beta), the other slice
+    coordinate drawn from [0.25, 0.75] and zeta from [0.25, 1], away from
+    the other faces and the time origin."""
+    y = rng.uniform(0.25, 0.75, (n, 3))
+    y[:, i] = ei
+    y[:, j] = ej
+    return np.insert(y, 1, rng.uniform(0.25, 1.0, n), axis=1)
 
 
 class TestSingularFaces:
     @pytest.mark.parametrize("h", [0.3, 0.75])
     @pytest.mark.parametrize("region", ["A", "B"])
     def test_det_vanishes_on_the_time_origin(self, region, h):
-        # zeta = 0 is t = 0, and every other time is at most t
-        assert _ORIGIN in _SINGULAR_FACES[region]
+        # zeta = 0 is t = 0, and every other time is at most t: the slab
+        # zeta < delta of a shell is the radial factor, not a listed face
         x = np.random.default_rng(3).uniform(0.0, 1.0, (200, 4))
         x[:, 1] = 0.0
         lam, rho, det, _ = _region_pieces(x, region, h, 1.0)
@@ -445,15 +477,13 @@ class TestSingularFaces:
     @pytest.mark.parametrize("h", [0.3, 0.75])
     @pytest.mark.parametrize("region", ["A", "B"])
     def test_det_vanishes_on_the_listed_faces_only(self, region, h):
-        # the codimension-2 faces away from the time origin, zeta = 1 included
+        # every codimension-2 face of the slice, at zeta in [0.25, 1]
         rng = np.random.default_rng(7)
-        listed = set(_SINGULAR_FACES[region]) - {_ORIGIN}
+        listed = set(_SINGULAR_FACES[region])
         assert len(listed) == (4 if region == "A" else 3)
         seen = set()
-        for i, j in itertools.combinations(range(4), 2):
+        for i, j in itertools.combinations(range(3), 2):
             for ei, ej in itertools.product((0.0, 1.0), repeat=2):
-                if (1, 0.0) in ((i, ei), (j, ej)):
-                    continue  # on the time origin
                 seen.add((i, ei, j, ej))
                 x = _face_points(i, ei, j, ej, rng)
                 lam, rho, det, _ = _region_pieces(x, region, h, 1.0)
@@ -461,6 +491,14 @@ class TestSingularFaces:
                     assert np.all(det <= 1e-14 * (lam + rho) ** 2)
                 else:
                     assert np.all(det > 1e-6 * lam * rho)
+        # and each codimension-1 face {y_i = e_i} of the slice, at zeta = 1
+        # where the 3D passes integrate, away from the faces above
+        for i, ei in itertools.product(range(3), (0.0, 1.0)):
+            seen.add((i, ei))
+            x = _face_points(i, ei, i, ei, rng)
+            x[:, 1] = 1.0
+            lam, rho, det, _ = _region_pieces(x, region, h, 1.0)
+            assert np.all(det > 1e-6 * lam * rho)
         assert len(seen) == 18 and listed <= seen
 
 
@@ -495,6 +533,8 @@ class TestATIntegral:
         cfg = ModelConfig(h, d)
         at, vl = a_t_integral(cfg), var_limit(cfg)
         assert at.status == vl.status == "converged"
+        # a 4D pass over (w, zeta, alpha, beta) took 406k-596k evaluations
+        assert at.nevals <= 300_000 and vl.nevals <= 300_000
         assert 0.0 < vl.value <= (2 * math.pi) ** (-d) * at.value
         if (h, d) == (0.75, 2):
             # 25.78209 +- 1.6e-3: the 3D integral over the face s = 1 times
@@ -803,27 +843,27 @@ class TestRegionPieces:
 
 
 def _near_faces(faces, rng, n=200):
-    """``n`` points of the unit cube, the first half each within 1e-4 to
-    0.1 of a face of ``faces`` on both of its axes, so every shell excludes
-    some."""
-    x = rng.uniform(0.0, 1.0, (n, 4))
+    """``n`` points of the slice (w, alpha, beta), the first half each
+    within 1e-4 to 0.1 of a face of ``faces`` on both of its axes, so every
+    shell excludes some."""
+    y = rng.uniform(0.0, 1.0, (n, 3))
     for k in range(n // 2):
         i, ei, j, ej = faces[k % len(faces)]
-        x[k, i] = abs(ei - 10.0 ** rng.uniform(-4.0, -1.0))
-        x[k, j] = abs(ej - 10.0 ** rng.uniform(-4.0, -1.0))
-    return np.asfortranarray(x)  # as cubature passes it: contiguous columns
+        y[k, i] = abs(ei - 10.0 ** rng.uniform(-4.0, -1.0))
+        y[k, j] = abs(ej - 10.0 ** rng.uniform(-4.0, -1.0))
+    return np.asfortranarray(y)  # as cubature passes it: contiguous columns
 
 
 class TestMomentIntegrand:
     @pytest.mark.parametrize("region", ["A", "B"])
     def test_columns_match_their_direct_formulas(self, region):
         cfg = ModelConfig(0.4, 3)
-        faces = _SINGULAR_FACES[region]
-        x = _near_faces(faces, np.random.default_rng(11))
+        y = _near_faces(_SINGULAR_FACES[region], np.random.default_rng(11))
+        x = np.asfortranarray(np.insert(y, 1, np.random.default_rng(12).uniform(0.0, 1.0, len(y)),
+                                        axis=1))
         m2_eps, gaps, crosses = [0.5, 0.25, 0.0], [(0.5, 0.25), (0.25, 0.25)], [(0.5, 0.125)]
-        widths = quadmoments._SHELL_WIDTHS
-        got = _moment_integrand(cfg, region, m2_eps, gaps, crosses, True, widths)(x)
-        assert got.shape == (3 + 2 + 1 + 1 + len(widths), len(x))
+        got = _moment_integrand(cfg, region, m2_eps, gaps, crosses, True)(x)
+        assert got.shape == (3 + 2 + 1 + 1, len(x))
 
         lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
 
@@ -840,34 +880,60 @@ class TestMomentIntegrand:
             assert next(rows) == pytest.approx(0.5 * (p(a, b) + p(b, a)), rel=1e-12, abs=0.0)
         var = np.maximum(p(0.0, 0.0) - (lam * rho) ** (-0.5 * cfg.dim) * jac, 0.0)
         assert np.all(np.abs(next(rows) - var) <= 1e-12 * p(0.0, 0.0))
-        dist = np.min([np.maximum(np.abs(x[:, i] - ei), np.abs(x[:, j] - ej))
+
+    @pytest.mark.parametrize("var", [False, True])
+    @pytest.mark.parametrize("region", ["A", "B"])
+    def test_slice_columns_match_their_direct_formulas(self, region, var):
+        # at zeta = 1, outside each box, times int_w^1 zeta^(7 - 4Hd) dzeta
+        cfg = ModelConfig(0.4, 3)
+        faces = _SINGULAR_FACES[region]
+        y = _near_faces(faces, np.random.default_rng(13))
+        widths = np.concatenate(([0.0], quadmoments._SHELL_WIDTHS))
+        got = _limit_integrand(cfg, region, widths, var)(y)
+        assert got.shape == (len(widths), len(y))
+        lam, rho, det, jac = _region_pieces(np.insert(y, 1, 1.0, axis=1), region, cfg.hurst,
+                                            cfg.horizon)
+        at = det ** (-0.5 * cfg.dim) * jac
+        col = np.maximum(at - (lam * rho) ** (-0.5 * cfg.dim) * jac, 0.0) if var else at
+        dist = np.min([np.maximum(np.abs(y[:, i] - ei), np.abs(y[:, j] - ej))
                        for i, ei, j, ej in faces], axis=0)
-        for w in widths:
-            want = np.where(dist >= w, p(0.0, 0.0), 0.0)
-            assert next(rows) == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert np.any(dist < widths[0]) and np.any(dist < widths[-1])
+        g = 8.0 - 4.0 * cfg.hd
+        for row, w in zip(got, widths):
+            radial = (1.0 - w**g) / g
+            want = np.where(dist >= w, col * radial, 0.0)
+            assert np.all(np.abs(row - want) <= 1e-12 * at * radial)  # var cancels pointwise
+        assert np.any(dist < widths[1]) and np.any(dist < widths[-1])
+
+    @pytest.mark.parametrize("g", [4.0, 1e-3, 0.0, -1e-3, -2.0])
+    def test_radial_factor_is_the_radial_integral(self, g):
+        for w in (0.0, 0.25, 4.0**-5):
+            if g <= 0.0 and w == 0.0:
+                continue  # infinite
+            want = -math.log(w) if g == 0.0 else (1.0 - w**g) / g
+            assert _radial_factor(g, w) == pytest.approx(want, rel=1e-12)
 
 
 # BLAS runs inside the integrand and the rule: the passes must not depend on
 # how the cubature slices cells into calls, nor on BLAS's thread count
-_SLICING_PASSES = {  # the pass's results, and its number of columns
+_SLICING_PASSES = {  # the pass's results, its columns and the points of one cell
     "m2_ladder": (lambda: sum(m2_ladder([2.0**-k for k in range(1, 7)], ModelConfig(0.5, 3),
-                                        prev_eps=1.0), []), 12),
-    "shells": (lambda: var_limit(ModelConfig(0.75, 3)).shells, 5),
+                                        prev_eps=1.0), []), 12, 57),
+    "shells": (lambda: var_limit(ModelConfig(0.75, 3)).shells, 5, 33),
+    "a_t": (lambda: [a_t_integral(ModelConfig(0.25, 2))], 1, 33),
 }
 
 
 def _pass_bits(name):
-    run, _ = _SLICING_PASSES[name]
+    run = _SLICING_PASSES[name][0]
     return [[r.value.hex(), r.error_estimate.hex(), r.nevals, r.subdivisions] for r in run()]
 
 
 @pytest.mark.parametrize("name", sorted(_SLICING_PASSES))
 def test_pass_bits_do_not_depend_on_slicing_or_blas_threads(name, monkeypatch):
     want = _pass_bits(name)
-    ncols = _SLICING_PASSES[name][1]
+    _, ncols, npts = _SLICING_PASSES[name]
     with monkeypatch.context() as patch:
-        patch.setattr(cubature, "_BLOCK_BYTES", ncols * 57 * 8 * 10)  # ten cells a call
+        patch.setattr(cubature, "_BLOCK_BYTES", ncols * npts * 8 * 10)  # ten cells a call
         assert _pass_bits(name) == want
     here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
