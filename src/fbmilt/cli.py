@@ -183,6 +183,8 @@ def _validate(rc: RunConfig) -> None:
         raise ParameterError(f"tol: must be positive, got {rc.tol}")
     if rc.grid_n is not None and rc.grid_n < 1:
         raise ParameterError(f"grid_n: must be >= 1, got {rc.grid_n}")
+    if rc.seed < 0:
+        raise ParameterError(f"seed: must be nonnegative, got {rc.seed}")
     if rc.command == "estimate":
         if rc.eps is None or rc.eps <= 0.0:
             raise ParameterError("eps: estimate requires a positive eps")
@@ -361,9 +363,12 @@ def _run_sweep(rc: RunConfig) -> int:
 
 
 def _run_phase(rc: RunConfig) -> int:
-    cfg0 = ModelConfig(hurst=rc.hurst[0], dim=rc.dim[0], horizon=rc.horizon)
     tol = {} if rc.tol is None else {"quad_rel_tol": rc.tol}
-    points = phase_grid(rc.hurst, rc.dim, _schedule(rc, cfg0), horizon=rc.horizon, **tol)
+    points = []
+    for h in rc.hurst:  # one point at a time: each ladder starts at its own T^2H
+        for d in rc.dim:
+            schedule = _schedule(rc, ModelConfig(h, d, rc.horizon))
+            points += phase_grid([h], [d], schedule, horizon=rc.horizon, **tol)
     rows = []
     summaries = []
     status = 0

@@ -214,6 +214,8 @@ def mc_moments(cfg: ModelConfig, eps, grid: TimeGrid, replications: int,
     """
     if replications < 2:
         raise ParameterError(f"replications must be >= 2, got {replications}")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     e = _eps_value(eps)
     chunks = [
         (cfg, e, grid, seed, method, k, min(_CHUNK, replications - lo))

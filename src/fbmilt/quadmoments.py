@@ -527,32 +527,28 @@ def cauchy_gap(eps, eta, cfg: ModelConfig):
     return _require_converged(res, "cauchy_gap")
 
 
-def m2_ladder(eps, cfg: ModelConfig, prev_eps=None, rel_tol=None):
+def m2_ladder(eps, cfg: ModelConfig, rel_tol=None):
     """m2 at every rung of the ladder ``eps`` and the Cauchy gap between
     each rung and the one before it, from one 4D pass per region over a
     shared mesh, with the budget of one m2 call.
 
-    ``prev_eps`` is the rung before ``eps[0]``, if any.  m2 is integrated
-    to ``rel_tol`` (default _M2_REL_TOL) and the gaps to cauchy_gap's
-    tolerance; a component within its tolerance stops steering the
-    refinement.  Returns (m2s, gaps), one
-    QuadratureResult per rung each, ``gaps[k]`` being the gap to the
-    previous rung (None for the first rung without ``prev_eps``); every
-    result carries the cells and evaluations of the whole pass.  A budget
-    hit is reported in the status of each result that missed its
-    tolerance, not raised.
+    m2 is integrated to ``rel_tol`` (default _M2_REL_TOL) and the gaps to
+    cauchy_gap's tolerance; a component within its tolerance stops
+    steering the refinement.  Returns (m2s, gaps), one QuadratureResult
+    per rung each, ``gaps[k]`` being the gap to the previous rung (None
+    for the first rung); every result carries the cells and evaluations
+    of the whole pass.  A budget hit is reported in the status of each
+    result that missed its tolerance, not raised.
     """
     eps = [float(e) for e in eps]
-    chain = eps if prev_eps is None else [float(prev_eps)] + eps
-    if not eps or not all(e > 0.0 for e in chain):
-        raise ParameterError(f"a ladder needs positive regularizers, got {chain}")
-    pairs = list(zip(chain, chain[1:]))
+    if not eps or not all(e > 0.0 for e in eps):
+        raise ParameterError(f"a ladder needs positive regularizers, got {eps}")
+    pairs = list(zip(eps, eps[1:]))
     if rel_tol is None:
         rel_tol = _M2_REL_TOL
     tols = [rel_tol] * len(eps) + [_GAP_REL_TOL] * len(pairs)
     res = _moment_columns(cfg, _M2_ABS_TOL, tols, _M2_MAX_EVALS, m2_eps=eps, gaps=pairs)
-    gaps = res[len(eps):]
-    return res[: len(eps)], gaps if prev_eps is not None else [None] + gaps
+    return res[: len(eps)], [None] + res[len(eps):]
 
 
 def var_limit(cfg: ModelConfig):
@@ -659,13 +655,19 @@ def reduction_bound(cfg: ModelConfig):
     """The z-transform route for int_T (phi(t,v) + phi(s,u))^(-d/2):
     (1 / Gamma(d/2)) int_0^inf z^(d/2-1) A(z)^2 dz, split at z = 1.
 
-    Only established for Hd < 2 (the tail integrand decays like
-    z^(d/2 - 1 - 1/H) up to logarithmic corrections).  Each A(z) is a 1D
-    integral of the incomplete-gamma closed form (see a_z); both pieces
-    are scipy quad calls at _REDUCTION_REL_TOL.  The status is "budget" when
-    any A(z) evaluation hit its budget or either quad call reported a
-    failure (its ier != 0: subdivision limit, roundoff, slow convergence),
-    as at (0.6, 3), where the tail decays like z^-1.17.
+    Only established for Hd < 2.  The tail over [1, inf) is integrated in
+    u = log z, as int_0^inf e^(u d/2) A(e^u)^2 du, whose integrand decays
+    like e^(-(1/H - d/2) u) up to logarithmic corrections; it is formed
+    as the exponential of its logarithm, since e^(u d/2) overflows and
+    A(e^u)^2 underflows long before their product is negligible.  Past
+    u = log(max float), where e^u itself overflows, it is taken as 0; that
+    cut is not negligible near Hd = 2, where (0.95, 2), (0.66, 3) and
+    (0.49, 4) read "budget".  Each A(z) is a 1D integral of the
+    incomplete-gamma closed form (see a_z); both pieces are scipy quad
+    calls at _REDUCTION_REL_TOL.  The status is "budget" when any A(z)
+    evaluation hit its budget or either quad call reported a failure (its
+    ier != 0: subdivision limit, roundoff, slow convergence), as at
+    (0.6, 3), where the tail decays like e^(-u / 6).
     """
     if _diverges(cfg):
         raise ParameterError(
@@ -674,21 +676,31 @@ def reduction_bound(cfg: ModelConfig):
     d = cfg.dim
     cache = {}
 
-    def g(z):
+    def a(z):
         if z not in cache:
             cache[z] = a_z(z, cfg)
-        return z ** (0.5 * d - 1.0) * cache[z].value ** 2
+        return cache[z].value
 
-    def piece(lo, hi):
+    def head(z):
+        return z ** (0.5 * d - 1.0) * a(z) ** 2
+
+    def tail(u):
+        try:
+            value = a(math.exp(u))
+        except OverflowError:
+            return 0.0
+        return math.exp(0.5 * d * u + 2.0 * math.log(value)) if value > 0.0 else 0.0
+
+    def piece(f, lo, hi):
         # with full_output, a fourth item (the message) means quad's ier != 0
-        out = quad(g, lo, hi, epsrel=_REDUCTION_REL_TOL, epsabs=0.0, limit=200,
+        out = quad(f, lo, hi, epsrel=_REDUCTION_REL_TOL, epsabs=0.0, limit=200,
                    full_output=1)
         return out[0], out[1], len(out) == 3
 
-    head, head_err, head_ok = piece(0.0, 1.0)
-    tail, tail_err, tail_ok = piece(1.0, np.inf)
+    head_value, head_err, head_ok = piece(head, 0.0, 1.0)
+    tail_value, tail_err, tail_ok = piece(tail, 0.0, np.inf)
     gamma_half_d = math.gamma(0.5 * d)
-    value = (head + tail) / gamma_half_d
+    value = (head_value + tail_value) / gamma_half_d
     # claimed error: outer quadrature plus the propagated A(z) tolerance
     # (A enters squared, so its relative error roughly doubles).
     err = (head_err + tail_err) / gamma_half_d + 2.0 * _A_Z_REL_TOL * abs(value)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fbmilt import cli, quadmoments
+from fbmilt import cli, phasescan, quadmoments
 from fbmilt.errors import ParameterError, QuadratureBudgetError
 from fbmilt.phasescan import PhaseError
 
@@ -82,10 +82,16 @@ class TestFlagsTakeEffect:
         ["simulate", "--grid-n", "0"],
         ["estimate", "--eps", "1", "--reps", "10", "--grid-n", "0"],
         ["sweep", "--count", "3", "--reps", "10", "--grid-n", "0"],
+        ["simulate", "--seed", "-1"],
+        ["estimate", "--eps", "1", "--reps", "10", "--seed", "-1"],
+        ["sweep", "--count", "3", "--reps", "10", "--seed", "-1"],
+        ["verify-lemmas", "--seed", "-1"],
     ], ids=["phase-reads-no-mc-or-format", "sweep-seed-without-reps", "phase-short-ladder",
             "eps-nan", "eps-inf", "estimate-eps-nan", "eps0-inf", "horizon-inf",
             "tol-nan", "tol-negative", "tol-zero",
-            "simulate-grid-n-0", "estimate-grid-n-0", "sweep-grid-n-0"])
+            "simulate-grid-n-0", "estimate-grid-n-0", "sweep-grid-n-0",
+            "simulate-seed-negative", "estimate-seed-negative", "sweep-seed-negative",
+            "verify-lemmas-seed-negative"])
     def test_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "r.json"
         assert exit_code(argv + ["--out", str(out)]) == 2
@@ -248,6 +254,23 @@ class TestPhaseCommand:
         report = json.loads(out.read_text())
         assert report["results"]["verdict"] == "Convergent"
         assert "Convergent" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps0,want", [
+        (None, [2.0**0.5, 2.0**1.5]), ("0.5", [0.5, 0.5])], ids=["own-scale", "given"])
+    def test_each_point_starts_at_its_own_scale(self, tmp_path, monkeypatch, eps0, want):
+        # without --eps0 every point's ladder starts at its T^2H, as sweep's
+        # does; the first point's scale used to serve the whole grid
+        seen = []
+
+        def fake_sweep(cfg, schedule, **kw):
+            seen.append(schedule.eps0)
+            raise ParameterError("stop")
+
+        monkeypatch.setattr(phasescan, "sweep", fake_sweep)
+        argv = ["phase", "--horizon", "2", "--hurst", "0.25,0.75", "--dim", "2",
+                "--out", str(tmp_path / "p.json")]
+        run_main(argv + ([] if eps0 is None else ["--eps0", eps0]))
+        assert seen == pytest.approx(want, rel=1e-12)
 
     def test_indeterminate_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

@@ -180,6 +180,11 @@ class TestMcMoments:
         with pytest.raises(ParameterError):
             mc_moments(CFG, 0.5, TimeGrid(1.0, 16), 1, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence would raise a bare ValueError
+        with pytest.raises(ParameterError, match="seed"):
+            mc_moments(CFG, 0.5, TimeGrid(1.0, 16), 10, seed=-1)
+
     def test_deterministic_and_worker_independent(self):
         grid = TimeGrid(1.0, 16)
         a = mc_moments(CFG, 1.0, grid, 600, seed=3, workers=1)

@@ -288,10 +288,9 @@ NAN = math.nan
     lambda: cauchy_gap(0.1, NAN, CFG_H5D2),
     lambda: m1_ladder([0.5, NAN], CFG_H5D2),
     lambda: m2_ladder([NAN], CFG_H5D2),
-    lambda: m2_ladder([0.5], CFG_H5D2, prev_eps=NAN),
     lambda: a_z(NAN, CFG_H5D2),
 ], ids=["m1", "m2", "m_cross-eps", "m_cross-eta", "cauchy_gap-eps", "cauchy_gap-eta",
-        "m1_ladder", "m2_ladder", "m2_ladder-prev", "a_z"])
+        "m1_ladder", "m2_ladder", "a_z"])
 def test_nan_regularizer_rejected(call):
     # a comparison with NaN is false, so a guard written as "x <= 0"
     # or "min(...) <= 0" would let it through
@@ -304,16 +303,17 @@ class TestLadders:
         with pytest.raises(ParameterError):
             m1_ladder([0.5, 0.0], CFG_H5D2)
         with pytest.raises(ParameterError):
-            m2_ladder([0.5, 0.25], CFG_H5D2, prev_eps=-1.0)
+            m2_ladder([0.5, -0.25], CFG_H5D2)
         with pytest.raises(ParameterError):
             m2_ladder([], CFG_H5D2)
 
     def test_gaps_follow_the_rungs(self):
-        m2s, gaps = m2_ladder([0.5, 0.25], CFG_H5D2, prev_eps=1.0)
-        assert len(m2s) == len(gaps) == 2
+        m2s, gaps = m2_ladder([1.0, 0.5, 0.25], CFG_H5D2)
+        assert len(m2s) == len(gaps) == 3
+        assert gaps[0] is None
         want = cauchy_gap(1.0, 0.5, CFG_H5D2)
-        assert abs(gaps[0].value - want.value) <= gaps[0].error_estimate + want.error_estimate
-        assert m2s[0].nevals == gaps[1].nevals > 0  # one shared pass
+        assert abs(gaps[1].value - want.value) <= gaps[1].error_estimate + want.error_estimate
+        assert m2s[0].nevals == gaps[2].nevals > 0  # one shared pass
 
     def test_sweep_ladder_evaluation_count(self):
         # a sweep's 4D pass at (0.5, 4) made 742,368 evaluations when the
@@ -657,6 +657,14 @@ class TestReductionBound:
         for h in (0.25, 0.4):
             assert reduction_bound(ModelConfig(h, 2)).status == "converged"
 
+    @pytest.mark.parametrize("h,d", [(0.5, 3), (0.4, 4), (0.45, 4)])
+    def test_converged_where_the_tail_in_z_stalled(self, h, d):
+        # the tail over z in [1, inf) stopped at quad's limit here; over
+        # u = log z it converges
+        res = reduction_bound(ModelConfig(h, d))
+        assert res.status == "converged"
+        assert res.error_estimate <= 1e-7 * res.value
+
     def test_outer_quadrature_failure_is_reported(self):
         # the tail integrand decays like z^(-1.17) here: quad reports
         # roundoff and no convergence, which must not read "converged"
@@ -913,11 +921,15 @@ class TestMomentIntegrand:
             assert _radial_factor(g, w) == pytest.approx(want, rel=1e-12)
 
 
+def _ladder_pass():
+    m2s, gaps = m2_ladder([2.0**-k for k in range(7)], ModelConfig(0.5, 3))
+    return m2s + gaps[1:]
+
+
 # BLAS runs inside the integrand and the rule: the passes must not depend on
 # how the cubature slices cells into calls, nor on BLAS's thread count
 _SLICING_PASSES = {  # the pass's results, its columns and the points of one cell
-    "m2_ladder": (lambda: sum(m2_ladder([2.0**-k for k in range(1, 7)], ModelConfig(0.5, 3),
-                                        prev_eps=1.0), []), 12, 57),
+    "m2_ladder": (_ladder_pass, 13, 57),
     "shells": (lambda: var_limit(ModelConfig(0.75, 3)).shells, 5, 33),
     "a_t": (lambda: [a_t_integral(ModelConfig(0.25, 2))], 1, 33),
 }
