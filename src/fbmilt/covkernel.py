@@ -5,8 +5,11 @@ parameter: the fBm covariance R_H, the variances lambda/rho and covariance
 mu of differences of the two independent processes, the associated
 2x2 covariance determinants, and the lower incomplete gamma function with
 its power bound.  All functions accept scalars or numpy arrays and
-broadcast elementwise.  The lemma checks at the end are shared by
-``fbmilt verify-lemmas`` and the acceptance suite, each with its own bounds.
+broadcast elementwise.  The determinants' cancellation-free algebra is
+written once, in _phi and _cross, which take powers of the times without
+validation: quadmoments' integrands call them at ratio coordinates.  The
+lemma checks at the end are shared by ``fbmilt verify-lemmas`` and the
+acceptance suite, each with its own bounds.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class ModelConfig:
 
     def __post_init__(self):
         _check_hurst(self.hurst)
-        if int(self.dim) != self.dim or self.dim < 2:
+        if not float(self.dim).is_integer() or self.dim < 2:  # NaN and inf fail
             raise ParameterError(f"dim must be an integer >= 2, got {self.dim}")
         if not (self.horizon > 0.0):
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
@@ -107,29 +110,30 @@ def mu_cov(s, t, u, v, h):
 
 
 def phi_det(t, v, h):
-    """Determinant of Var(B_t, B_v) for a one-dimensional fBm.
-
-    Algebraically t^2H v^2H - (t^2H + v^2H - |t-v|^2H)^2 / 4.  Near the
-    diagonal t ~ v both terms are ~ t^4H and the textbook form loses all
-    significant digits, so an algebraically equivalent expansion around
-    the |t-v|^2H term is used there.
-    """
+    """Determinant of Var(B_t, B_v) for a one-dimensional fBm,
+    t^2H v^2H - R_H(t, v)^2, cancellation-free (see _phi)."""
     _check_hurst(h)
     _check_nonneg("t", t)
     _check_nonneg("v", v)
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
     h2 = 2.0 * h
-    a = t**h2
-    b = v**h2
-    c = np.abs(t - v) ** h2
-    direct = a * b - 0.25 * (a + b - c) ** 2
-    # phi = (a+b) c / 2 - (a-b)^2 / 4 - c^2 / 4, exact rearrangement:
-    # stable when c is the small term, unstable when b (or a) is.
-    expanded = 0.5 * (a + b) * c - 0.25 * (a - b) ** 2 - 0.25 * c * c
-    out = np.where(c < 0.5 * (a + b), expanded, direct)
-    out = np.maximum(out, 0.0)
+    out = _phi(t**h2, v**h2, np.abs(t - v) ** h2)
     return out if out.ndim else float(out)
+
+
+def _phi(a, b, c):
+    """phi from the powers a = t^2H, b = v^2H and c = |t - v|^2H, no validation.
+
+    Algebraically ab - (a + b - c)^2 / 4.  Near the diagonal t ~ v both
+    terms are ~ t^4H and that form loses all significant digits, so there
+    the exact rearrangement (a + b) c / 2 - (a - b)^2 / 4 - c^2 / 4 is
+    used: stable when c is the small term, unstable when b (or a) is.
+    Homogeneous of degree 2 in (a, b, c), and clipped at 0.
+    """
+    direct = a * b - 0.25 * (a + b - c) ** 2
+    expanded = 0.5 * (a + b) * c - 0.25 * (a - b) ** 2 - 0.25 * c * c
+    return np.maximum(np.where(c < 0.5 * (a + b), expanded, direct), 0.0)
 
 
 def cross_det(s, t, u, v, h):
@@ -137,9 +141,7 @@ def cross_det(s, t, u, v, h):
 
     Nonnegative (by 0 <= R_H(t,v) <= t^H v^H); completes the exact identity
     det Var(Z) = phi(t,v) + phi(s,u) + cross_det(s,t,u,v).  Formed without
-    cancellation near (s,t) = (u,v) as (t^H u^H - s^H v^H)^2 + 2 (XY - RR')
-    with X = t^H v^H, Y = s^H u^H, R = R(t,v), R' = R(s,u) and
-    XY - RR' = (X^2 phi(s,u) + R'^2 phi(t,v)) / (XY + RR'), all nonnegative.
+    cancellation near (s,t) = (u,v) (see _cross).
     """
     out = _det_terms(s, t, u, v, h)[2]
     return out if np.ndim(out) else float(out)
@@ -167,12 +169,23 @@ def _det_terms(s, t, u, v, h):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     phi_tv, phi_su = phi_det(t, v, h), phi_det(s, u, h)
-    sh, th, uh, vh = s**h, t**h, u**h, v**h
-    r_tv, r_su = cov_rh(t, v, h), cov_rh(s, u, h)
+    cross = _cross(t**h, v**h, s**h, u**h, cov_rh(t, v, h), cov_rh(s, u, h), phi_tv, phi_su)
+    return phi_tv, phi_su, cross
+
+
+def _cross(th, vh, sh, uh, r_tv, r_su, phi_tv, phi_su):
+    """cross_det from the powers t^H, v^H, s^H, u^H, R = R_H(t,v),
+    R' = R_H(s,u) and the two phis, no validation: with X = t^H v^H and
+    Y = s^H u^H, (t^H u^H - s^H v^H)^2 + 2 (XY - RR'), where
+    XY - RR' = (X^2 phi(s,u) + R'^2 phi(t,v)) / (XY + RR') since
+    phi = (time power product) - R^2; every term is nonnegative.
+    Homogeneous of degree 2H in (t, v) and in (s, u) apart, so the powers
+    may be of ratios: (t, v) over one time and (s, u) over another.
+    """
     num = (th * vh) ** 2 * phi_su + r_su * r_su * phi_tv
     den = np.asarray(th * vh * sh * uh + r_tv * r_su)
     ratio = np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
-    return phi_tv, phi_su, (th * uh - sh * vh) ** 2 + 2.0 * ratio
+    return (th * uh - sh * vh) ** 2 + 2.0 * ratio
 
 
 def lower_inc_gamma(alpha, x):

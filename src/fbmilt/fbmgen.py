@@ -46,7 +46,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.horizon > 0.0):
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
+        if not float(self.n_steps).is_integer() or self.n_steps < 1:  # NaN and inf fail
             raise ParameterError(f"n_steps must be an integer >= 1, got {self.n_steps}")
 
     @property
@@ -96,11 +96,13 @@ def _cholesky_factor(hurst, n):
     t = np.arange(1, n + 1) / n
     cov = cov_rh(t[:, None], t[None, :], hurst)
     try:
-        return np.linalg.cholesky(cov)
+        factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise ParameterError(
             f"covariance factorization failed for hurst={hurst}, n={n}: {exc}"
         ) from exc
+    factor.setflags(write=False)  # shared by every caller through the cache
+    return factor
 
 
 def _cholesky_paths(grid, cfg, rng, count):
@@ -137,8 +139,9 @@ def _circulant_eigenvalues(hurst, n):
     lam = np.fft.fft(row).real
     if lam.min() < -1e-8 * lam.max():
         return None
-    lam.setflags(write=False)
-    return np.maximum(lam, 0.0)
+    lam = np.maximum(lam, 0.0)
+    lam.setflags(write=False)  # shared by every caller through the cache
+    return lam
 
 
 def _circulant_paths(grid, cfg, rng, count):

@@ -222,7 +222,7 @@ def mc_moments(cfg: ModelConfig, eps, grid: TimeGrid, replications: int,
         for k, lo in enumerate(range(0, replications, _CHUNK))
     ]
     if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             parts = list(pool.map(_chunk_moments, *zip(*chunks)))
     else:
         parts = [_chunk_moments(*c) for c in chunks]

@@ -65,7 +65,7 @@ class EpsSchedule:
             raise ParameterError(f"eps0 must be positive, got {self.eps0}")
         if not (0.0 < self.factor < 1.0):
             raise ParameterError(f"factor must lie in (0, 1), got {self.factor}")
-        if int(self.count) != self.count or self.count < 3:
+        if not float(self.count).is_integer() or self.count < 3:  # NaN and inf fail
             raise ParameterError(f"count must be an integer >= 3, got {self.count}")
 
     def ladder(self) -> np.ndarray:

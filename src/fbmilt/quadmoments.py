@@ -11,9 +11,10 @@ coordinate, so each is four times its integral over {t largest}.  They
 concentrate near the origin and near the plane (s,t) = (u,v), so
 {t largest} is split by the orderings u < s and s < u, and each piece
 is integrated in ratio coordinates in which both singular sets become
-axis-aligned faces.  Determinants are evaluated through the
-cancellation-free decomposition det = phi(t,v) + phi(s,u) + cross(s,t,u,v)
-of nonnegative terms.
+axis-aligned faces.  Determinants are evaluated by covkernel's _phi and
+_cross, the cancellation-free decomposition
+det = phi(t,v) + phi(s,u) + cross(s,t,u,v) of nonnegative terms, at ratio
+coordinates: every term is homogeneous.
 
 The second-moment family at eps > 0 (m2, cross moments, Cauchy gaps)
 shares one integrand map and one starting mesh: every column is a
@@ -51,7 +52,7 @@ from scipy.integrate import quad
 from scipy.special import exprel, gammainc, gammaln, hyp1f1
 
 from . import cubature
-from .covkernel import ModelConfig
+from .covkernel import ModelConfig, _cross, _phi
 from .errors import ParameterError, QuadratureBudgetError
 
 __all__ = [
@@ -129,21 +130,7 @@ class QuadratureResult:
 
 
 # ---------------------------------------------------------------------------
-# scaled covariance helpers (no validation; hot path of the integrands)
-
-def _psi(b, c):
-    """phi_det(1, x) for x in [0, 1] from b = x^2H and c = (1 - x)^2H,
-    cancellation-safe at both endpoints."""
-    direct = b - 0.25 * (1.0 + b - c) ** 2
-    expanded = 0.5 * (1.0 + b) * c - 0.25 * (1.0 - b) ** 2 - 0.25 * c * c
-    return np.maximum(np.where(c < 0.5 * (1.0 + b), expanded, direct), 0.0)
-
-
-def _mhalf(b, c):
-    """R_H(1, x) = (1 + x^2H - (1-x)^2H) / 2 for x in [0, 1], from
-    b = x^2H and c = (1 - x)^2H."""
-    return 0.5 * (1.0 + b - c)
-
+# region geometry (no validation; hot path of the integrands)
 
 def _cluster_both(alpha):
     """Smootherstep map [0,1]->[0,1] clustering quadratically toward both 0
@@ -178,28 +165,19 @@ def _region_pieces(x, region, h, horizon):
     rh2 = r**h2
     ah, ach = a**h2, (1.0 - a) ** h2
     bh, bch = b**h2, (1.0 - b) ** h2
-    ma = _mhalf(ah, ach)
-    mb = _mhalf(bh, bch)
-    pa, pb = _psi(ah, ach), _psi(bh, bch)
-    # chi, the cross term over (st)^2H in A and (tu)^2H in B, is
-    # ar^2 + br^2 - 2 ma mb in A and 1 + (ar br)^2 - 2 ma mb in B, with
-    # ar = a^H, br = b^H: both vanish at a = b = 1, where the differences of
-    # order-1 terms would leave rounding.  Written as a square plus
-    # 2 (ar br - ma mb) = 2 (ah bh - ma^2 mb^2) / (ar br + ma mb), where
-    # ah bh - ma^2 mb^2 = ah pb + pa mb^2 since psi = x^2H - m^2, every term
-    # is nonnegative
     ar, br = np.sqrt(ah), np.sqrt(bh)
-    num = ah * pb + pa * (mb * mb)
-    den = ar * br + ma * mb
-    cross = 2.0 * np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     if region == "A":
         lam = ph2 + rh2
         rho = ph2 * ah + rh2 * bh
-        chi = (ar - br) ** 2 + cross
+        sh, uh = 1.0, ar
     else:
         lam = ph2 * ah + rh2
         rho = ph2 + rh2 * bh
-        chi = (1.0 - ar * br) ** 2 + cross
+        sh, uh = ar, 1.0
+    # det = phi(t,v) + phi(s,u) + cross(s,t,u,v), each term homogeneous: in
+    # ratio coordinates, (t, v) over t and (s, u) over p
+    pa, pb = _phi(1.0, ah, ach), _phi(1.0, bh, bch)
+    chi = _cross(1.0, br, sh, uh, 0.5 * (1.0 + bh - bch), 0.5 * (1.0 + ah - ach), pb, pa)
     det = rh2 * rh2 * pb + ph2 * ph2 * pa + ph2 * rh2 * chi
     return lam, rho, det, jac
 
@@ -246,19 +224,12 @@ def _status(results):
     return "converged" if all(r.status == "converged" for r in results) else "budget"
 
 
-def _result(value, err, runs):
-    """A QuadratureResult over the cubature results ``runs``."""
-    return QuadratureResult(
-        value=value, error_estimate=err, subdivisions=sum(r.ncells for r in runs),
-        status=_status(runs), nevals=sum(r.nevals for r in runs),
-    )
-
-
 def _columns(total, err, runs, scale):
     """One QuadratureResult per component of the K-component cubature
     results ``runs``, all over one mesh: ``scale`` times the summed
-    ``total`` and ``err`` (K,), the status of that component in every run,
-    and the cells and evaluations of the whole pass."""
+    ``total`` and ``err`` (K,) ([value] and [error] for one scalar run),
+    the status of that component in every run, and the cells and
+    evaluations of the whole pass."""
     ok = np.logical_and.reduce([r.converged for r in runs])
     return [
         QuadratureResult(
@@ -373,7 +344,7 @@ def m1(eps, cfg: ModelConfig, rel_tol=None):
         lambda x: (1.0 + x[:, 0] ** (2.0 * cfg.hurst)) ** (-0.5 * d), [0.0], [1.0],
         abs_tol=_M1_ABS_TOL / pref, rel_tol=rel_tol, max_evals=_M1_MAX_EVALS,
     )
-    c = _scaled(_result(res.value, res.error, [res]), pref * cfg.horizon**g)
+    (c,) = _columns([res.value], [res.error], [res], pref * cfg.horizon**g)
     if not _diverges(cfg):
         return _require_converged(_scaled(c, _radial_factor(g, 0.0)), "m1")
     shells = [_scaled(c, _radial_factor(g, w)) for w in _M1_SHELL_WIDTHS]
@@ -611,8 +582,8 @@ def _gamma_ratio(a, x):
 def a_z(z, cfg: ModelConfig):
     """A(z) = int_0^T int_0^t exp(-phi(t,v) z) dv dt, decreasing in z.
 
-    With v = t*b and phi(t, t*b) = t^4H psi(b), the time integral has a
-    closed form in the lower incomplete gamma function:
+    With v = t*b and phi(t, t*b) = t^4H psi(b), psi(b) = phi(1, b), the
+    time integral has a closed form in the lower incomplete gamma function:
     A(z) = T^2 / (4H) int_0^1 G(1/(2H), z psi(b) T^4H) db with
     G(a, x) = x^-a gamma(a, x), so A(z) is a 1D adaptive integral over the
     angle b.  psi vanishes at both ends, where the integrand gathers at
@@ -633,7 +604,7 @@ def a_z(z, cfg: ModelConfig):
     def f(x):
         b, db = _cluster_both(x[:, 0])
         bh, bch = b**h2, (1.0 - b) ** h2  # 1 - b exact where b is small
-        psi = np.concatenate((_psi(bh, bch), _psi(bch, bh)))  # angles b, 1 - b
+        psi = np.concatenate((_phi(1.0, bh, bch), _phi(1.0, bch, bh)))  # angles b, 1 - b
         g = _gamma_ratio(a, scale * psi)
         return (g[: len(b)] + g[len(b):]) * db
 
@@ -648,7 +619,7 @@ def a_z(z, cfg: ModelConfig):
         abs_tol=_A_Z_ABS_TOL / pref, rel_tol=_A_Z_REL_TOL, max_evals=_A_Z_MAX_EVALS,
         init_splits=[init],
     )
-    return _scaled(_result(res.value, res.error, [res]), pref)
+    return _columns([res.value], [res.error], [res], pref)[0]
 
 
 def reduction_bound(cfg: ModelConfig):

@@ -34,8 +34,10 @@ class TestModelConfig:
             ModelConfig(hurst=h, dim=2)
 
     def test_bad_dim(self):
-        with pytest.raises(ParameterError):
-            ModelConfig(hurst=0.5, dim=1)
+        # int() of NaN and inf raises ValueError and OverflowError
+        for d in (1, 2.5, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                ModelConfig(hurst=0.5, dim=d)
 
     def test_bad_horizon(self):
         with pytest.raises(ParameterError):

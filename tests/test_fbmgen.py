@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, norm
 
+from fbmilt import fbmgen
 from fbmilt.covkernel import ModelConfig, cov_rh
 from fbmilt.errors import ParameterError
 from fbmilt.fbmgen import (
@@ -38,6 +39,9 @@ class TestTimeGrid:
             TimeGrid(0.0, 4)
         with pytest.raises(ParameterError):
             TimeGrid(1.0, 0)
+        for n in (math.nan, math.inf):  # int() of these raises ValueError, OverflowError
+            with pytest.raises(ParameterError):
+                TimeGrid(1.0, n)
 
 
 @pytest.mark.parametrize("sampler", [sample_cholesky, sample_circulant])
@@ -127,6 +131,15 @@ class TestCirculant:
         c = np.corrcoef(last.T)
         off = c[np.triu_indices(3, 1)]
         assert np.all(np.abs(off) <= 4.0 / math.sqrt(R))
+
+
+def test_cached_sampler_arrays_are_read_only():
+    # the lru_cache hands every caller the same array: a write through one
+    # would change the law of every later sample
+    for arr in (fbmgen._cholesky_factor(0.6, 8), fbmgen._circulant_eigenvalues(0.6, 8)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def _max_z(a, b, var, cross):

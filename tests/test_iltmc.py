@@ -191,6 +191,28 @@ class TestMcMoments:
         b = mc_moments(CFG, 1.0, grid, 600, seed=3, workers=3)
         assert a == b
 
+    def test_pool_capped_at_chunk_count(self, monkeypatch):
+        # a serial stand-in for the pool: no process is started
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(iltmc, "ProcessPoolExecutor", SerialPool)
+        grid = TimeGrid(1.0, 8)
+        est = mc_moments(CFG, 1.0, grid, 2 * iltmc._CHUNK, seed=3, workers=64)
+        assert seen == [2]
+        assert est == mc_moments(CFG, 1.0, grid, 2 * iltmc._CHUNK, seed=3, workers=1)
+
     def test_variance_identity(self):
         est = mc_moments(CFG, 1.0, TimeGrid(1.0, 16), 500, seed=1)
         assert est.variance == pytest.approx(

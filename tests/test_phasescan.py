@@ -39,6 +39,9 @@ class TestEpsSchedule:
             EpsSchedule(eps0=1.0, factor=1.0, count=5)
         with pytest.raises(ParameterError):
             EpsSchedule(eps0=1.0, factor=0.5, count=2)
+        for count in (math.nan, math.inf):  # int() of these raises ValueError, OverflowError
+            with pytest.raises(ParameterError):
+                EpsSchedule(eps0=1.0, factor=0.5, count=count)
 
 
 class TestFits:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbmilt import cubature, quadmoments
-from fbmilt.covkernel import ModelConfig, det_var_z, lambda_var
+from fbmilt.covkernel import ModelConfig, det_var_z, lambda_var, phi_det
 from fbmilt.cubature import integrate
 from fbmilt.errors import ParameterError, QuadratureBudgetError
 from fbmilt.phasescan import QUAD_REL_TOL, EpsSchedule
@@ -23,7 +23,6 @@ from fbmilt.quadmoments import (
     _gamma_ratio,
     _limit_integrand,
     _moment_integrand,
-    _psi,
     _radial_factor,
     _region_pieces,
     _shell_splits,
@@ -554,7 +553,7 @@ def a_z_2d(z, cfg, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
         b, db = _cluster_both(be)
         t = T * tau**4
         jac = 4.0 * T * tau**3 * t * db
-        return np.exp(-(t**h4) * _psi(b**h2, (1.0 - b) ** h2) * z) * jac
+        return np.exp(-(t**h4) * phi_det(1.0, b, cfg.hurst) * z) * jac
 
     return integrate(f, [0.0, 0.0], [1.0, 1.0], abs_tol=abs_tol, rel_tol=rel_tol,
                      max_evals=max_evals, init_splits=[np.array([0.0, 0.5, 1.0])] * 2)
@@ -722,6 +721,10 @@ _geometry = dict(
     horizon=st.floats(0.1, 3.0),
     region=st.sampled_from("AB"),
 )
+# and angles within 1e-8 of 1, where the smootherstep value rounds to 1
+_near_one = st.floats(0.0, 1e-8).map(lambda e: 1.0 - e)
+_geometry_near_one = dict(_geometry, x=st.tuples(
+    _radius, _radius, st.one_of(_angle, _near_one), st.one_of(_angle, _near_one)).map(list))
 
 
 def _angles(x):
@@ -818,7 +821,7 @@ class TestRegionPieces:
                + 2.0 * scale * (_rounding_slack(t, v, h) + _rounding_slack(s, u, h)))
         assert abs(det[0] - want) <= tol
 
-    @pytest.mark.parametrize("h", [0.75, 0.9])
+    @pytest.mark.parametrize("h", [0.15, 0.3, 0.5, 0.75, 0.9])
     @pytest.mark.parametrize("region", ["A", "B"])
     def test_det_keeps_its_digits_near_the_diagonal_face(self, region, h):
         # 1e-3 to 4e-3 from alpha = beta = 1, 1 - a and 1 - b are about
@@ -833,6 +836,16 @@ class TestRegionPieces:
             for row, got in zip(x, det):
                 want = float(_det_decimal(row, region, h))
                 assert abs(got - want) <= 1e-8 * want
+
+    @settings(max_examples=300, deadline=None)
+    @given(**_geometry_near_one)
+    @example(x=[0.5, 0.5, 1.0 - 1e-9, 1.0 - 1e-9], h=0.9, horizon=1.0, region="B")
+    def test_det_at_most_lam_rho(self, x, h, horizon, region):
+        # det = lam rho - mu^2 <= lam rho: the variance limit's max(P - X, 0)
+        # relies on it.  Slack: 4 ulps of lam rho, since where mu ~ 0 (angles
+        # near 0) the two sides agree and round apart by about one ulp
+        lam, rho, det, _ = _region_pieces(np.array([x]), region, h, horizon)
+        assert det[0] <= lam[0] * rho[0] * (1.0 + 4.0 * 2.0**-52)
 
     @settings(max_examples=200, deadline=None)
     @given(c=st.floats(0.1, 10.0), **_geometry)
