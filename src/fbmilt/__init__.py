@@ -25,7 +25,14 @@ from .fbmgen import (
     sample_pair,
     sample_paths,
 )
-from .iltmc import MomentEstimate, grid_for_eps, heat_kernel, ilt_epsilon, mc_moments
+from .iltmc import (
+    MomentEstimate,
+    discrete_mean,
+    grid_for_eps,
+    heat_kernel,
+    ilt_epsilon,
+    mc_moments,
+)
 from .phasescan import EpsSchedule, PhasePoint, SweepSeries, classify, phase_grid, sweep
 from .quadmoments import (
     QuadratureResult,
@@ -66,6 +73,7 @@ __all__ = [
     "MomentEstimate",
     "heat_kernel",
     "ilt_epsilon",
+    "discrete_mean",
     "grid_for_eps",
     "mc_moments",
     "QuadratureResult",

@@ -28,7 +28,7 @@ from . import __version__, covkernel, quadmoments
 from .covkernel import ModelConfig
 from .errors import IndeterminateError, ParameterError, QuadratureBudgetError
 from .fbmgen import TimeGrid, path_to_csv, sample_pair
-from .iltmc import grid_for_eps, mc_moments
+from .iltmc import discrete_mean, grid_for_eps, mc_moments
 from .phasescan import MIN_ROWS, EpsSchedule, PhaseError, phase_grid
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
@@ -290,6 +290,8 @@ def _run_estimate(rc: RunConfig) -> int:
     grid = TimeGrid(horizon=rc.horizon, n_steps=n)
     est = mc_moments(cfg, rc.eps, grid, replications=reps, seed=rc.seed,
                      method=rc.method, workers=rc.workers)
+    exact = discrete_mean(cfg, rc.eps, grid)
+    r1 = quadmoments.m1(rc.eps, cfg)
     report = _report(rc, {
         "mc": {
             "mean": _num(est.mean), "se": _num(est.se_mean),
@@ -298,7 +300,12 @@ def _run_estimate(rc: RunConfig) -> int:
             "se_second": _num(est.se_second),
             "variance": _num(est.variance),
         },
-        "diagnostics": {"grid_n": est.grid_n, "pair_sums": est.pair_sums},
+        "diagnostics": {
+            "grid_n": est.grid_n, "pair_sums": est.pair_sums,
+            "discrete_mean": _num(exact),
+            "discretization_bias": {"value": _num(exact - r1.value),
+                                    "error": _num(r1.error_estimate)},
+        },
     })
     _emit(rc, report)
     _say(rc, f"estimate: E[I_eps] ~ {est.mean:.6g} +/- {est.se_mean:.2g} "

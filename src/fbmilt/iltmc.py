@@ -11,6 +11,11 @@ pairs, or rows of one pair, and at most ``_KERNEL_BLOCK_BYTES`` (1 MiB)
 of float64 exponents, so that it stays in a core's L2 cache between the
 passes.
 
+The mean of that trapezoid sum is known in closed form
+(``discrete_mean``), so ``grid_for_eps`` picks the smallest grid whose
+exact discretization bias is within ``GRID_BIAS_REL_TOL`` (1e-3) of the
+quadrature m1(eps).
+
 Replications are addressed per chunk: chunk k holds replications
 k * _CHUNK .. (k + 1) * _CHUNK - 1 and draws all of its paths from one
 Philox stream keyed by (seed, k).  The chunk samples its paths with one
@@ -35,6 +40,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import quadmoments
 from .covkernel import ModelConfig
 from .errors import ParameterError
 # sample_pair is not called here; perfbench/tracing.py wraps it as iltmc.sample_pair.
@@ -45,11 +51,13 @@ __all__ = [
     "heat_kernel",
     "gauss_weight_sum",
     "ilt_epsilon",
+    "discrete_mean",
     "grid_for_eps",
     "mc_moments",
 ]
 
 GRID_CAP = 4096
+GRID_BIAS_REL_TOL = 1e-3
 _CHUNK = 256
 _KERNEL_BLOCK_BYTES = 1 << 20
 _SAMPLER_BLOCK_BYTES = 1 << 23
@@ -130,23 +138,68 @@ def ilt_epsilon(pair: FbmPathPair, eps) -> float:
     return (2.0 * math.pi * e) ** (-0.5 * first.dim) * float(raw)
 
 
-def grid_for_eps(eps, cfg: ModelConfig) -> int:
-    """Steps needed so the path moves less than the kernel length scale
-    per cell: step^H <= sqrt(eps)/4, i.e. n >= T (16/eps)^(1/2H).
+def discrete_mean(cfg: ModelConfig, eps, grid: TimeGrid) -> float:
+    """Exact E[I_n] of the trapezoid sum on ``grid``:
+    sum_ij w_i w_j (2 pi (eps + t_i^2H + s_j^2H))^(-d/2), since B_t - B~_s
+    is centred Gaussian with covariance (t^2H + s^2H) I_d.
 
-    Capped at GRID_CAP with a warning when the cap binds.
+    O(n^2) work in row blocks of at most _KERNEL_BLOCK_BYTES, so no
+    (n+1)^2 array is held at any n.
     """
     e = _eps_value(eps)
-    n = math.ceil(cfg.horizon * (16.0 / e) ** (1.0 / (2.0 * cfg.hurst)))
-    n = max(n, 16)
-    if n > GRID_CAP:
-        warnings.warn(
-            f"bias rule asks for {n} grid steps; capped at {GRID_CAP} "
-            f"(discretization bias may not be negligible)",
-            RuntimeWarning,
-        )
-        n = GRID_CAP
-    return n
+    lam = grid.times ** (2.0 * cfg.hurst)
+    w = grid.trapezoid_weights()
+    m = len(lam)
+    rows = max(1, min(m, _KERNEL_BLOCK_BYTES // (8 * m)))
+    buf = np.empty(rows * m)
+    total = 0.0
+    for i0 in range(0, m, rows):
+        i1 = min(i0 + rows, m)
+        block = buf[:(i1 - i0) * m].reshape(i1 - i0, m)
+        np.add.outer(lam[i0:i1] + e, lam, out=block)
+        block **= -0.5 * cfg.dim
+        total += float(w[i0:i1] @ (block @ w))
+    return (2.0 * math.pi) ** (-0.5 * cfg.dim) * total
+
+
+def grid_for_eps(eps, cfg: ModelConfig) -> int:
+    """Smallest n >= 16 whose exact discretization bias is within
+    GRID_BIAS_REL_TOL of m1(eps):
+    |discrete_mean(n) - m1(eps)| + m1's claimed error <= 1e-3 m1(eps).
+
+    Searched by doubling from 16, then bisection, so the returned n meets
+    the bound and n - 1 does not (unless n = 16).  Capped at GRID_CAP with
+    a RuntimeWarning when the bound is not met below it.  Only n is chosen
+    with the quadrature's help; the Monte Carlo estimate on that grid stays
+    independent of it.  Raises QuadratureBudgetError if m1 does not
+    converge.
+    """
+    e = _eps_value(eps)
+    ref = quadmoments.m1(e, cfg)
+    bound = GRID_BIAS_REL_TOL * ref.value - ref.error_estimate
+
+    def meets(n):
+        grid = TimeGrid(cfg.horizon, n)
+        return abs(discrete_mean(cfg, e, grid) - ref.value) <= bound
+
+    # hi meets the bound; lo misses it or is below the floor of 16
+    lo, hi = 15, 16
+    while not meets(hi):
+        if hi == GRID_CAP:
+            warnings.warn(
+                f"no grid of at most {GRID_CAP} steps has discretization bias "
+                f"within {GRID_BIAS_REL_TOL:g} of m1; capped at {GRID_CAP}",
+                RuntimeWarning,
+            )
+            return GRID_CAP
+        lo, hi = hi, min(2 * hi, GRID_CAP)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _moments(values):

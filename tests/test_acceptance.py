@@ -2,8 +2,9 @@
 
 Each test checks one numbered criterion and prints a one-line
 [PASS]/[FAIL] verdict on the real stdout so the lines survive pytest's
-capture. The suite is slower than the unit tests (several minutes); the
-Monte Carlo coherence criterion dominates the runtime.
+capture. The nine criteria take about 15 s together on a 2-vCPU machine
+with one BLAS thread; the Monte Carlo coherence criterion (about 7 s) and
+the sampler z-tests (about 3 s) are the largest parts.
 """
 
 import math

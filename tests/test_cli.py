@@ -5,8 +5,10 @@ import math
 
 import pytest
 
-from fbmilt import cli, phasescan, quadmoments
+from fbmilt import cli, iltmc, phasescan, quadmoments
+from fbmilt.covkernel import ModelConfig
 from fbmilt.errors import ParameterError, QuadratureBudgetError
+from fbmilt.fbmgen import TimeGrid
 from fbmilt.phasescan import PhaseError
 
 
@@ -192,13 +194,22 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("grid_args, n", [([], 16), (["--grid-n", "20"], 20)])
     def test_diagnostics(self, tmp_path, grid_args, n):
-        # without --grid-n the bias rule gives ceil((16/eps)^(1/2H)) = 16 steps
+        # without --grid-n the exact-bias rule gives its floor of 16 steps here
         out = tmp_path / "e.json"
         code = run_main(["estimate", "--hurst", "0.5", "--dim", "2", "--eps", "1",
                          "--reps", "50", "--out", str(out)] + grid_args)
         assert code == 0
         diagnostics = json.loads(out.read_text())["results"]["diagnostics"]
-        assert diagnostics == {"grid_n": n, "pair_sums": 50 * (n + 1) ** 2}
+        assert diagnostics["grid_n"] == n
+        assert diagnostics["pair_sums"] == 50 * (n + 1) ** 2
+        cfg = ModelConfig(0.5, 2)
+        exact = iltmc.discrete_mean(cfg, 1.0, TimeGrid(1.0, n))
+        ref = quadmoments.m1(1.0, cfg)
+        assert diagnostics["discrete_mean"] == exact
+        bias = diagnostics["discretization_bias"]
+        assert bias == {"value": exact - ref.value, "error": ref.error_estimate}
+        # the chosen grid meets the 1e-3 relative bias bound
+        assert abs(bias["value"]) + bias["error"] <= 1e-3 * ref.value
 
 
 class TestSweepCommand:

@@ -1,5 +1,7 @@
 import functools
 import math
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmilt import iltmc
-from fbmilt.covkernel import ModelConfig
-from fbmilt.errors import ParameterError
+from fbmilt import iltmc, quadmoments
+from fbmilt.covkernel import ModelConfig, cov_rh
+from fbmilt.errors import ParameterError, QuadratureBudgetError
 from fbmilt.fbmgen import FbmPath, FbmPathPair, TimeGrid, sample_pair
 from fbmilt.iltmc import (
+    discrete_mean,
     gauss_weight_sum,
     grid_for_eps,
     heat_kernel,
@@ -159,20 +162,103 @@ class TestIltEpsilon:
             ilt_epsilon(FbmPathPair(a, b, 0), 0.5)
 
 
-class TestGridForEps:
-    def test_formula(self):
-        # n = ceil(T (16/eps)^(1/2H))
-        assert grid_for_eps(0.5, CFG) == 32
-        assert grid_for_eps(1.0, CFG) == 16
-        assert grid_for_eps(0.5, ModelConfig(0.3, 2)) == 323
+def _exact_second_moment(cfg, eps, grid):
+    """E[I_n^2] = (2 pi)^-d sum_ijkl w_i w_j w_k w_l det(C + eps I)^(-d/2),
+    where C = (lam, mu; mu, rho) is the covariance of one coordinate of
+    B_t - B~_s at the node pairs (t_i, s_j) and (t_k, s_l).  O(n^4)."""
+    t = grid.times
+    w = grid.trapezoid_weights()
+    r = np.asarray(cov_rh(t[:, None], t[None, :], cfg.hurst))
+    lam = np.diag(r)[:, None] + np.diag(r)[None, :] + eps  # (i, j)
+    mu = r[:, None, :, None] + r[None, :, None, :]  # (i, j, k, l)
+    det = lam[:, :, None, None] * lam[None, None] - mu**2
+    ww = np.outer(w, w)
+    total = np.einsum("ij,ijkl,kl->", ww, det ** (-0.5 * cfg.dim), ww)
+    return (2 * math.pi) ** -cfg.dim * float(total)
 
-    def test_cap_warns(self):
-        with pytest.warns(RuntimeWarning):
+
+def _bias_bound_met(cfg, eps, n):
+    ref = m1(eps, cfg)
+    bias = abs(discrete_mean(cfg, eps, TimeGrid(cfg.horizon, n)) - ref.value)
+    return bias + ref.error_estimate <= iltmc.GRID_BIAS_REL_TOL * ref.value
+
+
+class TestDiscreteMean:
+    def test_matches_double_loop(self):
+        # the variance form of each term: p_{eps + t^2H + s^2H}(0)
+        for h, d, eps in [(0.5, 2, 0.5), (0.3, 3, 0.2), (0.7, 4, 1.5)]:
+            cfg = ModelConfig(h, d, horizon=2.0)
+            grid = TimeGrid(2.0, 8)
+            t, w = grid.times.tolist(), grid.trapezoid_weights().tolist()
+            want = sum(wi * wj * heat_kernel(np.zeros(d), eps + ti ** (2 * h) + sj ** (2 * h), d)
+                       for ti, wi in zip(t, w) for sj, wj in zip(t, w))
+            assert discrete_mean(cfg, eps, grid) == pytest.approx(want, rel=1e-14)
+
+    def test_blocks_agree(self, monkeypatch):
+        grid = TimeGrid(1.0, 64)
+        whole = discrete_mean(CFG, 0.5, grid)
+        monkeypatch.setattr(iltmc, "_KERNEL_BLOCK_BYTES", 8 * 65 * 7)
+        assert discrete_mean(CFG, 0.5, grid) == pytest.approx(whole, rel=1e-14)
+
+    def test_bias_shrinks_as_n_doubles(self):
+        want = m1(0.5, CFG).value
+        biases = [abs(discrete_mean(CFG, 0.5, TimeGrid(1.0, n)) - want)
+                  for n in (16, 32, 64, 128, 256)]
+        assert all(b < a for a, b in zip(biases, biases[1:]))
+
+    def test_memory_bounded_at_cap(self):
+        # a dense (n+1)^2 float64 array at n = GRID_CAP would take 134 MB
+        grid = TimeGrid(1.0, iltmc.GRID_CAP)
+        tracemalloc.start()
+        try:
+            discrete_mean(CFG, 1e-4, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * iltmc._KERNEL_BLOCK_BYTES
+
+    def test_bad_eps(self):
+        with pytest.raises(ParameterError):
+            discrete_mean(CFG, 0.0, TimeGrid(1.0, 8))
+
+
+class TestGridForEps:
+    POINTS = [(0.25, 2, 0.4), (0.25, 3, 0.4), (0.5, 2, 0.5), (0.5, 3, 1.0),
+              (0.7, 2, 1.0), (0.3, 2, 0.5)]
+
+    @pytest.mark.parametrize("h, d, eps", POINTS)
+    def test_smallest_n_meeting_bound(self, h, d, eps):
+        cfg = ModelConfig(h, d)
+        n = grid_for_eps(eps, cfg)
+        assert _bias_bound_met(cfg, eps, n)
+        assert n == 16 or not _bias_bound_met(cfg, eps, n - 1)
+
+    def test_criterion_3_grids(self):
+        got = [grid_for_eps(eps, ModelConfig(h, d))
+               for h, d, eps in [(0.3, 2, 0.5), (0.5, 2, 0.5), (0.5, 3, 1.0), (0.7, 2, 1.0)]]
+        assert got == [51, 16, 16, 16]
+
+    def test_cap_warns(self, monkeypatch):
+        # (0.25, 3, 0.4) needs n = 128: doubling reaches 64, then the cap
+        monkeypatch.setattr(iltmc, "GRID_CAP", 100)
+        with pytest.warns(RuntimeWarning, match="capped at 100"):
+            n = grid_for_eps(0.4, ModelConfig(0.25, 3))
+        assert n == 100
+
+    def test_small_eps_below_cap(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             n = grid_for_eps(1e-4, CFG)
-        assert n == 4096
+        assert 1024 < n < iltmc.GRID_CAP
+        assert _bias_bound_met(CFG, 1e-4, n)
 
     def test_floor(self):
         assert grid_for_eps(100.0, CFG) == 16
+
+    def test_m1_budget_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(quadmoments, "_M1_MAX_EVALS", 100)
+        with pytest.raises(QuadratureBudgetError):
+            grid_for_eps(0.5, CFG)
 
 
 class TestMcMoments:
@@ -245,3 +331,13 @@ class TestMcMoments:
         want2 = m2(eps, CFG).value
         assert abs(est.mean - want1) <= 3 * est.se_mean
         assert abs(est.second_moment - want2) <= 3 * est.se_second
+
+    @pytest.mark.parametrize("h, d, eps", [(0.5, 2, 0.5), (0.3, 3, 0.4)])
+    def test_matches_exact_discrete_moments(self, h, d, eps):
+        # both moments of the n = 16 trapezoid sum are known exactly, so
+        # this tests sampler and kernel without any discretization bias
+        cfg = ModelConfig(h, d)
+        grid = TimeGrid(1.0, 16)
+        est = mc_moments(cfg, eps, grid, 4000, seed=7)
+        assert abs(est.mean - discrete_mean(cfg, eps, grid)) <= 4 * est.se_mean
+        assert abs(est.second_moment - _exact_second_moment(cfg, eps, grid)) <= 4 * est.se_second
