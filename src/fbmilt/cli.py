@@ -4,10 +4,14 @@ Subcommands: simulate, estimate, moments, sweep, phase, verify-lemmas.
 Each subcommand takes only the flags it reads.  Flag values override
 config-file values override defaults; the config file is flat
 ``key = value`` lines with ``#`` comments and may set any field.  Reports are JSON
-(stable schema, floats serialized round-trip exact) or CSV for sweeps.
+(stable schema, floats serialized round-trip exact) or CSV for sweeps; a
+sweep row's keys and CSV columns are the fields of phasescan.SweepRow.
+An unset --tol leaves each tolerance at its library default.
 
-Exit codes: 0 success, 1 a verify-lemmas check failed, 2 parameter error,
-3 quadrature budget exhausted, 4 indeterminate classification.
+Exit codes: 0 success, 1 a verify-lemmas check failed, then one per error
+kind of errors.KINDS: 2 parameter error, 3 quadrature budget exhausted,
+4 indeterminate classification.  A phase run exits with the highest code
+among its points.
 """
 
 from __future__ import annotations
@@ -19,21 +23,22 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import __version__, covkernel, quadmoments
 from .covkernel import ModelConfig
-from .errors import IndeterminateError, ParameterError, QuadratureBudgetError
+from .errors import KINDS, ParameterError
 from .fbmgen import TimeGrid, path_to_csv, sample_pair
 from .iltmc import discrete_mean, grid_for_eps, mc_moments
-from .phasescan import MIN_ROWS, EpsSchedule, PhaseError, phase_grid
+from .phasescan import MIN_ROWS, EpsSchedule, PhaseError, SweepRow, phase_grid
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
 COMMANDS = ("simulate", "estimate", "moments", "sweep", "phase", "verify-lemmas")
+_EXIT_CODES = {"parameter": 2, "budget": 3, "indeterminate": 4}
 
 
 @dataclass
@@ -61,9 +66,6 @@ class RunConfig:
                 f"command {self.command!r} takes a single hurst and dim value"
             )
         return ModelConfig(hurst=self.hurst[0], dim=self.dim[0], horizon=self.horizon)
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _floats(text):
@@ -233,19 +235,17 @@ def _report(rc: RunConfig, results: dict) -> dict:
     return {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config": rc.as_dict(),
+        "config": asdict(rc),
         "results": base,
     }
 
 
-def _emit(rc: RunConfig, report: dict, csv_rows=None, csv_header=None) -> None:
+def _emit(rc: RunConfig, report: dict, csv_rows=None) -> None:
     if rc.format == "csv" and csv_rows is not None:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(csv_header)
-        for row in csv_rows:
-            writer.writerow(["" if v is None else repr(float(v)) if isinstance(v, float)
-                             else v for v in row])
+        writer = csv.DictWriter(buf, [f.name for f in fields(SweepRow)])
+        writer.writeheader()
+        writer.writerows(csv_rows)  # None as "", a float as its repr
         text = buf.getvalue()
     else:
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
@@ -315,12 +315,11 @@ def _run_estimate(rc: RunConfig) -> int:
 
 def _run_moments(rc: RunConfig) -> int:
     cfg = rc.model()
-    tol = {} if rc.tol is None else {"rel_tol": rc.tol}
-    r1 = quadmoments.m1(rc.eps, cfg, **tol)
+    r1 = quadmoments.m1(rc.eps, cfg, rel_tol=rc.tol)
     results = {"m1": _quad_dict(r1)}
     summary = f"moments: m1={r1.value:.6g}"
     if rc.eps > 0.0:
-        r2 = quadmoments.m2(rc.eps, cfg, **tol)
+        r2 = quadmoments.m2(rc.eps, cfg, rel_tol=rc.tol)
         results["m2"] = _quad_dict(r2)
         results["variance"] = _num(r2.value - r1.value**2)
         summary += f" m2={r2.value:.6g} variance={r2.value - r1.value ** 2:.6g}"
@@ -331,19 +330,8 @@ def _run_moments(rc: RunConfig) -> int:
     return 0
 
 
-_SWEEP_HEADER = ["eps", "m1", "m1_err", "m2", "m2_err", "variance",
-                 "cauchy_gap", "gap_err", "mc_mean", "mc_se", "complete"]
-
-
-def _row_dict(row) -> dict:
-    return {
-        "eps": _num(row.eps), "m1": _num(row.m1), "m1_err": _num(row.m1_err),
-        "m2": _num(row.m2), "m2_err": _num(row.m2_err),
-        "variance": _num(row.variance), "cauchy_gap": _num(row.cauchy_gap),
-        "gap_err": _num(row.gap_err),
-        "mc_mean": _num(row.mc_mean), "mc_se": _num(row.mc_se),
-        "complete": row.complete,
-    }
+def _row_dict(row: SweepRow) -> dict:
+    return {k: _num(v) if isinstance(v, float) else v for k, v in asdict(row).items()}
 
 
 def _schedule(rc: RunConfig, cfg: ModelConfig) -> EpsSchedule:
@@ -357,25 +345,22 @@ def _run_sweep(rc: RunConfig) -> int:
     mc_params = None if rc.reps is None else {
         "reps": rc.reps, "seed": rc.seed, "method": rc.method,
         "workers": rc.workers, "grid_n": rc.grid_n}
-    tol = {} if rc.tol is None else {"quad_rel_tol": rc.tol}
-    series = sweep(cfg, _schedule(rc, cfg), mc_params=mc_params, **tol)
+    series = sweep(cfg, _schedule(rc, cfg), mc_params=mc_params, quad_rel_tol=rc.tol)
     rows = [_row_dict(r) for r in series.rows]
-    csv_rows = [[r[k] for k in _SWEEP_HEADER] for r in rows]
     report = _report(rc, {"rows": rows, "diagnostics": {"nevals": series.nevals}})
-    _emit(rc, report, csv_rows=csv_rows, csv_header=_SWEEP_HEADER)
+    _emit(rc, report, csv_rows=rows)
     incomplete = sum(1 for r in series.rows if not r.complete)
     _say(rc, f"sweep: {len(rows)} rows, eps {rows[0]['eps']:.3g} .. {rows[-1]['eps']:.3g}, "
              f"{incomplete} incomplete (H={cfg.hurst}, d={cfg.dim})")
-    return 3 if incomplete else 0
+    return _EXIT_CODES["budget"] if incomplete else 0
 
 
 def _run_phase(rc: RunConfig) -> int:
-    tol = {} if rc.tol is None else {"quad_rel_tol": rc.tol}
     points = []
     for h in rc.hurst:  # one point at a time: each ladder starts at its own T^2H
         for d in rc.dim:
             schedule = _schedule(rc, ModelConfig(h, d, rc.horizon))
-            points += phase_grid([h], [d], schedule, horizon=rc.horizon, **tol)
+            points += phase_grid([h], [d], schedule, horizon=rc.horizon, quad_rel_tol=rc.tol)
     rows = []
     summaries = []
     status = 0
@@ -384,10 +369,7 @@ def _run_phase(rc: RunConfig) -> int:
             rows.append({"hurst": pt.hurst, "dim": pt.dim, "verdict": None,
                          "fitted_rate": None, "error": pt.message})
             summaries.append(f"H={pt.hurst} d={pt.dim}: error ({pt.kind})")
-            if pt.kind == "indeterminate":
-                status = 4
-            elif pt.kind == "budget" and status == 0:
-                status = 3
+            status = max(status, _EXIT_CODES[pt.kind])
         else:
             rows.append({"hurst": pt.hurst, "dim": pt.dim, "verdict": pt.verdict,
                          "fitted_rate": _num(pt.fitted_rate), "error": None})
@@ -442,15 +424,9 @@ def main(argv=None) -> int:
     try:
         rc = parse_args(sys.argv[1:] if argv is None else argv)
         return run(rc)
-    except ParameterError as exc:
+    except tuple(KINDS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QuadratureBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except IndeterminateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES[KINDS[type(exc)]]
 
 
 if __name__ == "__main__":

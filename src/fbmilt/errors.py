@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the kind each one names."""
 
 
 class ParameterError(ValueError):
@@ -17,7 +17,8 @@ class QuadratureBudgetError(RuntimeError):
 
 
 class IndeterminateError(RuntimeError):
-    """A sweep could not be classified even after extending the ladder.
+    """A sweep gave no verdict: its fitted m1 rate lies within
+    phasescan.RATE_SIGN_CUTOFF of 0.
 
     Carries the sweep series that led to the tie.
     """
@@ -25,3 +26,12 @@ class IndeterminateError(RuntimeError):
     def __init__(self, message, series=None):
         super().__init__(message)
         self.series = series
+
+
+# the kind of each error class: what a phase point records in its place and
+# what the command line maps to an exit code
+KINDS = {
+    ParameterError: "parameter",
+    QuadratureBudgetError: "budget",
+    IndeterminateError: "indeterminate",
+}

@@ -17,6 +17,10 @@ and surfaced in the outputs:
 The two-term model fits any r through 2 points, so the half needs at
 least 3 and classification needs MIN_ROWS = 5 complete rows.  Every row
 keeps m2, its Cauchy gap and their errors as reported evidence.
+
+phase_grid records a point whose classification raised as a PhaseError
+of the kind errors.KINDS gives its exception.  sweep and phase_grid
+resolve quad_rel_tol=None to QUAD_REL_TOL when called.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from scipy.optimize import minimize_scalar
 
 from . import quadmoments
 from .covkernel import ModelConfig
-from .errors import IndeterminateError, ParameterError, QuadratureBudgetError
+from .errors import KINDS, IndeterminateError, ParameterError, QuadratureBudgetError
 from .fbmgen import TimeGrid
 from .iltmc import grid_for_eps, mc_moments
 
@@ -112,7 +116,10 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class PhaseError:
-    """A grid point whose classification raised; recorded, not re-raised."""
+    """A grid point whose classification raised; recorded, not re-raised.
+
+    Its ``kind`` is errors.KINDS at the class of the exception raised.
+    """
 
     hurst: float
     dim: int
@@ -121,10 +128,11 @@ class PhaseError:
 
 
 def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
-          mc_params: Optional[dict] = None, quad_rel_tol: float = QUAD_REL_TOL) -> SweepSeries:
+          mc_params: Optional[dict] = None, quad_rel_tol: Optional[float] = None) -> SweepSeries:
     """One row of quadrature moments per ladder rung, with a Monte Carlo
     estimate of m1 alongside when ``mc_params`` is given (the keyword
-    arguments of mc_moments, plus "reps" and "grid_n").
+    arguments of mc_moments, plus "reps" and "grid_n").  m2 is integrated
+    to ``quad_rel_tol`` (default QUAD_REL_TOL).
 
     Every rung's m1 comes from one 2D pass and every rung's m2 and Cauchy
     gap from one 4D pass per region, each over a shared mesh.  A row is
@@ -134,6 +142,8 @@ def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
     """
     if schedule is None:
         schedule = EpsSchedule.default_for(cfg)
+    if quad_rel_tol is None:
+        quad_rel_tol = QUAD_REL_TOL
     ladder = [float(e) for e in schedule.ladder()]
     r1 = quadmoments.m1_ladder(ladder, cfg)
     r2, rg = quadmoments.m2_ladder(ladder, cfg, rel_tol=quad_rel_tol)
@@ -224,7 +234,7 @@ def classify(series: SweepSeries, cfg: ModelConfig) -> PhasePoint:
 
 
 def phase_grid(hs, ds, schedule: Optional[EpsSchedule] = None,
-               quad_rel_tol: float = QUAD_REL_TOL, horizon: float = 1.0):
+               quad_rel_tol: Optional[float] = None, horizon: float = 1.0):
     """classify(sweep(...)) over the lexicographic (hurst, dim) grid, every
     point on the time horizon ``horizon``.
 
@@ -239,10 +249,6 @@ def phase_grid(hs, ds, schedule: Optional[EpsSchedule] = None,
             try:
                 series = sweep(cfg, schedule, quad_rel_tol=quad_rel_tol)
                 out.append(classify(series, cfg))
-            except IndeterminateError as exc:
-                out.append(PhaseError(h, d, str(exc), "indeterminate"))
-            except QuadratureBudgetError as exc:
-                out.append(PhaseError(h, d, str(exc), "budget"))
-            except ParameterError as exc:
-                out.append(PhaseError(h, d, str(exc), "parameter"))
+            except tuple(KINDS) as exc:
+                out.append(PhaseError(h, d, str(exc), KINDS[type(exc)]))
     return out

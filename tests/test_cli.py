@@ -292,6 +292,16 @@ class TestPhaseCommand:
                          "--out", str(tmp_path / "p.json")])
         assert code == 4
 
+    def test_parameter_error_exit_code(self, tmp_path):
+        # eps0 * factor underflows to 0, which m1_ladder's guard rejects before
+        # any quadrature; the point's "parameter" error used to exit 0
+        out = tmp_path / "p.json"
+        code = run_main(["phase", "--hurst", "0.5", "--dim", "2", "--eps0", "5e-324",
+                         "--out", str(out)])
+        assert code == 2
+        (row,) = json.loads(out.read_text())["results"]["rows"]
+        assert "positive regularizers" in row["error"]
+
     def test_sweep_budget_hit_exit_code(self, monkeypatch, tmp_path):
         # a point whose sweep rows all hit their budget used to exit 0
         monkeypatch.setattr(quadmoments, "_M2_MAX_EVALS", 500)

@@ -279,3 +279,20 @@ class TestSweepBudgets:
         monkeypatch.setattr(ps.quadmoments, "m2_ladder", fake_m2_ladder)
         sweep(ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 6), quad_rel_tol=1e-3)
         assert seen == [(6, 1e-3)]
+
+    def test_none_tolerance_reaches_m2_ladder_as_default(self, monkeypatch):
+        # a None quad_rel_tol used to reach m2_ladder, which read it as 1e-4
+        seen = []
+
+        def fake_m2_ladder(eps, cfg, rel_tol):
+            seen.append(rel_tol)
+            raise ParameterError("stop")
+
+        monkeypatch.setattr(quadmoments, "m1_ladder", lambda eps, cfg: [])
+        monkeypatch.setattr(quadmoments, "m2_ladder", fake_m2_ladder)
+        schedule = EpsSchedule(1.0, 0.5, 6)
+        with pytest.raises(ParameterError):
+            sweep(ModelConfig(0.5, 2), schedule, quad_rel_tol=None)
+        (err,) = phase_grid([0.5], [2], schedule, quad_rel_tol=None)
+        assert err.kind == "parameter"
+        assert seen == [3e-4, 3e-4]
