@@ -335,7 +335,7 @@ def _row_dict(row: SweepRow) -> dict:
 
 
 def _schedule(rc: RunConfig, cfg: ModelConfig) -> EpsSchedule:
-    eps0 = rc.eps0 if rc.eps0 is not None else cfg.horizon ** (2.0 * cfg.hurst)
+    eps0 = rc.eps0 if rc.eps0 is not None else EpsSchedule.default_for(cfg).eps0
     return EpsSchedule(eps0=eps0, factor=rc.factor, count=rc.count)
 
 

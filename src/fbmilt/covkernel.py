@@ -15,6 +15,7 @@ acceptance suite, each with its own bounds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ _GAMMA_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 _GAMMA_FRACS = (0.25, 0.5, 0.75)
 _GAMMA_XS = np.logspace(-6, 6, 121)
 _ANGLE = 1e-5
+CRITICAL_TOL = 1e-9  # |Hd - 2| below which ModelConfig.regime is Critical
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,7 @@ class ModelConfig:
 
     def __post_init__(self):
         _check_hurst(self.hurst)
-        if not float(self.dim).is_integer() or self.dim < 2:  # NaN and inf fail
-            raise ParameterError(f"dim must be an integer >= 2, got {self.dim}")
+        _check_int("dim", self.dim, 2)
         if not (self.horizon > 0.0):
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
 
@@ -66,10 +67,24 @@ class ModelConfig:
     def hd(self) -> float:
         return self.hurst * self.dim
 
+    @property
+    def regime(self) -> str:
+        """Critical within CRITICAL_TOL of Hd = 2, else Convergent below it, Divergent above."""
+        if abs(self.hd - 2.0) < CRITICAL_TOL:
+            return "Critical"
+        return "Convergent" if self.hd < 2.0 else "Divergent"
+
 
 def _check_hurst(h):
     if not (0.0 < h < 1.0):
         raise ParameterError(f"hurst must lie in (0, 1), got {h}")
+
+
+def _check_int(name, value, least):
+    """Reject all but a Python or numpy integer >= ``least`` (floats too,
+    whole ones included: they fail later where an integer is needed)."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value}")
 
 
 def _check_nonneg(name, x):

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covkernel import ModelConfig, cov_rh
+from .covkernel import ModelConfig, _check_int, cov_rh
 from .errors import ParameterError
 
 __all__ = [
@@ -46,8 +46,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.horizon > 0.0):
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
-        if not float(self.n_steps).is_integer() or self.n_steps < 1:  # NaN and inf fail
-            raise ParameterError(f"n_steps must be an integer >= 1, got {self.n_steps}")
+        _check_int("n_steps", self.n_steps, 1)
 
     @property
     def times(self) -> np.ndarray:

@@ -41,7 +41,7 @@ from functools import reduce
 import numpy as np
 
 from . import quadmoments
-from .covkernel import ModelConfig
+from .covkernel import ModelConfig, _check_int
 from .errors import ParameterError
 # sample_pair is not called here; perfbench/tracing.py wraps it as iltmc.sample_pair.
 from .fbmgen import FbmPathPair, TimeGrid, sample_pair, sample_paths  # noqa: F401
@@ -265,10 +265,8 @@ def mc_moments(cfg: ModelConfig, eps, grid: TimeGrid, replications: int,
     replications.  Standard errors are the population standard deviations
     of I_eps and of I_eps^2 divided by sqrt(replications).
     """
-    if replications < 2:
-        raise ParameterError(f"replications must be >= 2, got {replications}")
-    if seed < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    _check_int("replications", replications, 2)
+    _check_int("seed", seed, 0)
     e = _eps_value(eps)
     chunks = [
         (cfg, e, grid, seed, method, k, min(_CHUNK, replications - lo))

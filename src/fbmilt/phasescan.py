@@ -11,7 +11,7 @@ and surfaced in the outputs:
 * Convergent: r >= RATE_SIGN_CUTOFF.
 * Divergent: r <= -RATE_SIGN_CUTOFF.
 * Otherwise an explicit Indeterminate error, with the sweep attached.
-* Critical: reserved for exact Hurst*dim = 2 inputs, where no finite
+* Critical: where ModelConfig.regime is, |Hd - 2| < 1e-9, as no finite
   sweep separates logarithmic divergence from slow convergence.
 
 The two-term model fits any r through 2 points, so the half needs at
@@ -50,7 +50,6 @@ __all__ = [
     "fit_rate_offset",
 ]
 
-CRITICAL_ATOL = 1e-9
 RATE_SIGN_CUTOFF = 0.02
 MIN_ROWS = 5
 QUAD_REL_TOL = 3e-4  # m2 tolerance of the sweep rows
@@ -200,7 +199,7 @@ def fit_rate_offset(eps, values):
 def classify(series: SweepSeries, cfg: ModelConfig) -> PhasePoint:
     """Verdict for one (H, d) point from its sweep evidence.
 
-    Critical iff Hd = 2 exactly.  Otherwise the sign of the offset-aware
+    Critical iff cfg.regime is.  Otherwise the sign of the offset-aware
     rate of m1, fitted on the lower-eps half of the complete rows, where
     the power law dominates the constant term: Convergent at a rate >=
     RATE_SIGN_CUTOFF, Divergent at one <= -RATE_SIGN_CUTOFF, and an
@@ -215,7 +214,7 @@ def classify(series: SweepSeries, cfg: ModelConfig) -> PhasePoint:
         if dropped:
             raise QuadratureBudgetError(f"{message}; {dropped} hit their quadrature budget")
         raise ParameterError(message)
-    if abs(cfg.hd - 2.0) < CRITICAL_ATOL:
+    if cfg.regime == "Critical":
         return PhasePoint(cfg.hurst, cfg.dim, "Critical", None, series)
 
     half = rows[len(rows) // 2:]

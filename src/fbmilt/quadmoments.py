@@ -32,9 +32,9 @@ At eps = 0 the mapped integrand is zeta^(g-1), g = 8 - 4Hd, times its
 value on the slice zeta = 1 (t = T): det is homogeneous of degree 4H in
 the times, which scale as zeta^2, and the Jacobian carries zeta^7.  So
 each eps = 0 integral is one 3D pass over (w, alpha, beta) times the
-closed-form radial factor int_delta^1 zeta^(g-1) dzeta, finite at
-delta = 0 iff Hd < 2.  At Hd >= 2 the divergence evidence is the radial
-exponent and partial integrals (shells) growing as exclusions shrink:
+radial factor int_delta^1 zeta^(g-1) dzeta, finite at delta = 0 iff
+Hd < 2.  Unless ModelConfig.regime is Convergent, the divergence
+evidence is the radial exponent and shells growing as exclusions shrink:
 [0, delta]^2 for m1(0), whose shells are radial factors of the same form,
 and for the 4D integrals the slab zeta < delta and a box of width delta
 around every singular face of the slice, each a union of starting cells.
@@ -252,12 +252,6 @@ def _require_converged(result, label):
     return result
 
 
-def _diverges(cfg):
-    """Whether the eps = 0 integrals are infinite: Hd >= 2, allowing for
-    rounding in the product H * d."""
-    return cfg.hd >= 2.0 - 1e-12
-
-
 def _radial_factor(g, width):
     """int_width^1 x^(g-1) dx for width in [0, 1): 1/g at width 0 (g > 0), else
     (-L) exprel(g L) with L = log(width): finite at g = 0, no cancellation near it."""
@@ -323,10 +317,10 @@ def m1(eps, cfg: ModelConfig, rel_tol=None):
     to ``rel_tol`` (default _M1_REL_TOL).
 
     eps = 0 is allowed; the limiting integral is finite iff Hd < 2, and a
-    diverged result with shell evidence is returned otherwise.  At eps = 0
-    it is one 1D integral by homogeneity: with s = t b on s < t the
-    integrand is t^-Hd (1 + b^2H)^(-d/2), so with g = 2 - Hd and
-    K = int_0^1 (1 + b^2H)^(-d/2) db, m1(0) = c / g for
+    diverged result with shell evidence is returned unless cfg.regime is
+    Convergent.  At eps = 0 it is one 1D integral by homogeneity: with
+    s = t b on s < t the integrand is t^-Hd (1 + b^2H)^(-d/2), so with
+    g = 2 - Hd and K = int_0^1 (1 + b^2H)^(-d/2) db, m1(0) = c / g for
     c = 2 (2 pi)^(-d/2) T^g K.  Where that diverges, the shell outside
     [0, delta]^2 is the part with t > delta on s < t:
     c int_delta^T t^(g-1) dt / T^g, the radial factor at delta / T.
@@ -345,7 +339,7 @@ def m1(eps, cfg: ModelConfig, rel_tol=None):
         abs_tol=_M1_ABS_TOL / pref, rel_tol=rel_tol, max_evals=_M1_MAX_EVALS,
     )
     (c,) = _columns([res.value], [res.error], [res], pref * cfg.horizon**g)
-    if not _diverges(cfg):
+    if cfg.regime == "Convergent":
         return _require_converged(_scaled(c, _radial_factor(g, 0.0)), "m1")
     shells = [_scaled(c, _radial_factor(g, w)) for w in _M1_SHELL_WIDTHS]
     return _diverged(cfg, shells, cfg.horizon * _M1_SHELL_WIDTHS, 1.0 - cfg.hd,
@@ -526,8 +520,8 @@ def var_limit(cfg: ModelConfig):
     """Limit of Var[I_eps] as eps -> 0:
     int (lambda rho - mu^2)^(-d/2) - (lambda rho)^(-d/2), times (2 pi)^-d.
 
-    Finite iff Hd < 2 (pointwise nonnegative integrand), with m2's
-    tolerances and budget; else diverged, with A_T (2 pi)^-d's shells as evidence.
+    Finite iff Hd < 2 (pointwise nonnegative integrand), with m2's tolerances
+    and budget; diverged, with A_T (2 pi)^-d's shells, unless Convergent.
     """
     return _limit(cfg, True, 1.0, "var_limit")
 
@@ -535,15 +529,15 @@ def var_limit(cfg: ModelConfig):
 def a_t_integral(cfg: ModelConfig):
     """A_T = int_{[0,T]^4} (lambda rho - mu^2)^(-d/2): the m2 column at
     eps = 0 without its (2 pi)^-d, with m2's tolerances and budget; finite
-    iff Hd < 2, diverged result with shell evidence otherwise."""
+    iff Hd < 2, diverged result with shell evidence unless Convergent."""
     return _limit(cfg, False, (2.0 * math.pi) ** cfg.dim, "a_t_integral")
 
 
 def _limit(cfg, var, scale, label):
-    """(2 pi)^-d ``scale`` times the variance limit (``var``) or A_T at Hd < 2
-    to m2's tolerances, else A_T's shells at widths 4^-k, k = 1..5, to
-    _SHELL_REL_TOL: one 3D pass per region of _limit_integrand, m2's budget."""
-    diverged = _diverges(cfg)
+    """(2 pi)^-d ``scale`` times the variance limit (``var``) or A_T if
+    Convergent to m2's tolerances, else A_T's shells at widths 4^-k, k = 1..5,
+    to _SHELL_REL_TOL: one 3D pass per region of _limit_integrand, m2's budget."""
+    diverged = cfg.regime != "Convergent"
     widths = _SHELL_WIDTHS if diverged else np.zeros(1)
     tols = (0.0, _SHELL_REL_TOL) if diverged else (_M2_ABS_TOL / scale, _M2_REL_TOL)
     passes = [(_limit_integrand(cfg, r, widths, var and not diverged),
@@ -626,9 +620,10 @@ def reduction_bound(cfg: ModelConfig):
     """The z-transform route for int_T (phi(t,v) + phi(s,u))^(-d/2):
     (1 / Gamma(d/2)) int_0^inf z^(d/2-1) A(z)^2 dz, split at z = 1.
 
-    Only established for Hd < 2.  The tail over [1, inf) is integrated in
-    u = log z, as int_0^inf e^(u d/2) A(e^u)^2 du, whose integrand decays
-    like e^(-(1/H - d/2) u) up to logarithmic corrections; it is formed
+    Only established for Hd < 2, so ParameterError unless cfg.regime is
+    Convergent.  The tail over [1, inf) is integrated in u = log z, as
+    int_0^inf e^(u d/2) A(e^u)^2 du, whose integrand decays like
+    e^(-(1/H - d/2) u) up to logarithmic corrections; it is formed
     as the exponential of its logarithm, since e^(u d/2) overflows and
     A(e^u)^2 underflows long before their product is negligible.  Past
     u = log(max float), where e^u itself overflows, it is taken as 0; that
@@ -640,10 +635,8 @@ def reduction_bound(cfg: ModelConfig):
     ier != 0: subdivision limit, roundoff, slow convergence), as at
     (0.6, 3), where the tail decays like e^(-u / 6).
     """
-    if _diverges(cfg):
-        raise ParameterError(
-            f"reduction_bound requires Hd < 2, got Hd = {cfg.hd:g}"
-        )
+    if cfg.regime != "Convergent":
+        raise ParameterError(f"reduction_bound requires Hd < 2, got Hd = {cfg.hd:.12g}")
     d = cfg.dim
     cache = {}
 

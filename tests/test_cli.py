@@ -160,6 +160,16 @@ class TestMomentsCommand:
         assert m1["shell_rate"] < 0.0
         assert m1["radial_exponent"] == pytest.approx(1.0 - 2.25)
 
+    def test_m1_diverged_within_the_critical_band(self, tmp_path):
+        # Hd = 2 - 2e-10, which phase reads Critical
+        out = tmp_path / "b.json"
+        code = run_main(["moments", "--eps", "0", "--hurst", "0.6666666666", "--dim", "3",
+                         "--out", str(out)])
+        assert code == 0
+        m1 = json.loads(out.read_text())["results"]["m1"]
+        assert m1["diverged"] is True
+        assert m1["evidence"] and m1["shells"]
+
     def test_tol_reaches_diverged_m1(self, tmp_path):
         nevals = []
         for tol in ([], ["--tol", "1e-3"]):

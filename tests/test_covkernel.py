@@ -21,6 +21,8 @@ from fbmilt.covkernel import (
     phi_det,
 )
 from fbmilt.errors import ParameterError
+from fbmilt.fbmgen import TimeGrid
+from fbmilt.iltmc import mc_moments
 
 
 class TestModelConfig:
@@ -42,6 +44,37 @@ class TestModelConfig:
     def test_bad_horizon(self):
         with pytest.raises(ParameterError):
             ModelConfig(hurst=0.5, dim=2, horizon=0.0)
+
+    @pytest.mark.parametrize("h,d,regime", [
+        (0.5, 4, "Critical"), (1.0 - 5e-11, 2, "Critical"), (0.6666666666, 3, "Critical"),
+        (1.0 - 1e-9, 2, "Convergent"), (0.6, 3, "Convergent"), (0.25, 2, "Convergent"),
+        (0.51, 4, "Divergent"), (0.75, 3, "Divergent")])
+    def test_regime(self, h, d, regime):
+        # Critical iff |Hd - 2| < 1e-9; (1 - 1e-9, 2) has Hd = 2 - 2e-9
+        assert ModelConfig(h, d).regime == regime
+
+
+# each integer input, as a call that passes it the value
+_INTEGER_INPUTS = {
+    "dim": lambda v: ModelConfig(0.5, v),
+    "n_steps": lambda v: TimeGrid(1.0, v),
+    "replications": lambda v: mc_moments(ModelConfig(0.5, 2), 1.0, TimeGrid(1.0, 4), v, 0),
+    "seed": lambda v: mc_moments(ModelConfig(0.5, 2), 1.0, TimeGrid(1.0, 4), 3, v),
+}
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_INPUTS))
+@pytest.mark.parametrize("value, ok", [
+    (3, True), (np.int64(3), True), (np.int32(3), True),
+    (3.0, False), (2.5, False), (math.nan, False), (math.inf, False)])
+def test_integer_inputs_must_be_integers(name, value, ok):
+    # a whole float passes a range check, then fails with TypeError where an
+    # integer is needed (linspace, np.full, range): it is rejected up front
+    if ok:
+        _INTEGER_INPUTS[name](value)
+    else:
+        with pytest.raises(ParameterError, match=name):
+            _INTEGER_INPUTS[name](value)
 
 
 class TestCovRh:

@@ -152,6 +152,22 @@ class TestClassify:
         pt = classify(sweep(cfg), cfg)
         assert pt.verdict == "Critical"
 
+    @pytest.mark.parametrize("h,d", [(1.0 - 5e-11, 2), (0.6666666666, 3)])
+    def test_critical_within_the_band(self, h, d):
+        # Hd = 2 - 1e-10 and 2 - 2e-10, where m1(0) reports divergence too
+        eps = [2.0**-k for k in range(5)]
+        series = _synthetic_series(eps, [1.0 - e**0.5 for e in eps], [2.0] * 5)
+        pt = classify(series, ModelConfig(h, d))
+        assert pt.verdict == "Critical" and pt.fitted_rate is None
+
+    def test_just_outside_the_band_follows_the_rate(self):
+        # Hd = 2 - 2e-9: not Critical, so the synthetic convergent rate decides
+        eps = [2.0**-k for k in range(5)]
+        series = _synthetic_series(eps, [1.0 - e**0.5 for e in eps], [2.0] * 5)
+        pt = classify(series, ModelConfig(1.0 - 1e-9, 2))
+        assert pt.verdict == "Convergent"
+        assert pt.fitted_rate == pytest.approx(0.5, abs=1e-3)
+
     def test_near_critical_is_not_critical(self):
         cfg = ModelConfig(0.6, 3)  # product 1.8
         pt = classify(sweep(cfg), cfg)

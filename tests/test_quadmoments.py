@@ -708,6 +708,34 @@ class TestDivergenceConsistency:
         assert m1(0.0, cfg, rel_tol=1e-6).diverged == should_diverge
 
 
+# Hd = 2 - 1e-10 and 2 - 2e-10: inside the Critical band |Hd - 2| < 1e-9,
+# where classify reads Critical, so every eps = 0 integral reports divergence
+_IN_BAND = [(1.0 - 5e-11, 2), (0.6666666666, 3)]
+
+
+class TestCriticalBand:
+    @pytest.mark.parametrize("h,d", _IN_BAND)
+    def test_eps0_integrals_diverge(self, h, d):
+        cfg = ModelConfig(h, d)
+        assert cfg.regime == "Critical"
+        for res in (m1(0.0, cfg), a_t_integral(cfg), var_limit(cfg)):
+            assert res.diverged
+            assert math.isinf(res.error_estimate)
+
+    @pytest.mark.parametrize("h,d", _IN_BAND)
+    def test_reduction_bound_refuses(self, h, d):
+        with pytest.raises(ParameterError, match="requires Hd < 2"):
+            reduction_bound(ModelConfig(h, d))
+
+    def test_m1_finite_just_outside(self):
+        # Hd = 2 - 2e-9: Convergent, so m1(0) = c / (2 - Hd) is finite
+        cfg = ModelConfig(1.0 - 1e-9, 2)
+        assert cfg.regime == "Convergent"
+        res = m1(0.0, cfg)
+        assert not res.diverged
+        assert res.status == "converged" and math.isfinite(res.value)
+
+
 # ---------------------------------------------------------------------------
 # the region geometry every 4D integrand, and every shared-mesh column, reads
 
