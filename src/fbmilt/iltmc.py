@@ -162,10 +162,14 @@ def discrete_mean(cfg: ModelConfig, eps, grid: TimeGrid) -> float:
     return (2.0 * math.pi) ** (-0.5 * cfg.dim) * total
 
 
-def grid_for_eps(eps, cfg: ModelConfig) -> int:
+def grid_for_eps(eps, cfg: ModelConfig, m1=None) -> int:
     """Smallest n >= 16 whose exact discretization bias is within
     GRID_BIAS_REL_TOL of m1(eps):
     |discrete_mean(n) - m1(eps)| + m1's claimed error <= 1e-3 m1(eps).
+
+    ``m1`` is the caller's QuadratureResult for m1(eps), such as a rung of
+    quadmoments.m1_ladder; it is computed here when not given or not
+    converged.
 
     Searched by doubling from 16, then bisection, so the returned n meets
     the bound and n - 1 does not (unless n = 16).  Capped at GRID_CAP with
@@ -175,7 +179,7 @@ def grid_for_eps(eps, cfg: ModelConfig) -> int:
     converge.
     """
     e = _eps_value(eps)
-    ref = quadmoments.m1(e, cfg)
+    ref = m1 if m1 is not None and m1.status == "converged" else quadmoments.m1(e, cfg)
     bound = GRID_BIAS_REL_TOL * ref.value - ref.error_estimate
 
     def meets(n):

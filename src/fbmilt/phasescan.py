@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import quadmoments
 from .covkernel import ModelConfig
@@ -53,6 +52,10 @@ __all__ = [
 RATE_SIGN_CUTOFF = 0.02
 MIN_ROWS = 5
 QUAD_REL_TOL = 3e-4  # m2 tolerance of the sweep rows
+_RATE_BRACKET = (-3.0, 3.0)  # fit_rate_offset's starting bracket of r
+_RATE_POINTS = 41  # grid points per search level
+_RATE_WIDENINGS = 10  # cap on widening the bracket past an end
+_RATE_TOL = 1e-8  # final grid step in r
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,9 @@ def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
           mc_params: Optional[dict] = None, quad_rel_tol: Optional[float] = None) -> SweepSeries:
     """One row of quadrature moments per ladder rung, with a Monte Carlo
     estimate of m1 alongside when ``mc_params`` is given (the keyword
-    arguments of mc_moments, plus "reps" and "grid_n").  m2 is integrated
-    to ``quad_rel_tol`` (default QUAD_REL_TOL).
+    arguments of mc_moments, plus "reps" and "grid_n"; without "grid_n",
+    grid_for_eps picks each row's grid from the row's m1).  m2 is
+    integrated to ``quad_rel_tol`` (default QUAD_REL_TOL).
 
     Every rung's m1 comes from one 2D pass and every rung's m2 and Cauchy
     gap from one 4D pass per region, each over a shared mesh.  A row is
@@ -154,7 +158,7 @@ def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
             params = dict(mc_params)
             grid_n = params.pop("grid_n", None)
             if grid_n is None:
-                grid_n = grid_for_eps(eps, cfg)
+                grid_n = grid_for_eps(eps, cfg, m1=a)
             grid = TimeGrid(horizon=cfg.horizon, n_steps=grid_n)
             est = mc_moments(
                 cfg, eps, grid,
@@ -175,25 +179,57 @@ def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
                        nevals=r1[0].nevals + r2[0].nevals)
 
 
+def _projection_rss(log_eps, yc, rates):
+    """Residual sum of squares of the best A * eps^r + B at each r in ``rates``.
+
+    For fixed r the fit is linear: with p = eps^r and centred p_c, y_c, the
+    best A is (p_c . y_c) / |p_c|^2 and B takes up the means.  The residual
+    y_c - A p_c is summed directly, not as |y_c|^2 - (p_c . y_c)^2 / |p_c|^2,
+    which cancels to half the digits near the minimum.  p is scaled to a
+    maximum of 1 and taken less 1 by expm1, so it neither overflows at any
+    r nor loses its spread near r = 0; at r = 0 the fit is the constant.
+    """
+    z = np.outer(rates, log_eps)
+    q = np.expm1(z - z.max(axis=1, keepdims=True))
+    pc = q - q.mean(axis=1, keepdims=True)
+    norm = np.einsum("ij,ij->i", pc, pc)
+    coef = np.divide(pc @ yc, norm, out=np.zeros_like(norm), where=norm > 0.0)
+    res = yc - coef[:, None] * pc
+    return np.einsum("ij,ij->i", res, res)
+
+
 def fit_rate_offset(eps, values):
     """Exponent r of the two-term model values ~ A * eps^r + B.
 
     The raw log-log slope is biased whenever the constant term B is
     comparable to A at the sampled scales, which is the norm for the
     first-moment integral at desk-scale epsilon; profiling r with (A, B)
-    solved by linear least squares removes that bias.
+    solved in closed form (variable projection) removes that bias.
+
+    r is searched on a grid of _RATE_POINTS over _RATE_BRACKET.  While the
+    grid's minimum is at an end, the bracket widens past that end, at most
+    _RATE_WIDENINGS times; then nested grids around the minimum refine r
+    until the grid step is at most _RATE_TOL.
     """
-    x = np.asarray(eps, dtype=float)
+    log_eps = np.log(np.asarray(eps, dtype=float))
     y = np.asarray(values, dtype=float)
+    yc = y - y.mean()
+    last = _RATE_POINTS - 1
 
-    def residual(r):
-        A = np.stack([x**r, np.ones_like(x)], axis=1)
-        coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-        return float(np.sum((y - A @ coef) ** 2))
+    def grid_min(lo, hi):
+        rates = np.linspace(lo, hi, _RATE_POINTS)
+        return rates, int(np.argmin(_projection_rss(log_eps, yc, rates)))
 
-    best = minimize_scalar(residual, bounds=(-3.0, 3.0), method="bounded",
-                           options={"xatol": 1e-8})
-    return float(best.x)
+    lo, hi = _RATE_BRACKET
+    for _ in range(_RATE_WIDENINGS):
+        rates, k = grid_min(lo, hi)
+        if 0 < k < last:
+            break
+        width = hi - lo
+        lo, hi = (lo - width, rates[1]) if k == 0 else (rates[-2], hi + width)
+    while rates[1] - rates[0] > _RATE_TOL:
+        rates, k = grid_min(rates[max(k - 1, 0)], rates[min(k + 1, last)])
+    return float(rates[k])
 
 
 def classify(series: SweepSeries, cfg: ModelConfig) -> PhasePoint:

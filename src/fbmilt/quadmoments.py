@@ -48,11 +48,10 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import exprel, gammainc, gammaln, hyp1f1
 
 from . import cubature
-from .covkernel import ModelConfig, _cross, _phi
+from .covkernel import CRITICAL_TOL, ModelConfig, _cross, _phi
 from .errors import ParameterError, QuadratureBudgetError
 
 __all__ = [
@@ -269,9 +268,13 @@ def _diverged(cfg, shells, widths, exponent, excluded):
     tolerance."""
     values = [r.value for r in shells]
     rate = float(np.polyfit(np.log(widths[-3:]), np.log(values[-3:]), 1)[0])
+    if cfg.regime == "Critical":
+        since = f"|Hd - 2| < {CRITICAL_TOL:g} (Critical band)"
+    else:
+        since = f"Hd = {cfg.hd:g} >= 2"
     evidence = (
         f"radial integrand ~ r^{exponent:g} near the origin, not integrable since "
-        f"Hd = {cfg.hd:g} >= 2; partial integrals {excluded} grow like width^{rate:.3g}, "
+        f"{since}; partial integrals {excluded} grow like width^{rate:.3g}, "
         f"without bound: {', '.join(f'{v:.4g}' for v in values)}"
     )
     return QuadratureResult(
@@ -635,6 +638,8 @@ def reduction_bound(cfg: ModelConfig):
     ier != 0: subdivision limit, roundoff, slow convergence), as at
     (0.6, 3), where the tail decays like e^(-u / 6).
     """
+    from scipy.integrate import quad  # only used here; import fbmilt skips it
+
     if cfg.regime != "Convergent":
         raise ParameterError(f"reduction_bound requires Hd < 2, got Hd = {cfg.hd:.12g}")
     d = cfg.dim

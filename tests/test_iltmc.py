@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -237,6 +238,21 @@ class TestGridForEps:
         got = [grid_for_eps(eps, ModelConfig(h, d))
                for h, d, eps in [(0.3, 2, 0.5), (0.5, 2, 0.5), (0.5, 3, 1.0), (0.7, 2, 1.0)]]
         assert got == [51, 16, 16, 16]
+
+    def test_criterion_3_grids_from_ladder_m1(self):
+        # the sweep's m1_ladder rung gives the same n as a fresh m1
+        got = []
+        for h, d, eps in [(0.3, 2, 0.5), (0.5, 2, 0.5), (0.5, 3, 1.0), (0.7, 2, 1.0)]:
+            cfg = ModelConfig(h, d)
+            ladder = [1.0, 0.5, 0.25, 0.125]
+            rung = quadmoments.m1_ladder(ladder, cfg)[ladder.index(eps)]
+            got.append(grid_for_eps(eps, cfg, m1=rung))
+        assert got == [51, 16, 16, 16]
+
+    def test_unconverged_m1_recomputed(self):
+        rung = quadmoments.m1_ladder([0.5], CFG)[0]
+        stale = dataclasses.replace(rung, value=2.0 * rung.value, status="budget")
+        assert grid_for_eps(0.5, CFG, m1=stale) == grid_for_eps(0.5, CFG)
 
     def test_cap_warns(self, monkeypatch):
         # (0.25, 3, 0.4) needs n = 128: doubling reaches 64, then the cap

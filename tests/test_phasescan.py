@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,21 @@ class TestFits:
         eps = 2.0 ** -np.arange(2, 13)
         vals = 0.7 * eps**r + 1.3
         assert fit_rate_offset(eps, vals) == pytest.approx(r, abs=1e-4)
+
+    @pytest.mark.parametrize("r", [-4.67, -3.5, 0.1, 2.0])
+    def test_offset_fit_outside_the_starting_bracket(self, r):
+        # -4.67 and -3.5 lie below the starting bracket (-3, 3), which
+        # widens until the minimum is interior
+        eps = 2.0 ** -np.arange(6, 12)
+        assert fit_rate_offset(eps, 2.0 * eps**r + 1.0) == pytest.approx(r, abs=1e-6)
+
+    def test_offset_fit_of_a_constant_is_finite(self):
+        # every r fits equally well; the search ends at its cap, quietly
+        eps = 2.0 ** -np.arange(6, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rate = fit_rate_offset(eps, np.full(len(eps), 0.3))
+        assert math.isfinite(rate)
 
     def test_offset_fit_beats_raw_slope_with_offset(self):
         eps = 2.0 ** -np.arange(2, 13)
@@ -114,6 +130,22 @@ class TestSweep:
             assert math.isfinite(row.mc_mean)
             assert row.mc_se > 0.0
             assert abs(row.mc_mean - row.m1) <= 4 * row.mc_se
+
+    def test_mc_grids_reuse_the_rows_m1(self, monkeypatch):
+        # without grid_n each row's grid comes from its m1_ladder rung,
+        # with no m1 pass of its own
+        calls = []
+        real = quadmoments.m1
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadmoments, "m1", counted)
+        series = sweep(ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 4),
+                       mc_params={"reps": 20, "seed": 1})
+        assert calls == []
+        assert all(math.isfinite(row.mc_mean) for row in series.rows)
 
     def test_zero_grid_rejected(self):
         # a zero grid is an error, not a request for the default grid

@@ -722,6 +722,18 @@ class TestCriticalBand:
             assert res.diverged
             assert math.isinf(res.error_estimate)
 
+    def test_evidence_names_the_band(self):
+        # Hd = 2 - 1e-10 is not "Hd = 2 >= 2"; the shells still end the text
+        res = m1(0.0, ModelConfig(1.0 - 5e-11, 2))
+        text = res.divergence_evidence
+        assert "|Hd - 2| < 1e-09 (Critical band)" in text
+        assert ">= 2" not in text
+        tail = text.rsplit(":", 1)[1]
+        assert [float(v) for v in tail.split(",")] == [float(f"{s.value:.4g}") for s in res.shells]
+
+    def test_evidence_above_the_band_unchanged(self):
+        assert "since Hd = 2.25 >= 2;" in m1(0.0, ModelConfig(0.75, 3)).divergence_evidence
+
     @pytest.mark.parametrize("h,d", _IN_BAND)
     def test_reduction_bound_refuses(self, h, d):
         with pytest.raises(ParameterError, match="requires Hd < 2"):
