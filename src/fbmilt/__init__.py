@@ -41,7 +41,6 @@ from .quadmoments import (
     cauchy_gap,
     m1,
     m2,
-    m_cross,
     radial_rate,
     reduction_bound,
     var_limit,
@@ -79,7 +78,6 @@ __all__ = [
     "QuadratureResult",
     "m1",
     "m2",
-    "m_cross",
     "cauchy_gap",
     "var_limit",
     "a_t_integral",

@@ -209,11 +209,15 @@ def fit_rate_offset(eps, values):
     r is searched on a grid of _RATE_POINTS over _RATE_BRACKET.  While the
     grid's minimum is at an end, the bracket widens past that end, at most
     _RATE_WIDENINGS times; then nested grids around the minimum refine r
-    until the grid step is at most _RATE_TOL.
+    until the grid step is at most _RATE_TOL.  A series with no spread
+    beyond the rounding of its mean, where every r fits equally well, has
+    no slope to measure: its rate is 0.0.
     """
     log_eps = np.log(np.asarray(eps, dtype=float))
     y = np.asarray(values, dtype=float)
     yc = y - y.mean()
+    if np.abs(yc).max() <= len(y) * np.finfo(float).eps * np.abs(y).max():
+        return 0.0
     last = _RATE_POINTS - 1
 
     def grid_min(lo, hi):

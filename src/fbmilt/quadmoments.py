@@ -16,7 +16,7 @@ _cross, the cancellation-free decomposition
 det = phi(t,v) + phi(s,u) + cross(s,t,u,v) of nonnegative terms, at ratio
 coordinates: every term is homogeneous.
 
-The second-moment family at eps > 0 (m2, cross moments, Cauchy gaps)
+The second-moment family at eps > 0 (m2, Cauchy gaps)
 shares one integrand map and one starting mesh: every column is a
 combination of
 P(a, b) = (det + a rho + b lam + a b)^(-d/2) over the same region
@@ -48,7 +48,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
-from scipy.special import exprel, gammainc, gammaln, hyp1f1
 
 from . import cubature
 from .covkernel import CRITICAL_TOL, ModelConfig, _cross, _phi
@@ -60,7 +59,6 @@ __all__ = [
     "m1_ladder",
     "m2",
     "m2_ladder",
-    "m_cross",
     "cauchy_gap",
     "var_limit",
     "a_t_integral",
@@ -253,11 +251,16 @@ def _require_converged(result, label):
 
 def _radial_factor(g, width):
     """int_width^1 x^(g-1) dx for width in [0, 1): 1/g at width 0 (g > 0), else
-    (-L) exprel(g L) with L = log(width): finite at g = 0, no cancellation near it."""
+    (-L) exprel(g L) with L = log(width) and exprel(x) = expm1(x) / x: finite
+    at g = 0, no cancellation near it, inf where expm1 overflows (g < 0)."""
     if width == 0.0:
         return 1.0 / g
     L = math.log(width)
-    return float(-L * exprel(g * L))
+    x = g * L
+    if abs(x) < 1e-5:  # exprel's series, to within x^3/24; no 0/0 at g = 0
+        return -L * (1.0 + x / 2.0 + x * x / 6.0)
+    with np.errstate(over="ignore"):
+        return float(-L * (np.expm1(x) / x))
 
 
 def _diverged(cfg, shells, widths, exponent, excluded):
@@ -367,34 +370,32 @@ def m1_ladder(eps, cfg: ModelConfig):
 # ---------------------------------------------------------------------------
 # second moment family
 
-def _moment_integrand(cfg, region, m2_eps=(), gaps=(), crosses=(), var=False):
+def _moment_integrand(cfg, region, m2_eps=(), gaps=(), var=False):
     """One region's integrand of the second-moment family: maps (m, 4)
     mapped points to the (K, m) columns m2(e) for e in ``m2_eps``, the gap
-    of each pair in ``gaps``, the cross moment of each pair in ``crosses``
-    and the variance limit if ``var``, times the Jacobian.
+    of each pair in ``gaps`` and the variance limit if ``var``, times the
+    Jacobian.
 
     Each distinct P(a, b) = (det + a rho + b lam + ab)^(-d/2) is one row
     [a, b, ab, 1] of C: the bases are one GEMM C @ [rho; lam; 1; det] of
-    nonnegative terms, raised to -d/2 together.  The m2, gap and cross
-    columns are the rows of M P, M of +-1 and 1/2: P(e, e),
-    P(a, a) + P(b, b) - P(a, b) - P(b, a) (cancelling pointwise) and
-    (P(a, b) + P(b, a)) / 2.  M is applied term by term: a GEMM over the
-    30-odd rows of P rounds a point by how many points share the call.
+    nonnegative terms, raised to -d/2 together.  The m2 and gap columns
+    are the rows of M P, M of +-1: P(e, e) and
+    P(a, a) + P(b, b) - P(a, b) - P(b, a) (cancelling pointwise).  M is
+    applied term by term: a GEMM over the 30-odd rows of P rounds a point
+    by how many points share the call.
     The variance limit's is max(P(0, 0) - (lam rho)^(-d/2), 0).
     """
     d = cfg.dim
     pairs = [(e, e) for e in m2_eps]
     pairs += [ab for a, b in gaps for ab in ((a, a), (b, b), (a, b), (b, a))]
-    pairs += [ab for a, b in crosses for ab in ((a, b), (b, a))]
     if var:
         pairs.append((0.0, 0.0))
     index = {ab: i for i, ab in enumerate(dict.fromkeys(pairs))}  # row of each distinct P(a, b)
     coef = np.array([[a, b, a * b, 1.0] for a, b in index])
     diag = [index[e, e] for e in m2_eps]
     gap_rows = [(index[a, a], index[b, b], index[a, b], index[b, a]) for a, b in gaps]
-    cross_rows = [(index[a, b], index[b, a]) for a, b in crosses]
     zero = index.get((0.0, 0.0))
-    ncols = len(m2_eps) + len(gaps) + len(crosses) + var
+    ncols = len(m2_eps) + len(gaps) + var
 
     def f(x):
         lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
@@ -408,9 +409,6 @@ def _moment_integrand(cfg, region, m2_eps=(), gaps=(), crosses=(), var=False):
             col = np.add(p[i], p[j], out=next(cols))
             col -= p[k]
             col -= p[l]
-        for k, l in cross_rows:
-            col = np.add(p[k], p[l], out=next(cols))
-            col *= 0.5
         if var:
             np.maximum(p[zero] - _power(lam * rho, d), 0.0, out=next(cols))
         out *= jac
@@ -448,12 +446,12 @@ def _region_passes(cfg, abs_tol, rel_tol, max_evals, passes):
                     runs, pref)
 
 
-def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=(), crosses=()):
+def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=()):
     """The second-moment family at eps > 0: one 4D pass per region of
     _moment_integrand's columns (which see) from [0, 1/2, 1] on each axis."""
     init = [np.array([0.0, 0.5, 1.0])] * 4
     return _region_passes(cfg, abs_tol, rel_tol, max_evals,
-                          [(_moment_integrand(cfg, r, m2_eps, gaps, crosses), init) for r in "AB"])
+                          [(_moment_integrand(cfg, r, m2_eps, gaps), init) for r in "AB"])
 
 
 def m2(eps, cfg: ModelConfig, rel_tol=None):
@@ -468,19 +466,8 @@ def m2(eps, cfg: ModelConfig, rel_tol=None):
     return _require_converged(res, "m2")
 
 
-def m_cross(eps, eta, cfg: ModelConfig):
-    """Cross moment E[I_eps I_eta]: asymmetric regularizers (lambda+eps),
-    (rho+eta), symmetrized so the result is exactly invariant under
-    eps <-> eta."""
-    if not (eps > 0.0 and eta > 0.0):
-        raise ParameterError("eps and eta must be positive")
-    (res,) = _moment_columns(cfg, _M2_ABS_TOL, _M2_REL_TOL, _M2_MAX_EVALS,
-                             crosses=[(eps, eta)])
-    return _require_converged(res, "m_cross")
-
-
 def cauchy_gap(eps, eta, cfg: ModelConfig):
-    """L2 Cauchy gap ||I_eps - I_eta||^2 = m2(eps) + m2(eta) - 2 m_cross.
+    """L2 Cauchy gap ||I_eps - I_eta||^2 = m2(eps) + m2(eta) - 2 E[I_eps I_eta].
 
     Computed as a single fused integrand rather than a difference of
     separately computed integrals: the cancellation happens pointwise,
@@ -562,17 +549,19 @@ def _gamma_ratio(a, x):
 
     Below x = a + 1 (and below 700, where M, which grows like e^x, stays
     finite) it is e^-x M(1, a+1, x) / a (DLMF 8.5.1), M Kummer's function;
-    above, gammainc and gammaln in log space, where the regularized
+    above, gammainc and lgamma in log space, where the regularized
     gamma(a, x) / Gamma(a) is at least about 1/2.  x^-a is never formed:
     it overflows for small H.
     """
+    from scipy.special import gammainc, hyp1f1  # only A(z) needs them; import fbmilt skips scipy
+
     out = np.empty_like(x)
     small = x < min(a + 1.0, 700.0)
     xs = x[small]
     out[small] = np.exp(-xs) * hyp1f1(1.0, a + 1.0, xs) / a
     xl = x[~small]
     with np.errstate(divide="ignore"):  # log of an underflowed gammainc: G = 0
-        out[~small] = np.exp(gammaln(a) + np.log(gammainc(a, xl)) - a * np.log(xl))
+        out[~small] = np.exp(math.lgamma(a) + np.log(gammainc(a, xl)) - a * np.log(xl))
     return out
 
 

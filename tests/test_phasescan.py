@@ -60,12 +60,13 @@ class TestFits:
         assert fit_rate_offset(eps, 2.0 * eps**r + 1.0) == pytest.approx(r, abs=1e-6)
 
     def test_offset_fit_of_a_constant_is_finite(self):
-        # every r fits equally well; the search ends at its cap, quietly
+        # every r fits equally well: no slope, so rate 0, not the end of a
+        # bracket widened to its cap
         eps = 2.0 ** -np.arange(6, 12)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rate = fit_rate_offset(eps, np.full(len(eps), 0.3))
-        assert math.isfinite(rate)
+            for c in (0.3, 0.1, 1.0 / 3.0, 2.5e9, 0.0):
+                assert fit_rate_offset(eps, np.full(len(eps), c)) == 0.0
 
     def test_offset_fit_beats_raw_slope_with_offset(self):
         eps = 2.0 ** -np.arange(2, 13)
@@ -191,6 +192,14 @@ class TestClassify:
         series = _synthetic_series(eps, [1.0 - e**0.5 for e in eps], [2.0] * 5)
         pt = classify(series, ModelConfig(h, d))
         assert pt.verdict == "Critical" and pt.fitted_rate is None
+
+    def test_constant_m1_is_indeterminate(self):
+        # a series with no slope reads neither Convergent nor Divergent
+        eps = [2.0**-k for k in range(5)]
+        series = _synthetic_series(eps, [0.7] * 5, [2.0] * 5)
+        with pytest.raises(IndeterminateError) as exc:
+            classify(series, ModelConfig(0.5, 2))
+        assert exc.value.series is series
 
     def test_just_outside_the_band_follows_the_rate(self):
         # Hd = 2 - 2e-9: not Critical, so the synthetic convergent rate decides

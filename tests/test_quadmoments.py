@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from fbmilt.quadmoments import (
     m1_ladder,
     m2,
     m2_ladder,
-    m_cross,
     radial_rate,
     reduction_bound,
     var_limit,
@@ -213,27 +213,25 @@ class TestM2:
         assert m2_ladder([0.5], cfg)[0][0].nevals == given_tol.nevals
 
 
-class TestMCross:
-    def test_coincides_with_m2(self):
-        a = m_cross(0.5, 0.5, CFG_H5D2)
-        b = m2(0.5, CFG_H5D2)
-        tol = a.error_estimate + b.error_estimate + 1e-12
-        assert abs(a.value - b.value) <= max(tol, 1e-4 * abs(b.value))
+def _cross_moment(eps, eta, cfg):
+    """E[I_eps I_eta] from a pass of its own over m2's regions, to m2's
+    tolerances: the column (P(eps, eta) + P(eta, eps)) / 2."""
+    def integrand(region):
+        def f(x):
+            lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
 
-    def test_symmetric_in_regularizers(self):
-        a = m_cross(1.0, 0.5, CFG_H5D2).value
-        b = m_cross(0.5, 1.0, CFG_H5D2).value
-        assert a == pytest.approx(b, rel=1e-12)
+            def p(a, b):
+                return (det + a * rho + b * lam + a * b) ** (-0.5 * cfg.dim)
 
-    def test_between_the_two_diagonals(self):
-        lo = m2(1.0, CFG_H5D2).value
-        hi = m2(0.5, CFG_H5D2).value
-        mid = m_cross(1.0, 0.5, CFG_H5D2).value
-        assert lo < mid < hi
+            return (0.5 * (p(eps, eta) + p(eta, eps)) * jac)[None]
+        return f
 
-    def test_positive_eps_required(self):
-        with pytest.raises(ParameterError):
-            m_cross(0.0, 1.0, CFG_H5D2)
+    init = [np.array([0.0, 0.5, 1.0])] * 4
+    (res,) = quadmoments._region_passes(cfg, quadmoments._M2_ABS_TOL, quadmoments._M2_REL_TOL,
+                                        quadmoments._M2_MAX_EVALS,
+                                        [(integrand(r), init) for r in "AB"])
+    assert res.status == "converged"
+    return res
 
 
 class TestCauchyGap:
@@ -250,7 +248,7 @@ class TestCauchyGap:
         separate = (
             m2(eps, CFG_H5D2).value
             + m2(eta, CFG_H5D2).value
-            - 2 * m_cross(eps, eta, CFG_H5D2).value
+            - 2 * _cross_moment(eps, eta, CFG_H5D2).value
         )
         assert fused == pytest.approx(separate, rel=2e-3)
 
@@ -281,14 +279,12 @@ NAN = math.nan
 @pytest.mark.parametrize("call", [
     lambda: m1(NAN, CFG_H5D2),
     lambda: m2(NAN, CFG_H5D2),
-    lambda: m_cross(NAN, 0.1, CFG_H5D2),
-    lambda: m_cross(0.1, NAN, CFG_H5D2),
     lambda: cauchy_gap(NAN, 0.1, CFG_H5D2),
     lambda: cauchy_gap(0.1, NAN, CFG_H5D2),
     lambda: m1_ladder([0.5, NAN], CFG_H5D2),
     lambda: m2_ladder([NAN], CFG_H5D2),
     lambda: a_z(NAN, CFG_H5D2),
-], ids=["m1", "m2", "m_cross-eps", "m_cross-eta", "cauchy_gap-eps", "cauchy_gap-eta",
+], ids=["m1", "m2", "cauchy_gap-eps", "cauchy_gap-eta",
         "m1_ladder", "m2_ladder", "a_z"])
 def test_nan_regularizer_rejected(call):
     # a comparison with NaN is false, so a guard written as "x <= 0"
@@ -922,9 +918,9 @@ class TestMomentIntegrand:
         y = _near_faces(_SINGULAR_FACES[region], np.random.default_rng(11))
         x = np.asfortranarray(np.insert(y, 1, np.random.default_rng(12).uniform(0.0, 1.0, len(y)),
                                         axis=1))
-        m2_eps, gaps, crosses = [0.5, 0.25, 0.0], [(0.5, 0.25), (0.25, 0.25)], [(0.5, 0.125)]
-        got = _moment_integrand(cfg, region, m2_eps, gaps, crosses, True)(x)
-        assert got.shape == (3 + 2 + 1 + 1, len(x))
+        m2_eps, gaps = [0.5, 0.25, 0.0], [(0.5, 0.25), (0.25, 0.25)]
+        got = _moment_integrand(cfg, region, m2_eps, gaps, True)(x)
+        assert got.shape == (3 + 2 + 1, len(x))
 
         lam, rho, det, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
 
@@ -937,8 +933,6 @@ class TestMomentIntegrand:
         for a, b in gaps:
             terms = (p(a, a), p(b, b), -p(a, b), -p(b, a))
             assert np.all(np.abs(next(rows) - sum(terms)) <= 1e-12 * sum(map(np.abs, terms)))
-        for a, b in crosses:
-            assert next(rows) == pytest.approx(0.5 * (p(a, b) + p(b, a)), rel=1e-12, abs=0.0)
         var = np.maximum(p(0.0, 0.0) - (lam * rho) ** (-0.5 * cfg.dim) * jac, 0.0)
         assert np.all(np.abs(next(rows) - var) <= 1e-12 * p(0.0, 0.0))
 
@@ -972,6 +966,29 @@ class TestMomentIntegrand:
                 continue  # infinite
             want = -math.log(w) if g == 0.0 else (1.0 - w**g) / g
             assert _radial_factor(g, w) == pytest.approx(want, rel=1e-12)
+
+    def test_radial_factor_is_scipys_exprel_form(self):
+        # (-L) exprel(g L), L = log(width), to 1e-14, inf where it is inf
+        # (g < 0 at widths down to the smallest subnormal), and no warning
+        from scipy.special import exprel
+
+        tiny = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-12, -1e-12, 1e-9, -1e-9]
+        gs = np.concatenate((np.linspace(-20.0, 8.0, 281), tiny))
+        widths = [4.0**-k for k in range(1, 8)] + [1e-300, 5e-324]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g, w in itertools.product(gs, widths):
+                L = math.log(w)
+                with np.errstate(over="ignore"):
+                    want = float(-L * exprel(g * L))
+                got = _radial_factor(float(g), w)
+                if math.isinf(want):
+                    assert got == want, (g, w)
+                else:
+                    assert got == pytest.approx(want, rel=1e-14, abs=0.0), (g, w)
+            for g in map(float, gs[gs > 0.0]):
+                assert _radial_factor(g, 0.0) == 1.0 / g
+        assert any(math.isinf(_radial_factor(g, 1e-300)) for g in gs)
 
 
 def _ladder_pass():
