@@ -10,6 +10,10 @@ written once, in _phi and _cross, which take powers of the times without
 validation: quadmoments' integrands call them at ratio coordinates.  The
 lemma checks at the end are shared by ``fbmilt verify-lemmas`` and the
 acceptance suite, each with its own bounds.
+
+_check_range is the one owner of every real-valued input's range across
+the package (Hurst index, horizon, times, regularizers, gamma arguments),
+and _check_int of every integer input's: each rejects NaN and +-inf.
 """
 
 from __future__ import annotations
@@ -57,10 +61,9 @@ class ModelConfig:
     horizon: float = 1.0
 
     def __post_init__(self):
-        _check_hurst(self.hurst)
+        _check_range("hurst", self.hurst, 0.0, 1.0)
         _check_int("dim", self.dim, 2)
-        if not (self.horizon > 0.0):
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
+        _check_range("horizon", self.horizon, 0.0)
 
     @property
     def hd(self) -> float:
@@ -74,11 +77,6 @@ class ModelConfig:
         return "Convergent" if self.hd < 2.0 else "Divergent"
 
 
-def _check_hurst(h):
-    if not (0.0 < h < 1.0):
-        raise ParameterError(f"hurst must lie in (0, 1), got {h}")
-
-
 def _check_int(name, value, least):
     """Reject all but a Python or numpy integer >= ``least`` (floats too,
     whole ones included: they fail later where an integer is needed)."""
@@ -86,18 +84,23 @@ def _check_int(name, value, least):
         raise ParameterError(f"{name} must be an integer >= {least}, got {value}")
 
 
-def _check_nonneg(name, x):
-    if np.any(np.asarray(x) < 0.0):
-        raise ParameterError(f"{name} must be nonnegative")
+def _check_range(name, x, low, high=math.inf, closed=False):
+    """``x`` as a float array (0-d for a number) if it has entries and each
+    lies in (low, high), or in [low, high) if ``closed``; else ParameterError
+    naming ``name``.  NaN and +-inf always fail."""
+    a = np.asarray(x, dtype=float)
+    inside = (a >= low if closed else a > low) & (a < high)
+    if not (a.size and inside.all()):
+        bounds = f"{'[' if closed else '('}{low:g}, {high:g})"
+        raise ParameterError(f"{name} must lie in {bounds}, got {x}")
+    return a
 
 
 def cov_rh(s, t, h):
     """fBm covariance R_H(s, t) = (t^2H + s^2H - |t-s|^2H) / 2."""
-    _check_hurst(h)
-    _check_nonneg("s", s)
-    _check_nonneg("t", t)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
+    _check_range("hurst", h, 0.0, 1.0)
+    s = _check_range("s", s, 0.0, closed=True)
+    t = _check_range("t", t, 0.0, closed=True)
     h2 = 2.0 * h
     out = 0.5 * (t**h2 + s**h2 - np.abs(t - s) ** h2)
     return out if out.ndim else float(out)
@@ -105,11 +108,9 @@ def cov_rh(s, t, h):
 
 def lambda_var(s, t, h):
     """Variance s^2H + t^2H of one coordinate of B_t - B~_s."""
-    _check_hurst(h)
-    _check_nonneg("s", s)
-    _check_nonneg("t", t)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
+    _check_range("hurst", h, 0.0, 1.0)
+    s = _check_range("s", s, 0.0, closed=True)
+    t = _check_range("t", t, 0.0, closed=True)
     out = s ** (2.0 * h) + t ** (2.0 * h)
     return out if out.ndim else float(out)
 
@@ -126,11 +127,9 @@ def mu_cov(s, t, u, v, h):
 def phi_det(t, v, h):
     """Determinant of Var(B_t, B_v) for a one-dimensional fBm,
     t^2H v^2H - R_H(t, v)^2, cancellation-free (see _phi)."""
-    _check_hurst(h)
-    _check_nonneg("t", t)
-    _check_nonneg("v", v)
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(v, dtype=float)
+    _check_range("hurst", h, 0.0, 1.0)
+    t = _check_range("t", t, 0.0, closed=True)
+    v = _check_range("v", v, 0.0, closed=True)
     h2 = 2.0 * h
     out = _phi(t**h2, v**h2, np.abs(t - v) ** h2)
     return out if out.ndim else float(out)
@@ -175,13 +174,9 @@ def det_var_z(s, t, u, v, h):
 
 def _det_terms(s, t, u, v, h):
     """(phi(t,v), phi(s,u), cross_det(s,t,u,v)), the phis computed once."""
-    _check_hurst(h)
-    for name, x in (("s", s), ("t", t), ("u", u), ("v", v)):
-        _check_nonneg(name, x)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    _check_range("hurst", h, 0.0, 1.0)
+    s, t, u, v = (_check_range(name, x, 0.0, closed=True)
+                  for name, x in (("s", s), ("t", t), ("u", u), ("v", v)))
     phi_tv, phi_su = phi_det(t, v, h), phi_det(s, u, h)
     cross = _cross(t**h, v**h, s**h, u**h, cov_rh(t, v, h), cov_rh(s, u, h), phi_tv, phi_su)
     return phi_tv, phi_su, cross
@@ -205,21 +200,19 @@ def _cross(th, vh, sh, uh, r_tv, r_su, phi_tv, phi_su):
 def lower_inc_gamma(alpha, x):
     """Lower incomplete gamma function gamma(alpha, x) = int_0^x e^-y y^(alpha-1) dy.
 
-    Gamma(alpha) times scipy's regularized gammainc.
+    Gamma(alpha) times scipy's regularized gammainc; x = inf gives Gamma(alpha).
     """
     from scipy.special import gammainc  # only the gamma lemma check calls this; import fbmilt skips scipy
 
-    if alpha <= 0.0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if x < 0.0:
-        raise ParameterError(f"x must be nonnegative, got {x}")
+    _check_range("alpha", alpha, 0.0)
+    if x != math.inf:
+        _check_range("x", x, 0.0, closed=True)
     return math.gamma(alpha) * float(gammainc(alpha, x))
 
 
 def gamma_bound_k(alpha):
     """Bounding constant K(alpha) = max(1/alpha, Gamma(alpha))."""
-    if alpha <= 0.0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    _check_range("alpha", alpha, 0.0)
     return max(1.0 / alpha, math.gamma(alpha))
 
 

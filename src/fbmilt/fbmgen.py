@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covkernel import ModelConfig, _check_int, cov_rh
+from .covkernel import ModelConfig, _check_int, _check_range, cov_rh
 from .errors import ParameterError
 
 __all__ = [
@@ -44,8 +44,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (self.horizon > 0.0):
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
+        _check_range("horizon", self.horizon, 0.0)
         _check_int("n_steps", self.n_steps, 1)
 
     @property
@@ -112,10 +111,7 @@ def _cholesky_paths(grid, cfg, rng, count):
     ``p * d + j`` of Z drives coordinate j of path p.
     """
     n, d = grid.n_steps, cfg.dim
-    if n > _CHOLESKY_MAX_STEPS:
-        raise ParameterError(
-            f"cholesky sampler limited to {_CHOLESKY_MAX_STEPS} steps, got {n}"
-        )
+    _check_range("cholesky n_steps", n, 1.0, _CHOLESKY_MAX_STEPS + 1, closed=True)
     L = _cholesky_factor(cfg.hurst, n)
     lz = L @ rng.standard_normal((n, count * d))
     lz *= grid.horizon**cfg.hurst

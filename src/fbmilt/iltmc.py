@@ -41,10 +41,10 @@ from functools import reduce
 import numpy as np
 
 from . import quadmoments
-from .covkernel import ModelConfig, _check_int
+from .covkernel import ModelConfig, _check_int, _check_range
 from .errors import ParameterError
 # sample_pair is not called here; perfbench/tracing.py wraps it as iltmc.sample_pair.
-from .fbmgen import FbmPathPair, TimeGrid, sample_pair, sample_paths  # noqa: F401
+from .fbmgen import FbmPathPair, TimeGrid, _as_generator, sample_pair, sample_paths  # noqa: F401
 
 __all__ = [
     "MomentEstimate",
@@ -63,20 +63,13 @@ _KERNEL_BLOCK_BYTES = 1 << 20
 _SAMPLER_BLOCK_BYTES = 1 << 23
 
 
-def _eps_value(eps) -> float:
-    value = float(eps)
-    if not (value > 0.0):
-        raise ParameterError(f"eps must be positive, got {value}")
-    return value
-
-
 def heat_kernel(x, eps, dim: int):
     """Gaussian density p_eps(x) = (2 pi eps)^(-d/2) exp(-|x|^2 / 2 eps).
 
     ``x`` is a vector of length ``dim`` or an array of them (last axis the
     coordinate axis).
     """
-    e = _eps_value(eps)
+    e = float(_check_range("eps", eps, 0.0))
     x = np.asarray(x, dtype=float)
     sq = x * x if x.ndim == 0 else np.sum(x * x, axis=-1)
     out = (2.0 * math.pi * e) ** (-0.5 * dim) * np.exp(-0.5 * sq / e)
@@ -129,7 +122,7 @@ def gauss_weight_sum(x, y, wx, wy, eps) -> np.ndarray:
 
 def ilt_epsilon(pair: FbmPathPair, eps) -> float:
     """Trapezoid discretization of int int p_eps(B_t - B~_s) ds dt >= 0."""
-    e = _eps_value(eps)
+    e = float(_check_range("eps", eps, 0.0))
     first, second = pair.first, pair.second
     if first.grid != second.grid or first.dim != second.dim:
         raise ParameterError("the two paths must share grid and dimension")
@@ -146,7 +139,7 @@ def discrete_mean(cfg: ModelConfig, eps, grid: TimeGrid) -> float:
     O(n^2) work in row blocks of at most _KERNEL_BLOCK_BYTES, so no
     (n+1)^2 array is held at any n.
     """
-    e = _eps_value(eps)
+    e = float(_check_range("eps", eps, 0.0))
     lam = grid.times ** (2.0 * cfg.hurst)
     w = grid.trapezoid_weights()
     m = len(lam)
@@ -178,7 +171,7 @@ def grid_for_eps(eps, cfg: ModelConfig, m1=None) -> int:
     independent of it.  Raises QuadratureBudgetError if m1 does not
     converge.
     """
-    e = _eps_value(eps)
+    e = float(_check_range("eps", eps, 0.0))
     ref = m1 if m1 is not None and m1.status == "converged" else quadmoments.m1(e, cfg)
     bound = GRID_BIAS_REL_TOL * ref.value - ref.error_estimate
 
@@ -226,8 +219,7 @@ def _merge(a, b):
 def _chunk_moments(cfg, e, grid, seed, method, index, count):
     """Moments of I_eps and of I_eps^2 over the ``count`` replications of
     chunk ``index``, all drawn from the chunk's own stream."""
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+    rng = _as_generator(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     w = grid.trapezoid_weights()
     # bytes of one replication's circulant FFT buffer: its 2d draws take
     # d FFT rows of 2n complex128 entries
@@ -271,7 +263,7 @@ def mc_moments(cfg: ModelConfig, eps, grid: TimeGrid, replications: int,
     """
     _check_int("replications", replications, 2)
     _check_int("seed", seed, 0)
-    e = _eps_value(eps)
+    e = float(_check_range("eps", eps, 0.0))
     chunks = [
         (cfg, e, grid, seed, method, k, min(_CHUNK, replications - lo))
         for k, lo in enumerate(range(0, replications, _CHUNK))

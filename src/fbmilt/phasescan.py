@@ -32,7 +32,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import quadmoments
-from .covkernel import ModelConfig
+from .covkernel import ModelConfig, _check_int, _check_range
 from .errors import KINDS, IndeterminateError, ParameterError, QuadratureBudgetError
 from .fbmgen import TimeGrid
 from .iltmc import grid_for_eps, mc_moments
@@ -67,12 +67,9 @@ class EpsSchedule:
     count: int
 
     def __post_init__(self):
-        if not (self.eps0 > 0.0):
-            raise ParameterError(f"eps0 must be positive, got {self.eps0}")
-        if not (0.0 < self.factor < 1.0):
-            raise ParameterError(f"factor must lie in (0, 1), got {self.factor}")
-        if not float(self.count).is_integer() or self.count < 3:  # NaN and inf fail
-            raise ParameterError(f"count must be an integer >= 3, got {self.count}")
+        _check_range("eps0", self.eps0, 0.0)
+        _check_range("factor", self.factor, 0.0, 1.0)
+        _check_int("count", self.count, 3)
 
     def ladder(self) -> np.ndarray:
         return self.eps0 * self.factor ** np.arange(self.count)

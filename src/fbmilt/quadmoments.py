@@ -50,7 +50,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import cubature
-from .covkernel import CRITICAL_TOL, ModelConfig, _cross, _phi
+from .covkernel import CRITICAL_TOL, ModelConfig, _check_range, _cross, _phi
 from .errors import ParameterError, QuadratureBudgetError
 
 __all__ = [
@@ -331,8 +331,7 @@ def m1(eps, cfg: ModelConfig, rel_tol=None):
     [0, delta]^2 is the part with t > delta on s < t:
     c int_delta^T t^(g-1) dt / T^g, the radial factor at delta / T.
     """
-    if not eps >= 0.0:
-        raise ParameterError(f"eps must be nonnegative, got {eps}")
+    _check_range("eps", eps, 0.0, closed=True)
     if rel_tol is None:
         rel_tol = _M1_REL_TOL
     if eps > 0.0:
@@ -361,9 +360,7 @@ def m1_ladder(eps, cfg: ModelConfig):
     and evaluations of the whole pass.  A budget hit is reported in the
     status of each result that missed its tolerance, not raised.
     """
-    eps = [float(e) for e in eps]
-    if not eps or not all(e > 0.0 for e in eps):
-        raise ParameterError(f"a ladder needs positive regularizers, got {eps}")
+    eps = _check_range("eps", eps, 0.0).tolist()
     return _m1_columns(eps, cfg, _M1_REL_TOL)
 
 
@@ -458,8 +455,7 @@ def m2(eps, cfg: ModelConfig, rel_tol=None):
     """Second moment E[I_eps^2], the 4D integral of
     ((lambda+eps)(rho+eps) - mu^2)^(-d/2) times (2 pi)^-d, to ``rel_tol``
     (default _M2_REL_TOL)."""
-    if not eps > 0.0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    _check_range("eps", eps, 0.0)
     if rel_tol is None:
         rel_tol = _M2_REL_TOL
     (res,) = _moment_columns(cfg, _M2_ABS_TOL, rel_tol, _M2_MAX_EVALS, m2_eps=[eps])
@@ -475,8 +471,8 @@ def cauchy_gap(eps, eta, cfg: ModelConfig):
     QuadratureBudgetError, carrying the partial result, when the budget
     runs out, as m2 does.
     """
-    if not (eps > 0.0 and eta > 0.0):
-        raise ParameterError("eps and eta must be positive")
+    _check_range("eps", eps, 0.0)
+    _check_range("eta", eta, 0.0)
     (res,) = _moment_columns(cfg, _M2_ABS_TOL, _GAP_REL_TOL, _M2_MAX_EVALS,
                              gaps=[(eps, eta)])
     return _require_converged(res, "cauchy_gap")
@@ -495,9 +491,7 @@ def m2_ladder(eps, cfg: ModelConfig, rel_tol=None):
     of the whole pass.  A budget hit is reported in the status of each
     result that missed its tolerance, not raised.
     """
-    eps = [float(e) for e in eps]
-    if not eps or not all(e > 0.0 for e in eps):
-        raise ParameterError(f"a ladder needs positive regularizers, got {eps}")
+    eps = _check_range("eps", eps, 0.0).tolist()
     pairs = list(zip(eps, eps[1:]))
     if rel_tol is None:
         rel_tol = _M2_REL_TOL
@@ -579,8 +573,7 @@ def a_z(z, cfg: ModelConfig):
     toward 0 down to the angle where z psi(b) T^4H ~ 1.  A budget hit is
     reported in the result's status, not raised.
     """
-    if not z >= 0.0:
-        raise ParameterError(f"z must be nonnegative, got {z}")
+    _check_range("z", z, 0.0, closed=True)
     h2 = 2.0 * cfg.hurst
     T = cfg.horizon
     a = 1.0 / h2

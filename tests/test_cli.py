@@ -303,14 +303,14 @@ class TestPhaseCommand:
         assert code == 4
 
     def test_parameter_error_exit_code(self, tmp_path):
-        # eps0 * factor underflows to 0, which m1_ladder's guard rejects before
-        # any quadrature; the point's "parameter" error used to exit 0
+        # eps0 * factor underflows to 0, which m1_ladder's range check rejects
+        # before any quadrature; the point's "parameter" error used to exit 0
         out = tmp_path / "p.json"
         code = run_main(["phase", "--hurst", "0.5", "--dim", "2", "--eps0", "5e-324",
                          "--out", str(out)])
         assert code == 2
         (row,) = json.loads(out.read_text())["results"]["rows"]
-        assert "positive regularizers" in row["error"]
+        assert "eps must lie in (0, inf)" in row["error"]
 
     def test_sweep_budget_hit_exit_code(self, monkeypatch, tmp_path):
         # a point whose sweep rows all hit their budget used to exit 0

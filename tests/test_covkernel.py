@@ -21,8 +21,10 @@ from fbmilt.covkernel import (
     phi_det,
 )
 from fbmilt.errors import ParameterError
-from fbmilt.fbmgen import TimeGrid
-from fbmilt.iltmc import mc_moments
+from fbmilt.fbmgen import TimeGrid, sample_pair
+from fbmilt.iltmc import discrete_mean, grid_for_eps, heat_kernel, ilt_epsilon, mc_moments
+from fbmilt.phasescan import EpsSchedule
+from fbmilt.quadmoments import a_z, cauchy_gap, m1, m1_ladder, m2, m2_ladder
 
 
 class TestModelConfig:
@@ -60,6 +62,7 @@ _INTEGER_INPUTS = {
     "n_steps": lambda v: TimeGrid(1.0, v),
     "replications": lambda v: mc_moments(ModelConfig(0.5, 2), 1.0, TimeGrid(1.0, 4), v, 0),
     "seed": lambda v: mc_moments(ModelConfig(0.5, 2), 1.0, TimeGrid(1.0, 4), 3, v),
+    "count": lambda v: EpsSchedule(1.0, 0.5, v),
 }
 
 
@@ -75,6 +78,66 @@ def test_integer_inputs_must_be_integers(name, value, ok):
     else:
         with pytest.raises(ParameterError, match=name):
             _INTEGER_INPUTS[name](value)
+
+
+_CFG = ModelConfig(0.5, 2)
+_GRID = TimeGrid(1.0, 4)
+_BELOW_0 = -5e-324  # the float just below a closed lower end of 0
+
+# each real input, as name -> (the input's name in its error, a call that
+# passes it the value, out-of-range values beside NaN and +-inf, an accepted value)
+_REAL_INPUTS = {
+    "ModelConfig-hurst": ("hurst", lambda v: ModelConfig(v, 2), (0.0, 1.0), 0.5),
+    "ModelConfig-horizon": ("horizon", lambda v: ModelConfig(0.5, 2, v), (0.0,), 2.0),
+    "TimeGrid-horizon": ("horizon", lambda v: TimeGrid(v, 8), (0.0,), 2.0),
+    "cov_rh-hurst": ("hurst", lambda v: cov_rh(1.0, 2.0, v), (0.0, 1.0), 0.75),
+    "cov_rh-s": ("s", lambda v: cov_rh(v, 1.0, 0.5), (_BELOW_0,), 0.0),
+    "cov_rh-t": ("t", lambda v: cov_rh(1.0, v, 0.5), (_BELOW_0,), 0.0),
+    "lambda_var-s": ("s", lambda v: lambda_var(v, 1.0, 0.5), (_BELOW_0,), 0.0),
+    "lambda_var-t": ("t", lambda v: lambda_var(1.0, v, 0.5), (_BELOW_0,), 0.0),
+    "phi_det-t": ("t", lambda v: phi_det(v, 1.0, 0.5), (_BELOW_0,), 0.0),
+    "phi_det-v": ("v", lambda v: phi_det(1.0, v, 0.5), (_BELOW_0,), 0.0),
+    "det_var_z-hurst": ("hurst", lambda v: det_var_z(1.0, 1.0, 0.5, 0.5, v), (0.0, 1.0), 0.5),
+    "det_var_z-s": ("s", lambda v: det_var_z(v, 1.0, 0.5, 0.5, 0.5), (_BELOW_0,), 0.0),
+    "det_var_z-t": ("t", lambda v: det_var_z(1.0, v, 0.5, 0.5, 0.5), (_BELOW_0,), 0.0),
+    "det_var_z-u": ("u", lambda v: det_var_z(1.0, 1.0, v, 0.5, 0.5), (_BELOW_0,), 0.0),
+    "det_var_z-v": ("v", lambda v: det_var_z(1.0, 1.0, 0.5, v, 0.5), (_BELOW_0,), 0.0),
+    "m1-eps": ("eps", lambda v: m1(v, _CFG), (_BELOW_0,), 0.0),
+    "m1_ladder-eps": ("eps", lambda v: m1_ladder([0.5, v], _CFG), (0.0,), 0.25),
+    "m2-eps": ("eps", lambda v: m2(v, _CFG), (0.0,), 1.0),
+    "cauchy_gap-eps": ("eps", lambda v: cauchy_gap(v, 0.5, _CFG), (0.0,), 1.0),
+    "cauchy_gap-eta": ("eta", lambda v: cauchy_gap(1.0, v, _CFG), (0.0,), 0.5),
+    "m2_ladder-eps": ("eps", lambda v: m2_ladder([v], _CFG), (0.0,), 1.0),
+    "a_z-z": ("z", lambda v: a_z(v, _CFG), (_BELOW_0,), 0.0),
+    "heat_kernel-eps": ("eps", lambda v: heat_kernel(np.zeros(2), v, 2), (0.0,), 1.0),
+    "ilt_epsilon-eps": ("eps", lambda v: ilt_epsilon(sample_pair(_GRID, _CFG, 0), v), (0.0,), 1.0),
+    "discrete_mean-eps": ("eps", lambda v: discrete_mean(_CFG, v, _GRID), (0.0,), 1.0),
+    "grid_for_eps-eps": ("eps", lambda v: grid_for_eps(v, _CFG), (0.0,), 1.0),
+    "mc_moments-eps": ("eps", lambda v: mc_moments(_CFG, v, _GRID, 3, 0), (0.0,), 1.0),
+    "EpsSchedule-eps0": ("eps0", lambda v: EpsSchedule(v, 0.5, 5), (0.0,), 2.0),
+    "EpsSchedule-factor": ("factor", lambda v: EpsSchedule(1.0, v, 5), (0.0, 1.0), 0.25),
+    "lower_inc_gamma-alpha": ("alpha", lambda v: lower_inc_gamma(v, 1.0), (0.0,), 2.5),
+    "gamma_bound_k-alpha": ("alpha", lambda v: gamma_bound_k(v), (0.0,), 2.5),
+}
+
+
+@pytest.mark.parametrize("key", list(_REAL_INPUTS))
+def test_real_inputs_must_lie_in_range(key):
+    # each input has one range check, so NaN and +-inf fail with the rest
+    name, call, edges, ok = _REAL_INPUTS[key]
+    for value in (math.nan, math.inf, -math.inf, *edges):
+        with pytest.raises(ParameterError, match=rf"^{name} must lie in "):
+            call(value)
+    call(ok)
+
+
+def test_lower_inc_gamma_takes_x_up_to_inf():
+    # x = inf is the complete gamma function; NaN, -inf and x < 0 fail
+    for value in (math.nan, -math.inf, _BELOW_0):
+        with pytest.raises(ParameterError, match="^x must lie in "):
+            lower_inc_gamma(2.5, value)
+    assert lower_inc_gamma(2.5, 0.0) == 0.0
+    assert lower_inc_gamma(2.5, math.inf) == math.gamma(2.5)
 
 
 class TestCovRh:

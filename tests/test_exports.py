@@ -20,8 +20,8 @@ def test_all_names_resolve(name):
 
 
 def _fresh(code):
-    """stdout of ``code`` in a fresh interpreter that imports this fbmilt: pytest's
-    filterwarnings entry for scipy.integrate.IntegrationWarning imports scipy here."""
+    """stdout of ``code`` in a fresh interpreter that imports this fbmilt: other
+    tests in this process import scipy, so sys.modules here says nothing of fbmilt's."""
     src = str(Path(fbmilt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

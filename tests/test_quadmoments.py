@@ -273,24 +273,22 @@ class TestCauchyGap:
         assert math.isfinite(partial.value) and partial.error_estimate > 0.0
 
 
-NAN = math.nan
-
-
 @pytest.mark.parametrize("call", [
-    lambda: m1(NAN, CFG_H5D2),
-    lambda: m2(NAN, CFG_H5D2),
-    lambda: cauchy_gap(NAN, 0.1, CFG_H5D2),
-    lambda: cauchy_gap(0.1, NAN, CFG_H5D2),
-    lambda: m1_ladder([0.5, NAN], CFG_H5D2),
-    lambda: m2_ladder([NAN], CFG_H5D2),
-    lambda: a_z(NAN, CFG_H5D2),
+    lambda v: m1(v, CFG_H5D2),
+    lambda v: m2(v, CFG_H5D2),
+    lambda v: cauchy_gap(v, 0.1, CFG_H5D2),
+    lambda v: cauchy_gap(0.1, v, CFG_H5D2),
+    lambda v: m1_ladder([0.5, v], CFG_H5D2),
+    lambda v: m2_ladder([v], CFG_H5D2),
+    lambda v: a_z(v, CFG_H5D2),
 ], ids=["m1", "m2", "cauchy_gap-eps", "cauchy_gap-eta",
         "m1_ladder", "m2_ladder", "a_z"])
 def test_nan_regularizer_rejected(call):
     # a comparison with NaN is false, so a guard written as "x <= 0"
-    # or "min(...) <= 0" would let it through
-    with pytest.raises(ParameterError):
-        call()
+    # or "min(...) <= 0" would let it through; +-inf are out of range too
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            call(value)
 
 
 class TestLadders:
