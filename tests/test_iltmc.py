@@ -287,6 +287,12 @@ class TestMcMoments:
         with pytest.raises(ParameterError, match="seed"):
             mc_moments(CFG, 0.5, TimeGrid(1.0, 16), 10, seed=-1)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        # these used to run serially without complaint
+        with pytest.raises(ParameterError, match="workers"):
+            mc_moments(CFG, 0.5, TimeGrid(1.0, 16), 10, seed=0, workers=workers)
+
     def test_deterministic_and_worker_independent(self):
         grid = TimeGrid(1.0, 16)
         a = mc_moments(CFG, 1.0, grid, 600, seed=3, workers=1)

@@ -227,9 +227,9 @@ def _cross_moment(eps, eta, cfg):
         return f
 
     init = [np.array([0.0, 0.5, 1.0])] * 4
-    (res,) = quadmoments._region_passes(cfg, quadmoments._M2_ABS_TOL, quadmoments._M2_REL_TOL,
-                                        quadmoments._M2_MAX_EVALS,
-                                        [(integrand(r), init) for r in "AB"])
+    (res,) = quadmoments._passes([(integrand(r), init) for r in "AB"],
+                                 4.0 * (2.0 * math.pi) ** (-cfg.dim), quadmoments._M2_ABS_TOL,
+                                 quadmoments._M2_REL_TOL, quadmoments._M2_MAX_EVALS)
     assert res.status == "converged"
     return res
 
@@ -289,6 +289,42 @@ def test_nan_regularizer_rejected(call):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError):
             call(value)
+
+
+# each integral and the number of cubature passes behind it: one, or one
+# per region (A and B)
+_PASS_COUNTS = {
+    "m1": (lambda: m1(0.5, CFG_H5D2), 1),
+    "m1-eps-0": (lambda: m1(0.0, CFG_H5D2), 1),
+    "m1_ladder": (lambda: m1_ladder([1.0, 0.5], CFG_H5D2), 1),
+    "m2": (lambda: m2(0.5, CFG_H5D2), 2),
+    "cauchy_gap": (lambda: cauchy_gap(0.5, 0.25, CFG_H5D2), 2),
+    "m2_ladder": (lambda: m2_ladder([1.0, 0.5], CFG_H5D2), 2),
+    "var_limit": (lambda: var_limit(ModelConfig(0.25, 2)), 2),
+    "a_t_integral": (lambda: a_t_integral(ModelConfig(0.75, 3)), 2),
+    "a_z": (lambda: a_z(3.0, CFG_H5D2), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_PASS_COUNTS))
+def test_every_pass_goes_through_cubature_integrate(name, monkeypatch):
+    # a tracer that swaps fbmilt.cubature.integrate, and wraps the
+    # integrand it is given, sees every pass and changes no number
+    call, passes = _PASS_COUNTS[name]
+    want = call()
+    calls = []
+
+    def traced(f, *args, **kwargs):
+        def counted(x):
+            calls[-1] += 1
+            return f(x)
+
+        calls.append(0)
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(cubature, "integrate", traced)
+    assert call() == want
+    assert len(calls) == passes and all(calls)
 
 
 class TestLadders:
