@@ -217,6 +217,7 @@ def _quad_dict(res) -> dict:
         "evidence": res.divergence_evidence,
         "status": res.status,
         "nevals": res.nevals,
+        "cells": res.subdivisions,
         "shells": shells,
         "shell_rate": _num(res.shell_rate),
         "radial_exponent": _num(res.radial_exponent),
@@ -362,12 +363,13 @@ def _run_phase(rc: RunConfig) -> int:
     for pt in points:
         if isinstance(pt, PhaseError):
             rows.append({"hurst": pt.hurst, "dim": pt.dim, "verdict": None,
-                         "fitted_rate": None, "error": pt.message})
+                         "fitted_rate": None, "nevals": None, "error": pt.message})
             summaries.append(f"H={pt.hurst} d={pt.dim}: error ({pt.kind})")
             status = max(status, _EXIT_CODES[pt.kind])
         else:
             rows.append({"hurst": pt.hurst, "dim": pt.dim, "verdict": pt.verdict,
-                         "fitted_rate": _num(pt.fitted_rate), "error": None})
+                         "fitted_rate": _num(pt.fitted_rate), "nevals": pt.evidence.nevals,
+                         "error": None})
             summaries.append(f"H={pt.hurst} d={pt.dim}: {pt.verdict}")
     verdict = rows[0]["verdict"] if len(rows) == 1 else None
     _emit(rc, _report(rc, {"rows": rows, "verdict": verdict}))

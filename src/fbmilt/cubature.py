@@ -8,8 +8,8 @@ K = 1 case.  Cells live in flat arrays indexed by creation order (bounds
 ``lo``/``hi`` of shape (cap, ndim), ``est`` of shape (2K, cap) with the
 K values over the K errors, ``split_dim`` and ``alive`` of shape
 (cap,)), which grow by doubling.  Each refinement step takes the
-``_BATCH`` alive, splittable cells of largest error, ties going to the
-older cell, and bisects all of them at once along each cell's direction
+``_BATCH`` = 32 alive, splittable cells of largest error, ties going to
+the older cell, and bisects all of them at once along each cell's direction
 of largest fourth divided difference.  The rule is one matrix,
 R = [w7 | w5 | D] of shape (npoints, 2 + ndim) with D the fourth-difference
 stencil (genz_malik_rule), so one product of the (K cells, npoints)
@@ -20,8 +20,8 @@ short of their tolerance, each divided by that tolerance.  The running
 values and errors are updated in that order: every split cell
 subtracted, then every new cell added.  Integrands are called vectorized
 on an (npoints, ndim) array whose columns are contiguous, on slices of
-whole cells: at most one refinement step's children, and few enough that
-one call's values stay under ``_BLOCK_BYTES``.  The first cell of the
+whole cells: at most one refinement step's 64 children, and few enough
+that one call's values stay under ``_BLOCK_BYTES``.  The first cell of the
 starting mesh is evaluated alone, which tells the number of components
 before any larger call.
 
@@ -40,7 +40,7 @@ import numpy as np
 
 __all__ = ["CubatureResult", "integrate", "genz_malik_rule"]
 
-_BATCH = 128  # cells bisected per refinement step
+_BATCH = 32  # cells bisected per refinement step
 _BLOCK_BYTES = 1 << 20  # integrand values one integrand call returns, at most about
 _MIN_WIDTH_FRAC = 1e-10  # of the box's width: a cell no wider on an axis is not split on it
 

@@ -186,9 +186,16 @@ def _region_pieces(x, region, h, horizon):
 
 def _power(base, dexp):
     """``base`` raised in place to -d/2 for d = ``dexp``, with 0 where that
-    is not finite (a base that is 0 or so small that the power overflows)."""
+    is not finite (a base that is 0 or so small that the power overflows).
+    No general ``pow``: the reciprocal, raised to d // 2, times its square
+    root when d is odd."""
     with np.errstate(divide="ignore", over="ignore"):
-        base **= -0.5 * dexp
+        np.reciprocal(base, out=base)
+        root = np.sqrt(base) if dexp % 2 else None
+        if dexp // 2 > 1:
+            base **= dexp // 2
+        if root is not None:
+            base *= root
     base[~np.isfinite(base)] = 0.0
     return base
 

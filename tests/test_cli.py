@@ -134,6 +134,15 @@ class TestMomentsCommand:
         )
         assert report["config"]["hurst"] == [0.5]
 
+    def test_cells_and_nevals_reported(self, tmp_path):
+        out = tmp_path / "m.json"
+        run_main(["moments", "--hurst", "0.5", "--dim", "2", "--eps", "1", "--out", str(out)])
+        results = json.loads(out.read_text())["results"]
+        cfg = ModelConfig(0.5, 2)
+        for key, res in (("m1", quadmoments.m1(1.0, cfg)), ("m2", quadmoments.m2(1.0, cfg))):
+            assert results[key]["cells"] == res.subdivisions > 0
+            assert results[key]["nevals"] == res.nevals > results[key]["cells"]
+
     def test_deterministic_modulo_timestamp(self, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
@@ -279,6 +288,8 @@ class TestPhaseCommand:
         report = json.loads(out.read_text())
         assert report["results"]["verdict"] == "Convergent"
         assert "Convergent" in capsys.readouterr().out
+        (row,) = report["results"]["rows"]
+        assert row["nevals"] == phasescan.sweep(ModelConfig(0.5, 2)).nevals > 0
 
     @pytest.mark.parametrize("eps0,want", [
         (None, [2.0**0.5, 2.0**1.5]), ("0.5", [0.5, 0.5])], ids=["own-scale", "given"])
@@ -315,6 +326,7 @@ class TestPhaseCommand:
         assert code == 2
         (row,) = json.loads(out.read_text())["results"]["rows"]
         assert "eps must lie in (0, inf)" in row["error"]
+        assert row["nevals"] is None
 
     def test_sweep_budget_hit_exit_code(self, monkeypatch, tmp_path):
         # a point whose sweep rows all hit their budget used to exit 0

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmilt import cubature
+from fbmilt.covkernel import ModelConfig
 from fbmilt.cubature import CubatureResult, _initial_cells, genz_malik_rule, integrate
+from fbmilt.phasescan import EpsSchedule
 
 
 def test_rule_shapes():
@@ -134,10 +136,10 @@ def test_rule_matrix_matches_the_elementwise_rule(ndim):
 
 
 def heap_integrate(f, lo, hi, abs_tol=0.0, rel_tol=1e-6, max_evals=10_000_000,
-                   init_splits=None, min_width_frac=1e-10, batch=128):
-    """Pop the worst ``batch`` cells off a heap keyed by (-error, index),
-    bisect them one by one, push the children.  Every heap entry is an
-    alive cell, so no alive flags are kept."""
+                   init_splits=None, min_width_frac=1e-10):
+    """Pop the worst ``cubature._BATCH`` cells off a heap keyed by
+    (-error, index), bisect them one by one, push the children.  Every heap
+    entry is an alive cell, so no alive flags are kept."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     ndim = len(lo)
     pts, _, _, rule = genz_malik_rule(ndim)
@@ -166,7 +168,7 @@ def heap_integrate(f, lo, hi, abs_tol=0.0, rel_tol=1e-6, max_evals=10_000_000,
             return CubatureResult(total, toterr, nevals, len(vals), "converged")
         if nevals >= max_evals:
             return CubatureResult(total, toterr, nevals, len(vals), "budget")
-        popped = [heapq.heappop(heap)[1] for _ in range(min(batch, len(heap)))]
+        popped = [heapq.heappop(heap)[1] for _ in range(min(cubature._BATCH, len(heap)))]
         if not popped:
             return CubatureResult(total, toterr, nevals, len(vals), "exhausted")
         new_lo, new_hi = [], []
@@ -331,7 +333,7 @@ def test_slicing_changes_no_bit(monkeypatch):
 
     kw = dict(rel_tol=[1e-9, 1e-6, 1e-8])
     whole = integrate(f, [0, 0], [1, 1], **kw)
-    assert max(sizes) > 17 * 64  # steps of up to 256 cells, one call each
+    assert max(sizes) == 2 * cub._BATCH * 17  # one call per refinement step
     sizes.clear()
     monkeypatch.setattr(cub, "_BLOCK_BYTES", 3 * 17 * 8 * 10)  # ten cells a call
     sliced = integrate(f, [0, 0], [1, 1], **kw)
@@ -339,6 +341,28 @@ def test_slicing_changes_no_bit(monkeypatch):
     for a, b in ((whole.value, sliced.value), (whole.error, sliced.error)):
         assert [v.hex() for v in a] == [v.hex() for v in b]
     assert (whole.nevals, whole.ncells) == (sliced.nevals, sliced.ncells)
+
+
+def test_one_call_per_step_at_the_sweeps_shape():
+    # the default sweep's 4D passes have an m2 per rung and a gap per pair
+    # of rungs, 23 components: every refinement step's 2 _BATCH children
+    # must go to the integrand in one call
+    count = EpsSchedule.default_for(ModelConfig(0.5, 4)).count
+    assert 2 * count - 1 == 23
+    sizes = []
+    rates = np.linspace(1.0, 3.0, 2 * count - 1)
+
+    def f(x):
+        sizes.append(len(x))
+        return np.exp(-rates[:, None] * np.sum(x * x, axis=1))
+
+    splits = [np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])] * 2 + [np.array([0.0, 0.5, 1.0])] * 2
+    got = integrate(f, [0] * 4, [1] * 4, rel_tol=1e-12, max_evals=60_000, init_splits=splits)
+    assert got.status == "budget"
+    step = 2 * cubature._BATCH * 57
+    assert sizes[:2] == [57, 35 * 57]  # the first cell alone, then the rest of the 36
+    assert len(sizes) > 10 and set(sizes[2:]) == {step}
+    assert got.nevals == 36 * 57 + (len(sizes) - 2) * step
 
 
 def test_starting_mesh_slices(monkeypatch):

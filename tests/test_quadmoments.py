@@ -1025,6 +1025,28 @@ class TestMomentIntegrand:
         assert any(math.isinf(_radial_factor(g, 1e-300)) for g in gs)
 
 
+@pytest.mark.parametrize("d", range(2, 10))
+def test_power_matches_pow(d):
+    # within 4 ulp of 1, relative, of base ** (-d/2) (4 of the smallest
+    # subnormal below the normal range), and exactly 0 where that is 0 or
+    # not finite; a RuntimeWarning would be an error here.  The reciprocal's
+    # rounding is raised to d/2: about (d/2 + 3) half-ulps at worst, up to
+    # 7.5 half-ulps of 1 at d = 9
+    rng = np.random.default_rng(d)
+    base = 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
+    with np.errstate(over="ignore"):
+        want = base ** (-0.5 * d)
+    want[~np.isfinite(want)] = 0.0
+    got = quadmoments._power(base.copy(), d)
+    ulp = np.maximum(np.finfo(float).eps * want, np.spacing(want))
+    assert np.all(np.abs(got - want) <= 4.0 * ulp)
+    over = np.finfo(float).max ** (-2.0 / d) * np.array([0.5, 1e-3])  # the power overflows
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf(over ** (-0.5 * d)))
+    edge = np.concatenate(([0.0, 5e-324], over))
+    assert quadmoments._power(edge, d).tolist() == [0.0] * 4
+
+
 def _ladder_pass():
     m2s, gaps = m2_ladder([2.0**-k for k in range(7)], ModelConfig(0.5, 3))
     return m2s + gaps[1:]
