@@ -33,7 +33,7 @@ from .covkernel import ModelConfig, _check_int, _check_range
 from .errors import KINDS, ParameterError
 from .fbmgen import TimeGrid, path_to_csv, sample_pair
 from .iltmc import discrete_mean, grid_for_eps, mc_moments
-from .phasescan import MIN_ROWS, EpsSchedule, PhaseError, SweepRow, phase_grid
+from .phasescan import MIN_ROWS, EpsSchedule, PhaseError, SweepRow, phase_grid, sweep
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
@@ -48,9 +48,9 @@ class RunConfig:
     dim: List[int]
     horizon: float = 1.0
     eps: Optional[float] = None
-    eps0: Optional[float] = None
-    factor: float = 0.5
-    count: int = 12
+    eps0: Optional[float] = EpsSchedule.eps0
+    factor: float = EpsSchedule.factor
+    count: int = EpsSchedule.count
     reps: Optional[int] = None
     grid_n: Optional[int] = None
     seed: int = 0
@@ -282,12 +282,12 @@ def _run_simulate(rc: RunConfig) -> int:
 def _run_estimate(rc: RunConfig) -> int:
     cfg = rc.model()
     reps = rc.reps or 1000
-    n = grid_for_eps(rc.eps, cfg) if rc.grid_n is None else rc.grid_n
+    r1 = quadmoments.m1(rc.eps, cfg)
+    n = grid_for_eps(rc.eps, cfg, m1=r1) if rc.grid_n is None else rc.grid_n
     grid = TimeGrid(horizon=rc.horizon, n_steps=n)
     est = mc_moments(cfg, rc.eps, grid, replications=reps, seed=rc.seed,
                      method=rc.method, workers=rc.workers)
     exact = discrete_mean(cfg, rc.eps, grid)
-    r1 = quadmoments.m1(rc.eps, cfg)
     report = _report(rc, {
         "mc": {
             "mean": _num(est.mean), "se": _num(est.se_mean),
@@ -330,18 +330,13 @@ def _row_dict(row: SweepRow) -> dict:
     return {k: _num(v) if isinstance(v, float) else v for k, v in asdict(row).items()}
 
 
-def _schedule(rc: RunConfig, cfg: ModelConfig) -> EpsSchedule:
-    eps0 = rc.eps0 if rc.eps0 is not None else EpsSchedule.default_for(cfg).eps0
-    return EpsSchedule(eps0=eps0, factor=rc.factor, count=rc.count)
-
-
 def _run_sweep(rc: RunConfig) -> int:
-    from .phasescan import sweep
     cfg = rc.model()
     mc_params = None if rc.reps is None else {
         "reps": rc.reps, "seed": rc.seed, "method": rc.method,
         "workers": rc.workers, "grid_n": rc.grid_n}
-    series = sweep(cfg, _schedule(rc, cfg), mc_params=mc_params, quad_rel_tol=rc.tol)
+    series = sweep(cfg, EpsSchedule(rc.eps0, rc.factor, rc.count), mc_params=mc_params,
+                   quad_rel_tol=rc.tol)
     rows = [_row_dict(r) for r in series.rows]
     report = _report(rc, {"rows": rows, "diagnostics": {"nevals": series.nevals}})
     _emit(rc, report, csv_rows=rows)
@@ -352,11 +347,8 @@ def _run_sweep(rc: RunConfig) -> int:
 
 
 def _run_phase(rc: RunConfig) -> int:
-    points = []
-    for h in rc.hurst:  # one point at a time: each ladder starts at its own T^2H
-        for d in rc.dim:
-            schedule = _schedule(rc, ModelConfig(h, d, rc.horizon))
-            points += phase_grid([h], [d], schedule, horizon=rc.horizon, quad_rel_tol=rc.tol)
+    points = phase_grid(rc.hurst, rc.dim, EpsSchedule(rc.eps0, rc.factor, rc.count),
+                        horizon=rc.horizon, quad_rel_tol=rc.tol)
     rows = []
     summaries = []
     status = 0

@@ -20,13 +20,14 @@ keeps m2, its Cauchy gap and their errors as reported evidence.
 
 phase_grid records a point whose classification raised as a PhaseError
 of the kind errors.KINDS gives its exception.  sweep and phase_grid
-resolve quad_rel_tol=None to QUAD_REL_TOL when called.
+resolve quad_rel_tol=None to QUAD_REL_TOL when called, and sweep each
+point's eps ladder (EpsSchedule.for_point: an unset eps0 is its T^2H).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -60,24 +61,29 @@ _RATE_TOL = 1e-8  # final grid step in r
 
 @dataclass(frozen=True)
 class EpsSchedule:
-    """Geometric ladder eps0 * factor^k, k = 0..count-1."""
+    """Geometric ladder eps0 * factor^k, k = 0..count-1, by default over
+    about 4 decades from each point's variance scale T^2H (unset eps0)."""
 
-    eps0: float
-    factor: float
-    count: int
+    eps0: Optional[float] = None
+    factor: float = 0.5
+    count: int = 12
 
     def __post_init__(self):
-        _check_range("eps0", self.eps0, 0.0)
+        if self.eps0 is not None:
+            _check_range("eps0", self.eps0, 0.0)
         _check_range("factor", self.factor, 0.0, 1.0)
         _check_int("count", self.count, 3)
 
-    def ladder(self) -> np.ndarray:
+    def for_point(self, cfg: ModelConfig) -> "EpsSchedule":
+        eps0 = cfg.horizon ** (2.0 * cfg.hurst) if self.eps0 is None else self.eps0
+        return replace(self, eps0=eps0)
+
+    def ladder(self) -> np.ndarray:  # of a schedule with eps0 set, as for_point returns
         return self.eps0 * self.factor ** np.arange(self.count)
 
     @classmethod
     def default_for(cls, cfg: ModelConfig) -> "EpsSchedule":
-        # start at the natural variance scale T^2H, span ~4 decades
-        return cls(eps0=cfg.horizon ** (2.0 * cfg.hurst), factor=0.5, count=12)
+        return cls().for_point(cfg)
 
 
 @dataclass(frozen=True)
@@ -128,11 +134,12 @@ class PhaseError:
 
 def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
           mc_params: Optional[dict] = None, quad_rel_tol: Optional[float] = None) -> SweepSeries:
-    """One row of quadrature moments per ladder rung, with a Monte Carlo
-    estimate of m1 alongside when ``mc_params`` is given (the keyword
-    arguments of mc_moments, plus "reps" and "grid_n"; without "grid_n",
-    grid_for_eps picks each row's grid from the row's m1).  m2 is
-    integrated to ``quad_rel_tol`` (default QUAD_REL_TOL).
+    """One row of quadrature moments per rung of schedule.for_point(cfg)
+    (schedule defaults to EpsSchedule()), with a Monte Carlo estimate of
+    m1 alongside when ``mc_params`` is given (the keyword arguments of
+    mc_moments, plus "reps" and "grid_n"; without "grid_n", grid_for_eps
+    picks each row's grid from the row's m1).  m2 is integrated to
+    ``quad_rel_tol`` (default QUAD_REL_TOL).
 
     Every rung's m1 comes from one 2D pass and every rung's m2 and Cauchy
     gap from one 4D pass per region, each over a shared mesh.  A row is
@@ -140,8 +147,7 @@ def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
     hits leave the affected row marked incomplete instead of aborting the
     sweep.
     """
-    if schedule is None:
-        schedule = EpsSchedule.default_for(cfg)
+    schedule = (EpsSchedule() if schedule is None else schedule).for_point(cfg)
     if quad_rel_tol is None:
         quad_rel_tol = QUAD_REL_TOL
     ladder = [float(e) for e in schedule.ladder()]
@@ -271,20 +277,19 @@ def classify(series: SweepSeries, cfg: ModelConfig) -> PhasePoint:
 
 def phase_grid(hs, ds, schedule: Optional[EpsSchedule] = None,
                quad_rel_tol: Optional[float] = None, horizon: float = 1.0):
-    """classify(sweep(...)) over the lexicographic (hurst, dim) grid, every
-    point on the time horizon ``horizon``.
+    """classify(sweep(cfg, schedule, ...)) over the lexicographic (hurst,
+    dim) grid, every point on the time horizon ``horizon``.
 
-    Failures are recorded as PhaseError entries in place of the point.
+    Every point is checked before any runs; a failure while one runs is
+    recorded as a PhaseError entry in place of the point.
     """
     if not hs or not ds:
         raise ParameterError("hurst and dim lists must be nonempty")
+    cfgs = [ModelConfig(hurst=h, dim=d, horizon=horizon) for h in hs for d in ds]
     out = []
-    for h in hs:
-        for d in ds:
-            cfg = ModelConfig(hurst=h, dim=d, horizon=horizon)
-            try:
-                series = sweep(cfg, schedule, quad_rel_tol=quad_rel_tol)
-                out.append(classify(series, cfg))
-            except tuple(KINDS) as exc:
-                out.append(PhaseError(h, d, str(exc), KINDS[type(exc)]))
+    for cfg in cfgs:
+        try:
+            out.append(classify(sweep(cfg, schedule, quad_rel_tol=quad_rel_tol), cfg))
+        except tuple(KINDS) as exc:
+            out.append(PhaseError(cfg.hurst, cfg.dim, str(exc), KINDS[type(exc)]))
     return out

@@ -112,7 +112,9 @@ class QuadratureResult:
     ``status`` is "converged" when every underlying cubature met its
     tolerance and "budget" when any stopped short of it (its evaluation
     budget or its minimum cell width); ``nevals`` counts the integrand
-    evaluations of all of them.
+    evaluations of all of them, and ``subdivisions`` (a report's "cells")
+    their cells, the starting ones plus two per split; a diverged result
+    gives its innermost shell's, and reduction_bound its A(z) evaluations.
     """
 
     value: float

@@ -2,10 +2,7 @@
 
 Each test checks one numbered criterion and prints a one-line
 [PASS]/[FAIL] verdict on the real stdout so the lines survive pytest's
-capture. The nine criteria take about 8 s together on a 2-vCPU machine
-with one BLAS thread; the Monte Carlo coherence criterion 3 (about 4.3 s),
-the sampler z-tests of criterion 7 (about 1.4 s) and the phase grid of
-criterion 1 (about 1.1 s) are the largest parts.
+capture. README.md's "Tests" section gives the time each criterion takes.
 """
 
 import math

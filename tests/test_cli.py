@@ -3,13 +3,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fbmilt import cli, iltmc, phasescan, quadmoments
 from fbmilt.covkernel import ModelConfig
 from fbmilt.errors import ParameterError, QuadratureBudgetError
 from fbmilt.fbmgen import TimeGrid
-from fbmilt.phasescan import PhaseError
+from fbmilt.phasescan import PhaseError, phase_grid
 
 
 def run_main(argv):
@@ -234,6 +235,34 @@ class TestEstimateCommand:
         # the chosen grid meets the 1e-3 relative bias bound
         assert abs(bias["value"]) + bias["error"] <= 1e-3 * ref.value
 
+    def test_m1_integrated_once(self, tmp_path, monkeypatch):
+        # the grid search reuses the m1 of the bias report; it used to
+        # integrate m1(eps) a second time, with the same report
+        cfg = ModelConfig(0.5, 2)
+        n = iltmc.grid_for_eps(0.5, cfg)
+        grid = TimeGrid(1.0, n)
+        est = iltmc.mc_moments(cfg, 0.5, grid, replications=20, seed=0)
+        exact = iltmc.discrete_mean(cfg, 0.5, grid)
+        ref = quadmoments.m1(0.5, cfg)
+        seen = []
+        real_m1 = quadmoments.m1
+
+        def m1(eps, cfg, **kw):
+            seen.append(eps)
+            return real_m1(eps, cfg, **kw)
+
+        monkeypatch.setattr(quadmoments, "m1", m1)
+        out = tmp_path / "e.json"
+        code = run_main(["estimate", "--hurst", "0.5", "--dim", "2", "--eps", "0.5",
+                         "--reps", "20", "--out", str(out)])
+        assert code == 0
+        assert seen == [0.5]
+        results = json.loads(out.read_text())["results"]
+        assert (results["mc"]["mean"], results["mc"]["se"]) == (est.mean, est.se_mean)
+        assert results["diagnostics"]["grid_n"] == n
+        assert results["diagnostics"]["discretization_bias"] == {
+            "value": exact - ref.value, "error": ref.error_estimate}
+
 
 class TestSweepCommand:
     def test_csv_header(self, tmp_path):
@@ -291,22 +320,34 @@ class TestPhaseCommand:
         (row,) = report["results"]["rows"]
         assert row["nevals"] == phasescan.sweep(ModelConfig(0.5, 2)).nevals > 0
 
-    @pytest.mark.parametrize("eps0,want", [
-        (None, [2.0**0.5, 2.0**1.5]), ("0.5", [0.5, 0.5])], ids=["own-scale", "given"])
-    def test_each_point_starts_at_its_own_scale(self, tmp_path, monkeypatch, eps0, want):
+    @pytest.mark.parametrize("flags,starts,factor,count", [
+        ([], [2.0**0.5, 2.0**1.5], 0.5, 12),
+        (["--eps0", "0.5"], [0.5, 0.5], 0.5, 12),
+        (["--factor", "0.25", "--count", "6"], [2.0**0.5, 2.0**1.5], 0.25, 6),
+    ], ids=["own-scale", "given", "factor-count"])
+    def test_each_point_starts_at_its_own_scale(self, tmp_path, monkeypatch, flags, starts,
+                                                factor, count):
         # without --eps0 every point's ladder starts at its T^2H, as sweep's
-        # does; the first point's scale used to serve the whole grid
-        seen = []
+        # does, within one phase_grid call over the whole grid; the first
+        # point's scale used to serve the whole grid
+        ladders, calls = [], []
 
-        def fake_sweep(cfg, schedule, **kw):
-            seen.append(schedule.eps0)
+        def m1_ladder(eps, cfg):
+            ladders.append(list(eps))
             raise ParameterError("stop")
 
-        monkeypatch.setattr(phasescan, "sweep", fake_sweep)
+        def counted_phase_grid(*args, **kw):
+            calls.append(args[:2])
+            return phase_grid(*args, **kw)
+
+        monkeypatch.setattr(quadmoments, "m1_ladder", m1_ladder)
+        monkeypatch.setattr(cli, "phase_grid", counted_phase_grid)
         argv = ["phase", "--horizon", "2", "--hurst", "0.25,0.75", "--dim", "2",
                 "--out", str(tmp_path / "p.json")]
-        run_main(argv + ([] if eps0 is None else ["--eps0", eps0]))
-        assert seen == pytest.approx(want, rel=1e-12)
+        assert run_main(argv + flags) == 2
+        assert calls == [([0.25, 0.75], [2])]
+        want = [[start * factor**k for k in range(count)] for start in starts]
+        np.testing.assert_allclose(ladders, want, rtol=1e-12)
 
     def test_indeterminate_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

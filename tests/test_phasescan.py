@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fbmilt import quadmoments
+from fbmilt import phasescan, quadmoments
 from fbmilt.covkernel import ModelConfig
 from fbmilt.errors import IndeterminateError, ParameterError, QuadratureBudgetError
 from fbmilt.phasescan import (
@@ -32,6 +32,14 @@ class TestEpsSchedule:
         assert s.eps0 == pytest.approx(2.0**1.5)
         assert s.factor == 0.5
         assert s.count == 12
+
+    def test_unset_eps0_starts_each_point_at_its_scale(self):
+        # one schedule serves the grid: sweep resolves each point's start
+        pts = phase_grid([0.25, 0.75], [2], EpsSchedule(factor=0.25, count=6), horizon=2.0)
+        for pt, start in zip(pts, [2.0**0.5, 2.0**1.5], strict=True):
+            assert isinstance(pt, PhasePoint)
+            np.testing.assert_allclose([r.eps for r in pt.evidence.rows],
+                                       start * 0.25 ** np.arange(6), rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -281,6 +289,14 @@ class TestPhaseGrid:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             phase_grid([], [2])
+
+    def test_whole_grid_checked_before_any_point_runs(self, monkeypatch):
+        # a bad value used to raise only after the points before it had run
+        ran = []
+        monkeypatch.setattr(phasescan, "sweep", lambda cfg, *a, **kw: ran.append(cfg))
+        with pytest.raises(ParameterError, match="hurst"):
+            phase_grid([0.5, 1.5], [2])
+        assert ran == []
 
     def test_verdict_stable_under_eps0_doubling(self):
         for h, d in [(0.5, 2), (0.75, 3)]:
