@@ -16,15 +16,7 @@ from .covkernel import (
     phi_det,
 )
 from .errors import IndeterminateError, ParameterError, QuadratureBudgetError
-from .fbmgen import (
-    FbmPath,
-    FbmPathPair,
-    TimeGrid,
-    sample_cholesky,
-    sample_circulant,
-    sample_pair,
-    sample_paths,
-)
+from .fbmgen import TimeGrid, sample_pair, sample_paths
 from .iltmc import (
     MomentEstimate,
     discrete_mean,
@@ -63,10 +55,6 @@ __all__ = [
     "QuadratureBudgetError",
     "IndeterminateError",
     "TimeGrid",
-    "FbmPath",
-    "FbmPathPair",
-    "sample_cholesky",
-    "sample_circulant",
     "sample_pair",
     "sample_paths",
     "MomentEstimate",

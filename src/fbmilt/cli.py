@@ -268,9 +268,9 @@ def _run_simulate(rc: RunConfig) -> int:
     pair = sample_pair(grid, cfg, rc.seed, method=rc.method)
     if rc.out:
         stem = rc.out[:-4] if rc.out.endswith(".csv") else rc.out
-        for suffix, path in (("first", pair.first), ("second", pair.second)):
+        for suffix, values in zip(("first", "second"), pair):
             with open(f"{stem}_{suffix}.csv", "w", newline="") as fh:
-                path_to_csv(path, fh)
+                path_to_csv(grid, values, fh)
         where = f"written to {stem}_first.csv, {stem}_second.csv"
     else:
         where = "not written (no --out)"

@@ -1,13 +1,15 @@
 """Exact samplers for d-dimensional fractional Brownian motion paths.
 
-Two samplers of the same Gaussian law: a dense Cholesky factorization of
+Two methods of the same Gaussian law: a dense Cholesky factorization of
 the covariance matrix (the correctness reference, any grid up to 4096
 steps) and Davies-Harte circulant embedding of the fractional Gaussian
 noise autocovariance (O(n log n), uniform grids).  Coordinates are
-independent one-dimensional fBms.  ``sample_paths`` draws a whole batch
-of paths from one stream with one matrix product or one FFT; the
-single-path samplers are its count = 1 case.  Pairs use disjoint child
-streams of a counter-based generator.
+independent one-dimensional fBms.  ``sample_paths`` is the one sampler:
+it draws a whole batch of paths from one stream with one matrix product
+or one FFT, as an array of shape (count, n_steps + 1, dim).  That array
+is the only form a path takes.  A batch of r pairs is a (2r, n+1, d)
+array in which path p pairs with path r + p; ``sample_pair`` draws one
+such pair, one path from each of two disjoint child streams of a seed.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ from .errors import ParameterError
 
 __all__ = [
     "TimeGrid",
-    "FbmPath",
-    "FbmPathPair",
-    "sample_cholesky",
-    "sample_circulant",
     "sample_pair",
     "sample_paths",
     "path_to_csv",
@@ -60,24 +58,6 @@ class TimeGrid:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
-
-
-@dataclass(frozen=True)
-class FbmPath:
-    grid: TimeGrid
-    hurst: float
-    values: np.ndarray  # (n_steps + 1, dim), values[0] == 0
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class FbmPathPair:
-    first: FbmPath
-    second: FbmPath
-    seed: int
 
 
 def _as_generator(stream):
@@ -187,48 +167,28 @@ def sample_paths(grid: TimeGrid, cfg: ModelConfig, stream, count: int,
 
     All paths come from one matrix product (cholesky) or one FFT
     (circulant), so sampling a batch costs little more than its
-    arithmetic.  The single-path samplers are the count = 1 case.
+    arithmetic.  ``stream`` is a numpy Generator, a SeedSequence or an
+    integer seed.
     """
+    _check_int("count", count, 1)
     if method not in _SAMPLERS:
         raise ParameterError(f"method must be one of {sorted(_SAMPLERS)}, got {method!r}")
     return _SAMPLERS[method](grid, cfg, _as_generator(stream), count)
 
 
-def _one_path(grid, cfg, stream, method) -> FbmPath:
-    values = sample_paths(grid, cfg, stream, 1, method)[0]
-    return FbmPath(grid=grid, hurst=cfg.hurst, values=values)
+def sample_pair(grid: TimeGrid, cfg: ModelConfig, seed: int,
+                method: str = "circulant") -> np.ndarray:
+    """Two independent paths as a (2, n_steps + 1, dim) array, path k
+    drawn from child k of ``SeedSequence(seed).spawn(2)``."""
+    _check_int("seed", seed, 0)
+    return np.concatenate([sample_paths(grid, cfg, child, 1, method)
+                           for child in np.random.SeedSequence(int(seed)).spawn(2)])
 
 
-def sample_cholesky(grid: TimeGrid, cfg: ModelConfig, stream) -> FbmPath:
-    """Exact fBm path by dense Cholesky factorization."""
-    return _one_path(grid, cfg, stream, "cholesky")
-
-
-def sample_circulant(grid: TimeGrid, cfg: ModelConfig, stream) -> FbmPath:
-    """Exact fBm path by circulant embedding of fractional Gaussian noise."""
-    return _one_path(grid, cfg, stream, "circulant")
-
-
-def sample_pair(grid: TimeGrid, cfg: ModelConfig, seed, method="circulant") -> FbmPathPair:
-    """Two independent paths from disjoint child streams of one seed.
-
-    ``seed`` may be an integer or a numpy SeedSequence.
-    """
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-        seed_field = int(ss.entropy if np.isscalar(ss.entropy) else ss.entropy[0])
-    else:
-        ss = np.random.SeedSequence(int(seed))
-        seed_field = int(seed)
-    child_first, child_second = ss.spawn(2)
-    first = _one_path(grid, cfg, child_first, method)
-    second = _one_path(grid, cfg, child_second, method)
-    return FbmPathPair(first=first, second=second, seed=seed_field)
-
-
-def path_to_csv(path: FbmPath, fileobj) -> None:
-    """Debug dump: one row per time, columns time, x1..xd."""
+def path_to_csv(grid: TimeGrid, values, fileobj) -> None:
+    """Debug dump of one (n_steps + 1, dim) path: one row per time,
+    columns time, x1..xd."""
     writer = csv.writer(fileobj)
-    writer.writerow(["time"] + [f"x{j + 1}" for j in range(path.dim)])
-    for t, row in zip(path.grid.times, path.values):
+    writer.writerow(["time"] + [f"x{j + 1}" for j in range(values.shape[1])])
+    for t, row in zip(grid.times, values):
         writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])

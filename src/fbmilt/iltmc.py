@@ -3,13 +3,14 @@ path pairs and moment estimation across replications.
 
 I_eps of a path pair is the tensor-product trapezoid discretization of
 the double time integral of the heat kernel of the path difference.
-``gauss_weight_sum`` computes its kernel sum for a batch of pairs at
-once.  It augments each path with two coordinates, so that one matrix
-product gives the exponent -|x_i - y_j|^2 / (2 eps) directly, then takes
-one exp and one matrix-vector product per block.  A block holds whole
-pairs, or rows of one pair, and at most ``_KERNEL_BLOCK_BYTES`` (1 MiB)
-of float64 exponents, so that it stays in a core's L2 cache between the
-passes.
+``ilt_epsilon`` computes it for a batch of r pairs laid out as
+``fbmgen.sample_paths`` draws them, one (2r, n+1, d) array in which path
+p pairs with path r + p.  Its kernel sum, ``gauss_weight_sum``, augments
+each path with two coordinates, so that one matrix product gives the
+exponent -|x_i - y_j|^2 / (2 eps) directly, then takes one exp and one
+matrix-vector product per block.  A block holds whole pairs, or rows of
+one pair, and at most ``_KERNEL_BLOCK_BYTES`` (1 MiB) of float64
+exponents, so that it stays in a core's L2 cache between the passes.
 
 The mean of that trapezoid sum is known in closed form
 (``discrete_mean``), so ``grid_for_eps`` picks the smallest grid whose
@@ -18,16 +19,16 @@ quadrature m1(eps).
 
 Replications are addressed per chunk: chunk k holds replications
 k * _CHUNK .. (k + 1) * _CHUNK - 1 and draws all of its paths from one
-Philox stream keyed by (seed, k).  The chunk samples its paths with one
-matrix product or FFT and sums them with one kernel call, unless the
-sampler's FFT buffer would exceed ``_SAMPLER_BLOCK_BYTES`` (8 MiB; for a
-full chunk, when d n > 1024); then it does so for consecutive
-sub-batches that fit, drawn in order from the chunk's stream.  Each chunk
-returns the count, mean and sum of squared deviations of I_eps and of
-I_eps^2, and the chunks are merged in index order with the pairwise
-update of Chan, Golub & LeVeque (1979), so results do not depend on the
-worker count and the variance does not cancel when it is small against
-the squared mean.
+Philox stream keyed by (seed, k).  The chunk samples two paths per
+replication with one matrix product or FFT and takes their I_eps from one
+``ilt_epsilon`` call, unless the sampler's FFT buffer would exceed
+``_SAMPLER_BLOCK_BYTES`` (8 MiB; for a full chunk, when d n > 1024); then
+it does so for consecutive sub-batches that fit, drawn in order from the
+chunk's stream.  Each chunk returns the count, mean and sum of squared
+deviations of I_eps and of I_eps^2, and the chunks are merged in index
+order with the pairwise update of Chan, Golub & LeVeque (1979), so
+results do not depend on the worker count and the variance does not
+cancel when it is small against the squared mean.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from . import quadmoments
 from .covkernel import ModelConfig, _check_int, _check_range
 from .errors import ParameterError
 # sample_pair is not called here; perfbench/tracing.py wraps it as iltmc.sample_pair.
-from .fbmgen import FbmPathPair, TimeGrid, _as_generator, sample_pair, sample_paths  # noqa: F401
+from .fbmgen import TimeGrid, _as_generator, sample_pair, sample_paths  # noqa: F401
 
 __all__ = [
     "MomentEstimate",
@@ -67,11 +68,15 @@ def heat_kernel(x, eps, dim: int):
     """Gaussian density p_eps(x) = (2 pi eps)^(-d/2) exp(-|x|^2 / 2 eps).
 
     ``x`` is a vector of length ``dim`` or an array of them (last axis the
-    coordinate axis).
+    coordinate axis; a number is a vector of length 1).  ParameterError
+    when that axis is not ``dim`` long.
     """
     e = float(_check_range("eps", eps, 0.0))
-    x = np.asarray(x, dtype=float)
-    sq = x * x if x.ndim == 0 else np.sum(x * x, axis=-1)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] != dim:
+        raise ParameterError(f"x must have {dim} coordinates on its last axis, "
+                             f"got shape {x.shape}")
+    sq = np.sum(x * x, axis=-1)
     out = (2.0 * math.pi * e) ** (-0.5 * dim) * np.exp(-0.5 * sq / e)
     return out if np.ndim(out) else float(out)
 
@@ -120,15 +125,20 @@ def gauss_weight_sum(x, y, wx, wy, eps) -> np.ndarray:
     return out
 
 
-def ilt_epsilon(pair: FbmPathPair, eps) -> float:
-    """Trapezoid discretization of int int p_eps(B_t - B~_s) ds dt >= 0."""
+def ilt_epsilon(paths, grid: TimeGrid, eps) -> np.ndarray:
+    """Trapezoid discretization of int int p_eps(B_t - B~_s) ds dt >= 0 on
+    ``grid`` for each of the r pairs of ``paths``, a (2r, n_steps + 1, d)
+    array in which path p pairs with path r + p.  Returns r values."""
     e = float(_check_range("eps", eps, 0.0))
-    first, second = pair.first, pair.second
-    if first.grid != second.grid or first.dim != second.dim:
-        raise ParameterError("the two paths must share grid and dimension")
-    w = first.grid.trapezoid_weights()
-    raw = gauss_weight_sum(first.values[None], second.values[None], w, w, e)[0]
-    return (2.0 * math.pi * e) ** (-0.5 * first.dim) * float(raw)
+    paths = np.asarray(paths, dtype=float)
+    count, rows = paths.shape[:2] if paths.ndim == 3 else (0, 0)
+    if count < 2 or count % 2 or rows != grid.n_steps + 1:
+        raise ParameterError(f"paths must have shape (2r, {grid.n_steps + 1}, d) "
+                             f"with r >= 1, got {paths.shape}")
+    r = count // 2
+    w = grid.trapezoid_weights()
+    raw = gauss_weight_sum(paths[:r], paths[r:], w, w, e)
+    return (2.0 * math.pi * e) ** (-0.5 * paths.shape[2]) * raw
 
 
 def discrete_mean(cfg: ModelConfig, eps, grid: TimeGrid) -> float:
@@ -220,16 +230,13 @@ def _chunk_moments(cfg, e, grid, seed, method, index, count):
     """Moments of I_eps and of I_eps^2 over the ``count`` replications of
     chunk ``index``, all drawn from the chunk's own stream."""
     rng = _as_generator(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    w = grid.trapezoid_weights()
     # bytes of one replication's circulant FFT buffer: its 2d draws take
     # d FFT rows of 2n complex128 entries
     batch = max(1, _SAMPLER_BLOCK_BYTES // (32 * cfg.dim * grid.n_steps))
-    raw = np.empty(count)
+    vals = np.empty(count)
     for lo in range(0, count, batch):
         b = min(batch, count - lo)
-        paths = sample_paths(grid, cfg, rng, 2 * b, method)
-        raw[lo:lo + b] = gauss_weight_sum(paths[:b], paths[b:], w, w, e)
-    vals = (2.0 * math.pi * e) ** (-0.5 * cfg.dim) * raw
+        vals[lo:lo + b] = ilt_epsilon(sample_paths(grid, cfg, rng, 2 * b, method), grid, e)
     return _moments(vals), _moments(vals * vals)
 
 

@@ -22,7 +22,7 @@ from fbmilt.covkernel import (
     phi_det,
     superadditivity_violation,
 )
-from fbmilt.fbmgen import TimeGrid, sample_cholesky, sample_circulant
+from fbmilt.fbmgen import TimeGrid, sample_paths
 from fbmilt.iltmc import grid_for_eps, mc_moments
 from fbmilt.phasescan import fit_rate_offset, phase_grid
 from fbmilt.quadmoments import a_t_integral, cauchy_gap, m1, m2, reduction_bound
@@ -169,7 +169,7 @@ def test_criterion_6_fubini_route_equivalence():
     _verdict(6, ok, "; ".join(details) + f"; {elapsed:.0f}s")
 
 
-def _covariance_ztest(sampler, h, n, reps):
+def _covariance_ztest(method, h, n, reps):
     """Worst |z| over all entries of the one-coordinate sample covariance
     matrix against the exact covariance (known zero mean)."""
     cfg = ModelConfig(h, 2)
@@ -178,7 +178,7 @@ def _covariance_ztest(sampler, h, n, reps):
     for r in range(reps):
         ss = np.random.SeedSequence(entropy=(1729, r))
         rng = np.random.Generator(np.random.Philox(ss))
-        vals[r] = sampler(grid, cfg, rng).values[1:, 0]
+        vals[r] = sample_paths(grid, cfg, rng, 1, method)[0, 1:, 0]
     c_hat = vals.T @ vals / reps
     tt = grid.times[1:]
     c = cov_rh(tt[:, None], tt[None, :], h)
@@ -196,8 +196,8 @@ def test_criterion_7_sampler_exactness():
     ok = True
     details = []
     for h in (0.25, 0.5, 0.75):
-        z_chol, last_chol = _covariance_ztest(sample_cholesky, h, n, reps)
-        z_circ, last_circ = _covariance_ztest(sample_circulant, h, n, reps)
+        z_chol, last_chol = _covariance_ztest("cholesky", h, n, reps)
+        z_circ, last_circ = _covariance_ztest("circulant", h, n, reps)
         ks_p = ks_2samp(last_chol, last_circ).pvalue
         details.append(f"H={h}: max|z| {z_chol:.2f}/{z_circ:.2f}, KS p {ks_p:.3f}")
         ok = ok and z_chol <= z_star and z_circ <= z_star and ks_p > 0.001

@@ -9,7 +9,7 @@ import pytest
 from fbmilt import cli, iltmc, phasescan, quadmoments
 from fbmilt.covkernel import ModelConfig
 from fbmilt.errors import ParameterError, QuadratureBudgetError
-from fbmilt.fbmgen import TimeGrid
+from fbmilt.fbmgen import TimeGrid, path_to_csv, sample_paths
 from fbmilt.phasescan import PhaseError, phase_grid
 
 
@@ -424,6 +424,21 @@ class TestSimulateCommand:
         assert len(first) == 10
         assert first[1] == "0.0,0.0,0.0"
         assert first != second
+
+
+    def test_method_writes_child_stream_paths(self, tmp_path):
+        # path k is the cholesky draw from child k of SeedSequence(seed).spawn(2)
+        code = run_main(["simulate", "--hurst", "0.6", "--dim", "3", "--grid-n", "12",
+                         "--seed", "4", "--horizon", "2.0", "--method", "cholesky",
+                         "--out", str(tmp_path / "p.csv")])
+        assert code == 0
+        grid, cfg = TimeGrid(2.0, 12), ModelConfig(0.6, 3, horizon=2.0)
+        children = np.random.SeedSequence(4).spawn(2)
+        for suffix, child in zip(("first", "second"), children):
+            want = io.StringIO(newline="")
+            path_to_csv(grid, sample_paths(grid, cfg, child, 1, "cholesky")[0], want)
+            with open(tmp_path / f"p_{suffix}.csv", newline="") as fh:
+                assert fh.read() == want.getvalue()
 
 
 class TestVerifyLemmasCommand:

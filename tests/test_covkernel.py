@@ -111,7 +111,8 @@ _REAL_INPUTS = {
     "m2_ladder-eps": ("eps", lambda v: m2_ladder([v], _CFG), (0.0,), 1.0),
     "a_z-z": ("z", lambda v: a_z(v, _CFG), (_BELOW_0,), 0.0),
     "heat_kernel-eps": ("eps", lambda v: heat_kernel(np.zeros(2), v, 2), (0.0,), 1.0),
-    "ilt_epsilon-eps": ("eps", lambda v: ilt_epsilon(sample_pair(_GRID, _CFG, 0), v), (0.0,), 1.0),
+    "ilt_epsilon-eps": ("eps", lambda v: ilt_epsilon(sample_pair(_GRID, _CFG, 0), _GRID, v),
+                        (0.0,), 1.0),
     "discrete_mean-eps": ("eps", lambda v: discrete_mean(_CFG, v, _GRID), (0.0,), 1.0),
     "grid_for_eps-eps": ("eps", lambda v: grid_for_eps(v, _CFG), (0.0,), 1.0),
     "mc_moments-eps": ("eps", lambda v: mc_moments(_CFG, v, _GRID, 3, 0), (0.0,), 1.0),

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -17,6 +18,39 @@ MODULES = ["fbmilt"] + [f"fbmilt.{m.name}" for m in pkgutil.iter_modules(fbmilt.
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _unused_imports(source):
+    """(line, name) of the module-level imports that ``source`` neither
+    uses nor lists in ``__all__``, unless a line of their statement says
+    ``# noqa: F401``.  __future__ imports are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+        elif (isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__"
+              and not any("# noqa: F401" in line
+                          for line in lines[node.lineno - 1:node.end_lineno])):
+            unused += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+    return sorted((line, name) for line, name in unused if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(Path(fbmilt.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_unused_import_scan_flags_and_exempts():
+    source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
+              "from a import b, c\nfrom d import e  # noqa: F401\n"
+              "from f import (\n    g,\n)  # noqa: F401\n__all__ = ['c']\nnp.zeros(1)\n")
+    assert _unused_imports(source) == [(2, "os"), (4, "b")]
 
 
 def _fresh(code):

@@ -8,19 +8,16 @@ from scipy.stats import ks_2samp, norm
 from fbmilt import fbmgen
 from fbmilt.covkernel import ModelConfig, cov_rh
 from fbmilt.errors import ParameterError
-from fbmilt.fbmgen import (
-    FbmPath,
-    TimeGrid,
-    path_to_csv,
-    sample_cholesky,
-    sample_circulant,
-    sample_pair,
-    sample_paths,
-)
+from fbmilt.fbmgen import TimeGrid, path_to_csv, sample_pair, sample_paths
 
 
 def _rng(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
+
+
+def _one(grid, cfg, stream, method):
+    """One (n + 1, d) path: the count = 1 case of sample_paths."""
+    return sample_paths(grid, cfg, stream, 1, method)[0]
 
 
 class TestTimeGrid:
@@ -44,32 +41,32 @@ class TestTimeGrid:
                 TimeGrid(1.0, n)
 
 
-@pytest.mark.parametrize("sampler", [sample_cholesky, sample_circulant])
+@pytest.mark.parametrize("method", ["cholesky", "circulant"])
 class TestSamplerBasics:
-    def test_starts_at_zero(self, sampler):
-        p = sampler(TimeGrid(1.0, 16), ModelConfig(0.7, 3), _rng(0))
-        assert p.values.shape == (17, 3)
-        np.testing.assert_array_equal(p.values[0], 0.0)
+    def test_starts_at_zero(self, method):
+        p = _one(TimeGrid(1.0, 16), ModelConfig(0.7, 3), _rng(0), method)
+        assert p.shape == (17, 3)
+        np.testing.assert_array_equal(p[0], 0.0)
 
-    def test_deterministic(self, sampler):
+    def test_deterministic(self, method):
         g = TimeGrid(1.0, 32)
         cfg = ModelConfig(0.3, 2)
-        a = sampler(g, cfg, _rng(1)).values
-        b = sampler(g, cfg, _rng(1)).values
+        a = _one(g, cfg, _rng(1), method)
+        b = _one(g, cfg, _rng(1), method)
         np.testing.assert_array_equal(a, b)
 
-    def test_seed_separation(self, sampler):
+    def test_seed_separation(self, method):
         g = TimeGrid(1.0, 32)
         cfg = ModelConfig(0.3, 2)
-        a = sampler(g, cfg, _rng(1)).values
-        b = sampler(g, cfg, _rng(2)).values
+        a = _one(g, cfg, _rng(1), method)
+        b = _one(g, cfg, _rng(2), method)
         assert not np.array_equal(a, b)
 
-    def test_variance_at_horizon(self, sampler):
+    def test_variance_at_horizon(self, method):
         cfg = ModelConfig(0.75, 2)
         g = TimeGrid(1.0, 16)
         R = 4000
-        vals = np.array([sampler(g, cfg, _rng(3, r)).values[-1] for r in range(R)])
+        vals = np.array([_one(g, cfg, _rng(3, r), method)[-1] for r in range(R)])
         var = vals.var(axis=0)
         se = var * math.sqrt(2.0 / R)  # sd of a variance estimate, Gaussian data
         want = g.horizon ** (2 * cfg.hurst)
@@ -79,7 +76,7 @@ class TestSamplerBasics:
 class TestCholesky:
     def test_step_limit(self):
         with pytest.raises(ParameterError):
-            sample_cholesky(TimeGrid(1.0, 8192), ModelConfig(0.5, 2), _rng(0))
+            _one(TimeGrid(1.0, 8192), ModelConfig(0.5, 2), _rng(0), "cholesky")
 
     def test_sample_covariance(self):
         # grid {0, 0.5, 1}: E[B_0.5 B_1] = R_H(0.5, 1)
@@ -88,7 +85,7 @@ class TestCholesky:
         R = 20_000
         prods = np.empty(R)
         for r in range(R):
-            v = sample_cholesky(g, cfg, _rng(4, r)).values[:, 0]
+            v = _one(g, cfg, _rng(4, r), "cholesky")[:, 0]
             prods[r] = v[1] * v[2]
         want = cov_rh(0.5, 1.0, cfg.hurst)
         assert want == pytest.approx(0.5, rel=1e-12)
@@ -101,7 +98,7 @@ class TestCholesky:
         R = 10_000
         inc = np.empty((R, 2))
         for r in range(R):
-            v = sample_cholesky(g, cfg, _rng(5, r)).values[:, 0]
+            v = _one(g, cfg, _rng(5, r), "cholesky")[:, 0]
             inc[r] = (v[1] - v[0], v[3] - v[2])
         corr = np.corrcoef(inc.T)[0, 1]
         assert abs(corr) <= 4.0 / math.sqrt(R)
@@ -112,14 +109,14 @@ class TestCirculant:
         cfg = ModelConfig(0.75, 2)
         g = TimeGrid(1.0, 64)
         R = 4000
-        a = np.array([sample_cholesky(g, cfg, _rng(6, r)).values[-1, 0] for r in range(R)])
-        b = np.array([sample_circulant(g, cfg, _rng(7, r)).values[-1, 0] for r in range(R)])
+        a = np.array([_one(g, cfg, _rng(6, r), "cholesky")[-1, 0] for r in range(R)])
+        b = np.array([_one(g, cfg, _rng(7, r), "circulant")[-1, 0] for r in range(R)])
         assert ks_2samp(a, b).pvalue > 0.001
 
     def test_brownian_kurtosis(self):
         cfg = ModelConfig(0.5, 2)
         g = TimeGrid(1.0, 256)
-        inc = np.diff(sample_circulant(g, cfg, _rng(8)).values[:, 0]) / math.sqrt(g.step)
+        inc = np.diff(_one(g, cfg, _rng(8), "circulant")[:, 0]) / math.sqrt(g.step)
         kurt = np.mean(inc**4) / np.mean(inc**2) ** 2
         assert abs(kurt - 3.0) <= 4 * math.sqrt(24.0 / inc.size)
 
@@ -127,7 +124,7 @@ class TestCirculant:
         cfg = ModelConfig(0.6, 3)
         g = TimeGrid(1.0, 32)
         R = 5000
-        last = np.array([sample_circulant(g, cfg, _rng(9, r)).values[-1] for r in range(R)])
+        last = np.array([_one(g, cfg, _rng(9, r), "circulant")[-1] for r in range(R)])
         c = np.corrcoef(last.T)
         off = c[np.triu_indices(3, 1)]
         assert np.all(np.abs(off) <= 4.0 / math.sqrt(R))
@@ -193,26 +190,40 @@ def test_batch_law_and_independence(method):
         assert _max_z(a, b, np.diag(cov), want) <= z_star
 
 
+@pytest.mark.parametrize("count", [0, -1, 2.0])
+def test_sample_paths_count_checked(count):
+    with pytest.raises(ParameterError):
+        sample_paths(TimeGrid(1.0, 8), ModelConfig(0.5, 2), _rng(12), count)
+
+
 class TestSamplePair:
     def test_deterministic(self):
         g = TimeGrid(1.0, 32)
         cfg = ModelConfig(0.4, 2)
         p1 = sample_pair(g, cfg, 42)
         p2 = sample_pair(g, cfg, 42)
-        np.testing.assert_array_equal(p1.first.values, p2.first.values)
-        np.testing.assert_array_equal(p1.second.values, p2.second.values)
-        assert p1.seed == 42
+        assert p1.shape == (2, 33, 2)
+        np.testing.assert_array_equal(p1, p2)
 
     def test_paths_differ(self):
         p = sample_pair(TimeGrid(1.0, 32), ModelConfig(0.4, 2), 42)
-        assert not np.array_equal(p.first.values, p.second.values)
+        assert not np.array_equal(p[0], p[1])
 
     def test_seeds_differ(self):
         g = TimeGrid(1.0, 32)
         cfg = ModelConfig(0.4, 2)
-        assert not np.array_equal(
-            sample_pair(g, cfg, 1).first.values, sample_pair(g, cfg, 2).first.values
-        )
+        assert not np.array_equal(sample_pair(g, cfg, 1)[0], sample_pair(g, cfg, 2)[0])
+
+    @pytest.mark.parametrize("method", ["cholesky", "circulant"])
+    def test_stream_layout(self, method):
+        # path k comes from child k of SeedSequence(seed).spawn(2)
+        g, cfg = TimeGrid(2.0, 16), ModelConfig(0.65, 3)
+        for seed in (0, 5, 2**40):
+            pair = sample_pair(g, cfg, seed, method)
+            children = np.random.SeedSequence(seed).spawn(2)
+            for k in range(2):
+                want = sample_paths(g, cfg, children[k], 1, method)[0]
+                np.testing.assert_array_equal(pair[k], want)
 
     def test_independence_of_paths(self):
         g = TimeGrid(1.0, 8)
@@ -220,10 +231,19 @@ class TestSamplePair:
         R = 5000
         prods = np.empty(R)
         for r in range(R):
-            p = sample_pair(g, cfg, np.random.SeedSequence(entropy=10, spawn_key=(r,)))
-            prods[r] = p.first.values[-1, 0] * p.second.values[-1, 0]
+            p = sample_pair(g, cfg, 10_000 + r)
+            prods[r] = p[0, -1, 0] * p[1, -1, 0]
         se = prods.std() / math.sqrt(R)
         assert abs(prods.mean()) <= 4 * se
+
+    @pytest.mark.parametrize("seed", [1.5, -1, np.random.SeedSequence(3), "7", None])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            sample_pair(TimeGrid(1.0, 8), ModelConfig(0.5, 2), seed)
+
+    def test_numpy_integer_seed(self):
+        g, cfg = TimeGrid(1.0, 8), ModelConfig(0.5, 2)
+        np.testing.assert_array_equal(sample_pair(g, cfg, np.int64(3)), sample_pair(g, cfg, 3))
 
     def test_bad_method(self):
         with pytest.raises(ParameterError):
@@ -232,9 +252,8 @@ class TestSamplePair:
 
 class TestPathCsv:
     def test_header_and_rows(self):
-        p = FbmPath(TimeGrid(1.0, 2), 0.5, np.arange(6, dtype=float).reshape(3, 2))
         buf = io.StringIO()
-        path_to_csv(p, buf)
+        path_to_csv(TimeGrid(1.0, 2), np.arange(6, dtype=float).reshape(3, 2), buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "time,x1,x2"
         assert len(lines) == 4

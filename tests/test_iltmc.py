@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fbmilt import iltmc, quadmoments
 from fbmilt.covkernel import ModelConfig, cov_rh
 from fbmilt.errors import ParameterError, QuadratureBudgetError
-from fbmilt.fbmgen import FbmPath, FbmPathPair, TimeGrid, sample_pair
+from fbmilt.fbmgen import TimeGrid, sample_pair, sample_paths
 from fbmilt.iltmc import (
     discrete_mean,
     gauss_weight_sum,
@@ -27,10 +27,7 @@ from fbmilt.quadmoments import m1, m2
 CFG = ModelConfig(hurst=0.5, dim=2, horizon=1.0)
 
 
-def _zero_pair(n=8, d=2):
-    grid = TimeGrid(1.0, n)
-    z = FbmPath(grid, 0.5, np.zeros((n + 1, d)))
-    return FbmPathPair(z, z, 0)
+_GRID8 = TimeGrid(1.0, 8)
 
 
 class TestHeatKernel:
@@ -62,6 +59,14 @@ class TestHeatKernel:
     def test_bad_eps(self):
         with pytest.raises(ParameterError):
             heat_kernel(np.zeros(2), 0.0, 2)
+
+    @pytest.mark.parametrize("shape, dim", [((3,), 2), ((5, 2), 3), ((), 2), ((4, 1), 2)])
+    def test_coordinate_count_must_match_dim(self, shape, dim):
+        with pytest.raises(ParameterError, match="coordinates"):
+            heat_kernel(np.zeros(shape), 1.0, dim)
+
+    def test_scalar_is_one_coordinate(self):
+        assert heat_kernel(1.0, 1.0, 1) == heat_kernel(np.array([1.0]), 1.0, 1)
 
 
 def _double_loop(x, y, wx, wy, eps):
@@ -133,34 +138,59 @@ class TestIltEpsilon:
     def test_constant_zero_paths(self):
         for eps in (0.25, 1.0):
             want = (2 * math.pi * eps) ** -1  # T^2 p_eps(0) with T=1, d=2
-            assert ilt_epsilon(_zero_pair(), eps) == pytest.approx(want, rel=1e-12)
+            got = ilt_epsilon(np.zeros((2, 9, 2)), _GRID8, eps)
+            assert got.shape == (1,)
+            assert got[0] == pytest.approx(want, rel=1e-12)
 
     def test_far_shift_decays(self):
-        grid = TimeGrid(1.0, 8)
-        z = FbmPath(grid, 0.5, np.zeros((9, 2)))
-        far = FbmPath(grid, 0.5, np.full((9, 2), 100.0))
-        assert ilt_epsilon(FbmPathPair(z, far, 0), 1.0) < 1e-100
+        paths = np.zeros((2, 9, 2))
+        paths[1] = 100.0
+        assert ilt_epsilon(paths, _GRID8, 1.0)[0] < 1e-100
+
+    def test_path_p_pairs_with_path_r_plus_p(self):
+        # pair 0 coincides, pair 1 is far apart: only the r + p pairing
+        # gives one value near the peak and one near zero
+        paths = np.zeros((4, 9, 2))
+        paths[1] = 100.0
+        paths[3] = -100.0
+        got = ilt_epsilon(paths, _GRID8, 1.0)
+        assert got[0] == pytest.approx(1 / (2 * math.pi), rel=1e-12)
+        assert got[1] < 1e-100
+
+    def test_batch_equals_pairs_one_at_a_time(self):
+        grid = TimeGrid(1.0, 32)
+        paths = sample_paths(grid, CFG, 4, 10)
+        got = ilt_epsilon(paths, grid, 0.5)
+        for p in range(5):
+            one = ilt_epsilon(paths[[p, 5 + p]], grid, 0.5)
+            assert one[0] == pytest.approx(got[p], rel=1e-13)
 
     def test_nonnegative_and_deterministic(self):
         grid = TimeGrid(1.0, 64)
         for seed in range(20):
             pair = sample_pair(grid, CFG, seed)
-            v1 = ilt_epsilon(pair, 0.5)
-            v2 = ilt_epsilon(pair, 0.5)
-            assert v1 >= 0.0
+            v1 = ilt_epsilon(pair, grid, 0.5)
+            v2 = ilt_epsilon(pair, grid, 0.5)
+            assert v1[0] >= 0.0
             assert v1 == v2
 
     def test_large_eps_flattens(self):
         grid = TimeGrid(1.0, 64)
         for seed in range(20):
             pair = sample_pair(grid, CFG, seed)
-            assert ilt_epsilon(pair, 1e6) < ilt_epsilon(pair, 0.5)
+            assert ilt_epsilon(pair, grid, 1e6)[0] < ilt_epsilon(pair, grid, 0.5)[0]
 
     def test_grid_mismatch_rejected(self):
-        a = FbmPath(TimeGrid(1.0, 8), 0.5, np.zeros((9, 2)))
-        b = FbmPath(TimeGrid(1.0, 16), 0.5, np.zeros((17, 2)))
-        with pytest.raises(ParameterError):
-            ilt_epsilon(FbmPathPair(a, b, 0), 0.5)
+        # paths drawn on a 16-step grid, summed with the weights of 8 steps
+        paths = sample_paths(TimeGrid(1.0, 16), CFG, 0, 2)
+        with pytest.raises(ParameterError, match="paths must have shape"):
+            ilt_epsilon(paths, _GRID8, 0.5)
+
+    @pytest.mark.parametrize("shape", [(3, 9, 2), (1, 9, 2), (0, 9, 2), (2, 8, 2),
+                                       (9, 2), (2, 9, 2, 1)])
+    def test_bad_layout_rejected(self, shape):
+        with pytest.raises(ParameterError, match="paths must have shape"):
+            ilt_epsilon(np.zeros(shape), _GRID8, 0.5)
 
 
 def _exact_second_moment(cfg, eps, grid):
@@ -298,6 +328,19 @@ class TestMcMoments:
         a = mc_moments(CFG, 1.0, grid, 600, seed=3, workers=1)
         b = mc_moments(CFG, 1.0, grid, 600, seed=3, workers=3)
         assert a == b
+
+    @pytest.mark.parametrize("method", ["cholesky", "circulant"])
+    def test_one_chunk_is_ilt_epsilon_of_sample_paths(self, method):
+        # one chunk, one sub-batch: the engine's moments are those of the
+        # public functions on the chunk's stream, bit for bit
+        cfg, eps, seed, r = ModelConfig(0.6, 3), 0.7, 9, 200
+        grid = TimeGrid(1.0, 24)
+        est = mc_moments(cfg, eps, grid, r, seed, method)
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+        rng = np.random.Generator(np.random.Philox(ss))
+        vals = ilt_epsilon(sample_paths(grid, cfg, rng, 2 * r, method), grid, eps)
+        assert est.mean == float(np.mean(vals))
+        assert est.second_moment == float(np.mean(vals * vals))
 
     def test_pool_capped_at_chunk_count(self, monkeypatch):
         # a serial stand-in for the pool: no process is started
