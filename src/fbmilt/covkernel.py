@@ -79,9 +79,9 @@ class ModelConfig:
 
 
 def _check_int(name, value, least):
-    """Reject all but a Python or numpy integer >= ``least`` (floats too,
-    whole ones included: they fail later where an integer is needed)."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """Reject all but a Python or numpy integer >= ``least``: floats, whole
+    ones included (they fail later where an integer is needed), and bools."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value}")
 
 

@@ -114,7 +114,7 @@ class QuadratureResult:
     budget or its minimum cell width); ``nevals`` counts the integrand
     evaluations of all of them, and ``subdivisions`` (a report's "cells")
     their cells, the starting ones plus two per split; a diverged result
-    gives its innermost shell's, and reduction_bound its A(z) evaluations.
+    gives its innermost shell's.
     """
 
     value: float
@@ -245,15 +245,12 @@ def _passes(passes, scale, abs_tol, rel_tol, max_evals):
     total = err = cells = evals = 0
     ok = True  # per component: within its tolerance in every pass
     for f, axes in passes:
-        r = cubature.integrate(f, [a[0] for a in axes], [a[-1] for a in axes],
-                               abs_tol=abs_tol / scale / n, rel_tol=rel_tol,
-                               max_evals=max_evals // n, init_splits=axes)
+        r = cubature.integrate(f, axes, abs_tol / scale / n, rel_tol, max_evals // n)
         total, err, ok = total + r.value, err + r.error, ok & r.converged
         cells, evals = cells + r.ncells, evals + r.nevals
     return [QuadratureResult(value=scale * v, error_estimate=scale * e, subdivisions=cells,
                              status="converged" if c else "budget", nevals=evals)
-            for v, e, c in zip(np.atleast_1d(total).tolist(), np.atleast_1d(err).tolist(),
-                               ok.tolist())]
+            for v, e, c in zip(total.tolist(), err.tolist(), ok.tolist())]
 
 
 def _require_converged(result, label):
@@ -621,12 +618,11 @@ def reduction_bound(cfg: ModelConfig):
     if cfg.regime != "Convergent":
         raise ParameterError(f"reduction_bound requires Hd < 2, got Hd = {cfg.hd:.12g}")
     d = cfg.dim
-    cache = {}
+    parts = []  # the A(z) of each z the outer quadratures ask for; no z repeats
 
     def a(z):
-        if z not in cache:
-            cache[z] = a_z(z, cfg)
-        return cache[z].value
+        parts.append(a_z(z, cfg))
+        return parts[-1].value
 
     def head(z):
         return z ** (0.5 * d - 1.0) * a(z) ** 2
@@ -651,10 +647,10 @@ def reduction_bound(cfg: ModelConfig):
     # claimed error: outer quadrature plus the propagated A(z) tolerance
     # (A enters squared, so its relative error roughly doubles).
     err = (head_err + tail_err) / gamma_half_d + 2.0 * _A_Z_REL_TOL * abs(value)
-    ok = head_ok and tail_ok and _status(cache.values()) == "converged"
+    ok = head_ok and tail_ok and _status(parts) == "converged"
     return QuadratureResult(
-        value=value, error_estimate=err, subdivisions=len(cache),
-        status="converged" if ok else "budget", nevals=sum(r.nevals for r in cache.values()),
+        value=value, error_estimate=err, subdivisions=sum(r.subdivisions for r in parts),
+        status="converged" if ok else "budget", nevals=sum(r.nevals for r in parts),
     )
 
 

@@ -142,11 +142,8 @@ def _direct_two_triangle_integral(cfg, rel_tol=1e-6):
             g = base ** (-0.5 * d)
         return np.where(np.isfinite(g), g, 0.0) * jac
 
-    res = cubature.integrate(
-        f, [0.0] * 4, [1.0] * 4, rel_tol=rel_tol, max_evals=20_000_000,
-        init_splits=[np.array([0.0, 0.5, 1.0])] * 4,
-    )
-    return res.value, res.error
+    res = cubature.integrate(f, [np.array([0.0, 0.5, 1.0])] * 4, 0.0, rel_tol, 20_000_000)
+    return res.value[0], res.error[0]
 
 
 def test_criterion_6_fubini_route_equivalence():

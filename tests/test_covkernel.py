@@ -21,7 +21,7 @@ from fbmilt.covkernel import (
     phi_det,
 )
 from fbmilt.errors import ParameterError
-from fbmilt.fbmgen import TimeGrid, sample_pair
+from fbmilt.fbmgen import TimeGrid, sample_pair, sample_paths
 from fbmilt.iltmc import discrete_mean, grid_for_eps, heat_kernel, ilt_epsilon, mc_moments
 from fbmilt.phasescan import EpsSchedule
 from fbmilt.quadmoments import a_z, cauchy_gap, m1, m1_ladder, m2, m2_ladder
@@ -56,7 +56,9 @@ class TestModelConfig:
         assert ModelConfig(h, d).regime == regime
 
 
-# each integer input, as a call that passes it the value
+# each integer input, as a call that passes it the value; the name its
+# error gives is the input's name up to any "-" (which tells apart the
+# inputs of one name)
 _INTEGER_INPUTS = {
     "dim": lambda v: ModelConfig(0.5, v),
     "n_steps": lambda v: TimeGrid(1.0, v),
@@ -64,20 +66,23 @@ _INTEGER_INPUTS = {
     "seed": lambda v: mc_moments(ModelConfig(0.5, 2), 1.0, TimeGrid(1.0, 4), 3, v),
     "count": lambda v: EpsSchedule(1.0, 0.5, v),
     "workers": lambda v: mc_moments(ModelConfig(0.5, 2), 1.0, TimeGrid(1.0, 4), 3, 0, workers=v),
+    "count-sample_paths": lambda v: sample_paths(TimeGrid(1.0, 4), ModelConfig(0.5, 2), 0, v),
+    "seed-sample_pair": lambda v: sample_pair(TimeGrid(1.0, 4), ModelConfig(0.5, 2), v),
 }
 
 
 @pytest.mark.parametrize("name", list(_INTEGER_INPUTS))
 @pytest.mark.parametrize("value, ok", [
     (3, True), (np.int64(3), True), (np.int32(3), True),
-    (3.0, False), (2.5, False), (math.nan, False), (math.inf, False)])
+    (3.0, False), (2.5, False), (math.nan, False), (math.inf, False), (True, False)])
 def test_integer_inputs_must_be_integers(name, value, ok):
     # a whole float passes a range check, then fails with TypeError where an
-    # integer is needed (linspace, np.full, range): it is rejected up front
+    # integer is needed (linspace, np.full, range): it is rejected up front;
+    # so is a bool, which Python counts as the integer 1
     if ok:
         _INTEGER_INPUTS[name](value)
     else:
-        with pytest.raises(ParameterError, match=name):
+        with pytest.raises(ParameterError, match=name.split("-")[0]):
             _INTEGER_INPUTS[name](value)
 
 

@@ -50,10 +50,10 @@ def test_gaussian_2d():
     def f(x):
         return np.exp(-np.sum(x * x, axis=1))
 
-    res = integrate(f, [0, 0], [1, 1], rel_tol=1e-10)
+    res = integrate(f, [[0, 1]] * 2, 0.0, 1e-10, 10_000_000)
     assert res.status == "converged"
-    assert res.value == pytest.approx(want, rel=1e-10)
-    assert abs(res.value - want) <= max(res.error, 1e-13)
+    assert res.value[0] == pytest.approx(want, rel=1e-10)
+    assert abs(res.value[0] - want) <= max(res.error[0], 1e-13)
 
 
 def test_gaussian_4d():
@@ -62,9 +62,9 @@ def test_gaussian_4d():
     def f(x):
         return np.exp(-np.sum(x * x, axis=1))
 
-    res = integrate(f, [0] * 4, [1] * 4, rel_tol=1e-8)
+    res = integrate(f, [[0, 1]] * 4, 0.0, 1e-8, 10_000_000)
     assert res.status == "converged"
-    assert res.value == pytest.approx(want, rel=1e-8)
+    assert res.value[0] == pytest.approx(want, rel=1e-8)
 
 
 def test_corner_singularity():
@@ -73,15 +73,15 @@ def test_corner_singularity():
         return 1.0 / np.sqrt(x[:, 0] + x[:, 1])
 
     want = 4.0 / 3.0 * (2.0 * math.sqrt(2.0) - 2.0)
-    res = integrate(f, [0, 0], [1, 1], rel_tol=1e-7, max_evals=4_000_000)
-    assert res.value == pytest.approx(want, rel=1e-6)
+    res = integrate(f, [[0, 1]] * 2, 0.0, 1e-7, 4_000_000)
+    assert res.value[0] == pytest.approx(want, rel=1e-6)
 
 
 def test_budget_status():
     def f(x):
         return 1.0 / np.sqrt(x[:, 0] + x[:, 1])
 
-    res = integrate(f, [0, 0], [1, 1], rel_tol=1e-12, max_evals=2000)
+    res = integrate(f, [[0, 1]] * 2, 0.0, 1e-12, 2000)
     assert res.status == "budget"
     assert res.nevals <= 2000 + 17 * 200
 
@@ -93,10 +93,11 @@ def test_init_splits_respected():
         calls.append(len(x))
         return np.ones(len(x))
 
-    res = integrate(f, [0, 0], [1, 1],
-                    init_splits=[np.array([0, 0.25, 1.0]), np.array([0, 0.5, 1.0])])
-    assert res.value == pytest.approx(1.0, rel=1e-13)
+    res = integrate(f, [np.array([0, 0.25, 1.0]), np.array([0, 0.5, 1.0])], 0.0, 1e-6,
+                    10_000_000)
+    assert res.value[0] == pytest.approx(1.0, rel=1e-13)
     assert res.ncells == 4
+    assert calls == [17, 3 * 17]  # the first cell alone, then the other three
 
 
 def test_anisotropic_split_direction():
@@ -105,9 +106,9 @@ def test_anisotropic_split_direction():
         return np.sin(40.0 * x[:, 0])
 
     want = (1.0 - math.cos(40.0)) / 40.0
-    res = integrate(f, [0, 0], [1, 1], rel_tol=1e-9)
+    res = integrate(f, [[0, 1]] * 2, 0.0, 1e-9, 10_000_000)
     assert res.status == "converged"
-    assert res.value == pytest.approx(want, rel=1e-8, abs=1e-12)
+    assert res.value[0] == pytest.approx(want, rel=1e-8, abs=1e-12)
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
@@ -135,16 +136,16 @@ def test_rule_matrix_matches_the_elementwise_rule(ndim):
 # oracle: the heap-and-lists driver that the array driver replaced
 
 
-def heap_integrate(f, lo, hi, abs_tol=0.0, rel_tol=1e-6, max_evals=10_000_000,
-                   init_splits=None, min_width_frac=1e-10):
+def heap_integrate(f, axes, abs_tol, rel_tol, max_evals, min_width_frac=1e-10):
     """Pop the worst ``cubature._BATCH`` cells off a heap keyed by
     (-error, index), bisect them one by one, push the children.  Every heap
-    entry is an alive cell, so no alive flags are kept."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    ndim = len(lo)
+    entry is an alive cell, so no alive flags are kept.  A scalar integrand
+    only, with the driver's arguments and its (1,)-shaped results."""
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    ndim = len(axes)
     pts, _, _, rule = genz_malik_rule(ndim)
     npts = len(pts)
-    min_width = min_width_frac * (hi - lo)
+    min_width = min_width_frac * np.array([a[-1] - a[0] for a in axes])
 
     def eval_cells(clo, chi):
         cen, hw = 0.5 * (clo + chi), 0.5 * (chi - clo)
@@ -156,21 +157,26 @@ def heap_integrate(f, lo, hi, abs_tol=0.0, rel_tol=1e-6, max_evals=10_000_000,
         diffs = np.where(chi - clo > min_width[None, :], np.abs(sums[:, 2:]), -1.0)
         return i7, np.abs(i7 - i5), np.argmax(diffs, axis=1), diffs.max(axis=1) >= 0.0
 
-    clo, chi = _initial_cells(lo, hi, init_splits)
+    clo, chi = _initial_cells(axes)
     vals0, errs0, sd0, sp0 = eval_cells(clo, chi)
     nevals = len(clo) * npts
     cell_lo, cell_hi, vals, errs, sds = list(clo), list(chi), list(vals0), list(errs0), list(sd0)
     heap = [(-errs0[i], i) for i in range(len(vals0)) if sp0[i]]
     heapq.heapify(heap)
     total, toterr = float(np.sum(vals0)), float(np.sum(errs0))
+
+    def result(status):
+        return CubatureResult(np.array([total]), np.array([toterr]), nevals, len(vals), status,
+                              np.array([status == "converged"]))
+
     while True:
         if toterr <= max(abs_tol, rel_tol * abs(total)):
-            return CubatureResult(total, toterr, nevals, len(vals), "converged")
+            return result("converged")
         if nevals >= max_evals:
-            return CubatureResult(total, toterr, nevals, len(vals), "budget")
+            return result("budget")
         popped = [heapq.heappop(heap)[1] for _ in range(min(cubature._BATCH, len(heap)))]
         if not popped:
-            return CubatureResult(total, toterr, nevals, len(vals), "exhausted")
+            return result("exhausted")
         new_lo, new_hi = [], []
         for i in popped:
             total -= vals[i]
@@ -196,37 +202,33 @@ def heap_integrate(f, lo, hi, abs_tol=0.0, rel_tol=1e-6, max_evals=10_000_000,
 
 
 def _bits(res):
-    return (float(res.value).hex(), float(res.error).hex(), res.nevals, res.ncells, res.status)
+    return ([v.hex() for v in res.value.tolist()], [e.hex() for e in res.error.tolist()],
+            res.converged.tolist(), res.nevals, res.ncells, res.status)
 
 
 def _inv_sqrt_sum(x):
     return 1.0 / np.sqrt(x[:, 0] + x[:, 1])
 
 
-ORACLE_CASES = {
+ORACLE_CASES = {  # integrand, axes, (abs_tol, rel_tol, max_evals), _MIN_WIDTH_FRAC, status
     # symmetric in x <-> y: mirrored cells carry exactly equal errors
     "symmetric-ties": (lambda x: np.cos(3.0 * x[:, 0]) * np.cos(3.0 * x[:, 1]),
-                       [0, 0], [2, 2], dict(rel_tol=1e-13, max_evals=60_000), "budget"),
+                       [[0, 2]] * 2, (0.0, 1e-13, 60_000), 1e-10, "budget"),
     "gaussian-4d": (lambda x: np.exp(-np.sum(x * x, axis=1)),
-                    [0] * 4, [1] * 4, dict(rel_tol=1e-8), "converged"),
-    "budget": (_inv_sqrt_sum, [0, 0], [1, 1], dict(rel_tol=1e-12, max_evals=20_000), "budget"),
-    "init-splits": (_inv_sqrt_sum, [0, 0], [1, 1],
-                    dict(rel_tol=1e-6, init_splits=[np.array([0.0, 0.25, 1.0]),
-                                                    np.array([0.0, 0.1, 0.5, 1.0])]),
-                    "converged"),
-    "exhausted": (_inv_sqrt_sum, [0, 0], [1, 1], dict(rel_tol=1e-12, min_width_frac=0.05),
-                  "exhausted"),
+                    [[0, 1]] * 4, (0.0, 1e-8, 10_000_000), 1e-10, "converged"),
+    "budget": (_inv_sqrt_sum, [[0, 1]] * 2, (0.0, 1e-12, 20_000), 1e-10, "budget"),
+    "init-splits": (_inv_sqrt_sum, [np.array([0.0, 0.25, 1.0]), np.array([0.0, 0.1, 0.5, 1.0])],
+                    (0.0, 1e-6, 10_000_000), 1e-10, "converged"),
+    "exhausted": (_inv_sqrt_sum, [[0, 1]] * 2, (0.0, 1e-12, 10_000_000), 0.05, "exhausted"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_matches_heap_driver(case, monkeypatch):
-    f, lo, hi, kw, status = ORACLE_CASES[case]
-    kw = dict(kw)
-    min_width_frac = kw.pop("min_width_frac", cubature._MIN_WIDTH_FRAC)
+    f, axes, tols, min_width_frac, status = ORACLE_CASES[case]
     monkeypatch.setattr(cubature, "_MIN_WIDTH_FRAC", min_width_frac)
-    got = integrate(f, lo, hi, **kw)
-    assert _bits(got) == _bits(heap_integrate(f, lo, hi, min_width_frac=min_width_frac, **kw))
+    got = integrate(f, axes, *tols)
+    assert _bits(got) == _bits(heap_integrate(f, axes, *tols, min_width_frac=min_width_frac))
     assert got.status == status
 
 
@@ -239,8 +241,7 @@ def test_matches_heap_driver(case, monkeypatch):
 )
 def test_matches_heap_driver_on_polynomials(corner, widths, coef, powers):
     ndim = len(corner)
-    lo = np.array(corner)
-    hi = lo + np.array(widths[:ndim])
+    axes = [[lo, lo + w] for lo, w in zip(corner, widths)]
 
     def f(x):
         out = np.full(len(x), 0.5)
@@ -248,8 +249,8 @@ def test_matches_heap_driver_on_polynomials(corner, widths, coef, powers):
             out = out + c * x[:, j % ndim] ** powers[j] * x[:, (j + 1) % ndim] ** powers[-1 - j]
         return out
 
-    kw = dict(rel_tol=1e-13, max_evals=30_000)
-    assert _bits(integrate(f, lo, hi, **kw)) == _bits(heap_integrate(f, lo, hi, **kw))
+    tols = (0.0, 1e-13, 30_000)
+    assert _bits(integrate(f, axes, *tols)) == _bits(heap_integrate(f, axes, *tols))
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +276,13 @@ def _stacked(*fs):
 def test_components_match_their_scalar_runs():
     fs = (_gauss, _inv_sqrt_sum, _cos2)
     rel = [1e-9, 1e-6, 1e-8]
-    got = integrate(_stacked(*fs), [0, 0], [1, 1], rel_tol=rel)
+    got = integrate(_stacked(*fs), [[0, 1]] * 2, 0.0, rel, 10_000_000)
     assert got.status == "converged"
     assert got.converged.tolist() == [True, True, True]
     assert got.value.shape == got.error.shape == (3,)
     for k, (g, r) in enumerate(zip(fs, rel)):
-        alone = integrate(g, [0, 0], [1, 1], rel_tol=r)
-        assert abs(got.value[k] - alone.value) <= got.error[k] + alone.error
+        alone = integrate(g, [[0, 1]] * 2, 0.0, r, 10_000_000)
+        assert abs(got.value[k] - alone.value[0]) <= got.error[k] + alone.error[0]
         assert got.error[k] <= r * abs(got.value[k])
 
 
@@ -298,24 +299,24 @@ def test_met_component_does_not_steer(edge_first):
     # the edge component meets its tolerance on the starting mesh with cell
     # errors that would outrank the bump's late ones; the pass must refine
     # for the bump alone, cell for cell as the bump's scalar run does
-    kw = dict(init_splits=[np.array([0.0, 0.5, 0.9, 0.99, 1.0])] * 2)
-    start = integrate(_edge, [0, 0], [1, 1], max_evals=1, **kw)
-    rel = [1.5 * start.error / start.value, 1e-8]
+    axes = [np.array([0.0, 0.5, 0.9, 0.99, 1.0])] * 2
+    start = integrate(_edge, axes, 0.0, 1e-6, 1)
+    rel = [1.5 * start.error[0] / start.value[0], 1e-8]
     fs = (_edge, _bump)
     if not edge_first:
         fs, rel = fs[::-1], rel[::-1]
-    got = integrate(_stacked(*fs), [0, 0], [1, 1], rel_tol=rel, **kw)
-    alone = integrate(_bump, [0, 0], [1, 1], rel_tol=1e-8, **kw)
+    got = integrate(_stacked(*fs), axes, 0.0, rel, 10_000_000)
+    alone = integrate(_bump, axes, 0.0, 1e-8, 10_000_000)
     k = fs.index(_bump)
     assert got.converged.tolist() == [True, True]
     assert (got.nevals, got.ncells) == (alone.nevals, alone.ncells)
-    assert got.value[k].hex() == alone.value.hex()
-    assert got.error[k].hex() == alone.error.hex()
+    assert got.value[k].hex() == alone.value[0].hex()
+    assert got.error[k].hex() == alone.error[0].hex()
 
 
 def test_budget_reports_each_component():
-    got = integrate(_stacked(_cubic, _inv_sqrt_sum, _gauss), [0, 0], [1, 1],
-                    rel_tol=[1e-6, 1e-12, 1e-6], max_evals=2000)
+    got = integrate(_stacked(_cubic, _inv_sqrt_sum, _gauss), [[0, 1]] * 2, 0.0,
+                    [1e-6, 1e-12, 1e-6], 2000)
     assert got.status == "budget"
     assert got.converged.tolist() == [True, False, True]
     assert got.nevals <= 2000 + 17 * 256
@@ -331,12 +332,12 @@ def test_slicing_changes_no_bit(monkeypatch):
         sizes.append(len(x))
         return np.stack([_gauss(x), _inv_sqrt_sum(x), _cos2(x)])
 
-    kw = dict(rel_tol=[1e-9, 1e-6, 1e-8])
-    whole = integrate(f, [0, 0], [1, 1], **kw)
+    args = ([[0, 1]] * 2, 0.0, [1e-9, 1e-6, 1e-8], 10_000_000)
+    whole = integrate(f, *args)
     assert max(sizes) == 2 * cub._BATCH * 17  # one call per refinement step
     sizes.clear()
     monkeypatch.setattr(cub, "_BLOCK_BYTES", 3 * 17 * 8 * 10)  # ten cells a call
-    sliced = integrate(f, [0, 0], [1, 1], **kw)
+    sliced = integrate(f, *args)
     assert max(sizes) == 17 * 10
     for a, b in ((whole.value, sliced.value), (whole.error, sliced.error)):
         assert [v.hex() for v in a] == [v.hex() for v in b]
@@ -357,7 +358,7 @@ def test_one_call_per_step_at_the_sweeps_shape():
         return np.exp(-rates[:, None] * np.sum(x * x, axis=1))
 
     splits = [np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])] * 2 + [np.array([0.0, 0.5, 1.0])] * 2
-    got = integrate(f, [0] * 4, [1] * 4, rel_tol=1e-12, max_evals=60_000, init_splits=splits)
+    got = integrate(f, splits, 0.0, 1e-12, 60_000)
     assert got.status == "budget"
     step = 2 * cubature._BATCH * 57
     assert sizes[:2] == [57, 35 * 57]  # the first cell alone, then the rest of the 36
@@ -378,18 +379,39 @@ def test_starting_mesh_slices(monkeypatch):
             return g(x)
         return f
 
-    kw = dict(rel_tol=1e-6, init_splits=[np.linspace(0.0, 1.0, 41)] * 2)  # 1600 cells
-    got = integrate(counted(_inv_sqrt_sum), [0, 0], [1, 1], **kw)
+    args = ([np.linspace(0.0, 1.0, 41)] * 2, 0.0, 1e-6, 10_000_000)  # 1600 cells
+    got = integrate(counted(_inv_sqrt_sum), *args)
     assert sizes[0] == 17  # the first cell alone tells K
     assert max(sizes) == 2 * cub._BATCH * 17
-    assert _bits(got) == _bits(heap_integrate(_inv_sqrt_sum, [0, 0], [1, 1], **kw))
+    assert _bits(got) == _bits(heap_integrate(_inv_sqrt_sum, *args))
 
     three = _stacked(_gauss, _inv_sqrt_sum, _cos2)
-    whole = integrate(three, [0, 0], [1, 1], **kw)
+    whole = integrate(three, *args)
     sizes.clear()
     monkeypatch.setattr(cub, "_BLOCK_BYTES", 3 * 17 * 8 * 10)  # ten cells of K = 3 a call
-    sliced = integrate(counted(three), [0, 0], [1, 1], **kw)
+    sliced = integrate(counted(three), *args)
     assert max(sizes) == 17 * 10
     for a, b in ((whole.value, sliced.value), (whole.error, sliced.error)):
         assert [v.hex() for v in a] == [v.hex() for v in b]
     assert (whole.nevals, whole.ncells) == (sliced.nevals, sliced.ncells)
+
+
+def test_flat_values_are_one_component(monkeypatch):
+    # (m,) values are K = 1, read from their size: the same values as
+    # (1, m) give the same bits, (1,)-shaped results and the same cells
+    # per integrand call
+    monkeypatch.setattr(cubature, "_BLOCK_BYTES", 17 * 8 * 10)  # ten cells of K = 1 a call
+    results, sizes = [], []
+    for lead in ((), (1,)):
+        calls = []
+
+        def f(x, lead=lead, calls=calls):
+            calls.append(len(x))
+            return _inv_sqrt_sum(x).reshape(lead + (-1,))
+
+        results.append(integrate(f, [np.linspace(0.0, 1.0, 5)] * 2, 0.0, 1e-8, 200_000))
+        sizes.append(calls)
+    flat, row = results
+    assert flat.value.shape == flat.error.shape == flat.converged.shape == (1,)
+    assert _bits(flat) == _bits(row)
+    assert sizes[0] == sizes[1] and max(sizes[0]) == 17 * 10

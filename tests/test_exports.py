@@ -40,8 +40,8 @@ def _unused_imports(source):
     return sorted((line, name) for line, name in unused if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(Path(fbmilt.__file__).parent.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(Path(fbmilt.__file__).parent.glob("*.py"))
+                         + sorted(Path(__file__).parent.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -69,8 +69,7 @@ def m1_limit_2d(cfg):
         jac = (T * p) ** 2 * (x[:, 0] * x[:, 1]) ** (p - 1)
         return pref * (s**h2 + t**h2) ** (-0.5 * d) * jac
 
-    return integrate(f, [0.0, 0.0], [1.0, 1.0], abs_tol=1e-10, rel_tol=1e-9,
-                     max_evals=4_000_000, init_splits=[np.array([0.0, 0.25, 1.0])] * 2)
+    return integrate(f, [np.array([0.0, 0.25, 1.0])] * 2, 1e-10, 1e-9, 4_000_000)
 
 
 class TestM1:
@@ -106,7 +105,7 @@ class TestM1:
         res = m1(0.0, cfg)
         direct = m1_limit_2d(cfg)
         assert direct.status == "converged"
-        assert abs(res.value - direct.value) <= res.error_estimate + direct.error
+        assert abs(res.value - direct.value[0]) <= res.error_estimate + direct.error[0]
 
     def test_diverged_at_critical(self):
         res = m1(0.0, ModelConfig(hurst=0.5, dim=4))
@@ -177,7 +176,7 @@ class TestM2:
                 lam, rho, _, jac = _region_pieces(x, region, cfg.hurst, cfg.horizon)
                 return ((lam + e) * (rho + e)) ** (-0.5 * cfg.dim) * jac
 
-            total += 4.0 * integrate(f, [0.0] * 4, [1.0] * 4, rel_tol=1e-5).value
+            total += 4.0 * integrate(f, [[0.0, 1.0]] * 4, 0.0, 1e-5, 10_000_000).value[0]
         got = (2 * math.pi) ** (-cfg.dim) * total
         assert got == pytest.approx(m1(e, cfg).value ** 2, rel=1e-4)
 
@@ -421,11 +420,12 @@ class TestDivergenceShells:
         for k in (1, 4, 7):
             delta, shell = res.shell_widths[k - 1], res.shells[k - 1]
             assert delta == T * 4.0**-k
-            parts = [integrate(f, lo, hi, abs_tol=0.0, rel_tol=1e-9, max_evals=2_000_000)
-                     for lo, hi in (([delta, 0.0], [T, T]), ([0.0, delta], [delta, T]))]
+            parts = [integrate(f, axes, 0.0, 1e-9, 2_000_000)
+                     for axes in ([[delta, T], [0.0, T]], [[0.0, delta], [delta, T]])]
             assert all(p.status == "converged" for p in parts)
-            direct = sum(p.value for p in parts)
-            assert abs(shell.value - direct) <= shell.error_estimate + sum(p.error for p in parts)
+            direct = sum(p.value[0] for p in parts)
+            err = sum(p.error[0] for p in parts)
+            assert abs(shell.value - direct) <= shell.error_estimate + err
 
     def test_m1_shells_continuous_at_the_transition(self):
         # within 1e-12 of Hd = 2 the radial factor, which m1(0) and the 3D
@@ -464,8 +464,7 @@ class TestDivergenceShells:
 
             splits = _shell_splits(faces, np.array(widths))
             init = [splits[0], np.array([0.0, *sorted(widths), 1.0]), splits[1], splits[2]]
-            part = integrate(f, [0.0] * 4, [1.0] * 4, rel_tol=1e-3, max_evals=4_000_000,
-                             init_splits=init)
+            part = integrate(f, init, 0.0, 1e-3, 4_000_000)
             assert part.status == "converged"
             direct += 4.0 * pref * part.value
             errs += 4.0 * pref * part.error
@@ -571,7 +570,7 @@ class TestATIntegral:
             assert abs(at.value - 25.78209) <= at.error_estimate + 1.6e-3
 
 
-def a_z_2d(z, cfg, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
+def a_z_2d(z, cfg):
     """Independent route for A(z): the double time integral itself, with
     v = t*b, phi(t, t*b) = t^4H psi(b), the smootherstep map on b and a
     quartic map t = T tau^4 that resolves the t ~ z^(-1/4H) scale."""
@@ -585,8 +584,7 @@ def a_z_2d(z, cfg, rel_tol=1e-8, abs_tol=1e-13, max_evals=2_000_000):
         jac = 4.0 * T * tau**3 * t * db
         return np.exp(-(t**h4) * phi_det(1.0, b, cfg.hurst) * z) * jac
 
-    return integrate(f, [0.0, 0.0], [1.0, 1.0], abs_tol=abs_tol, rel_tol=rel_tol,
-                     max_evals=max_evals, init_splits=[np.array([0.0, 0.5, 1.0])] * 2)
+    return integrate(f, [np.array([0.0, 0.5, 1.0])] * 2, 1e-13, 1e-8, 2_000_000)
 
 
 class TestGammaRatio:
@@ -651,7 +649,7 @@ class TestAZ:
         got = a_z(z, cfg)
         want = a_z_2d(z, cfg)
         assert got.status == want.status == "converged"
-        assert abs(got.value - want.value) <= got.error_estimate + want.error
+        assert abs(got.value - want.value[0]) <= got.error_estimate + want.error[0]
 
     def test_large_z_against_high_precision_value(self):
         # 30-digit mpmath value of the double integral; the 2D route
@@ -700,6 +698,21 @@ class TestReductionBound:
         res = reduction_bound(ModelConfig(0.6, 3))
         assert math.isfinite(res.value)
         assert res.status == "budget"
+
+    def test_counts_sum_the_a_z_passes(self, monkeypatch):
+        # cells and evaluations are those of every A(z) pass the outer
+        # quadratures ask for, each at its own z
+        seen = []
+
+        def spy(z, cfg):
+            seen.append((z, a_z(z, cfg)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(quadmoments, "a_z", spy)
+        res = reduction_bound(ModelConfig(0.25, 2))
+        assert len({z for z, _ in seen}) == len(seen) > 100
+        assert res.subdivisions == sum(r.subdivisions for _, r in seen)
+        assert res.nevals == sum(r.nevals for _, r in seen)
 
     def test_tail_envelope(self):
         # z^(d/2-1) A(z)^2 decays at least as fast as the envelope
@@ -853,10 +866,10 @@ class TestRegionPieces:
         def f(x):
             return _region_pieces(x, region, 0.5, horizon)[3]
 
-        res = integrate(f, [0.0] * 4, [1.0] * 4, abs_tol=0.0, rel_tol=1e-6)
+        res = integrate(f, [[0.0, 1.0]] * 4, 0.0, 1e-6, 10_000_000)
         assert res.status == "converged"
-        assert res.value == pytest.approx(horizon**4 / 8.0, rel=1e-8)
-        assert abs(res.value - horizon**4 / 8.0) <= res.error
+        assert res.value[0] == pytest.approx(horizon**4 / 8.0, rel=1e-8)
+        assert abs(res.value[0] - horizon**4 / 8.0) <= res.error[0]
 
     @settings(max_examples=200, deadline=None)
     @given(x=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
