@@ -218,6 +218,7 @@ def _quad_dict(res) -> dict:
         "status": res.status,
         "nevals": res.nevals,
         "cells": res.subdivisions,
+        "seconds": res.seconds,
         "shells": shells,
         "shell_rate": _num(res.shell_rate),
         "radial_exponent": _num(res.radial_exponent),

@@ -9,8 +9,9 @@ cells.  Cells live in flat arrays indexed by creation order (bounds
 ``lo``/``hi`` of shape (cap, ndim), ``est`` of shape (2K, cap) with the
 K values over the K errors, ``split_dim`` and ``alive`` of shape
 (cap,)), which grow by doubling.  Each refinement step takes the
-``_BATCH`` = 32 alive, splittable cells of largest error, ties going to
-the older cell, and bisects all of them at once along each cell's direction
+max(``_BATCH``, alive // ``_STEP_DIV``) alive, splittable cells of largest
+error (32 until 2,112 cells are alive, then one in 64), ties going to the
+older cell, and bisects all of them at once along each cell's direction
 of largest fourth divided difference.  The rule is one matrix,
 R = [w7 | w5 | D] of shape (npoints, 2 + ndim) with D the fourth-difference
 stencil (genz_malik_rule), so one product of the (K cells, npoints)
@@ -21,10 +22,12 @@ short of their tolerance, each divided by that tolerance.  The running
 values and errors are updated in that order: every split cell
 subtracted, then every new cell added.  Integrands are called vectorized
 on an (npoints, ndim) array whose columns are contiguous, on slices of
-whole cells: at most one refinement step's 64 children, and few enough
-that one call's values stay under ``_BLOCK_BYTES``.  The first cell of the
-starting mesh is evaluated alone, which tells the number of components
-before any larger call.
+whole cells: at most one refinement step's children, and few enough that
+one call's values stay under ``_BLOCK_BYTES``.  The first call, which
+tells the number of components K, takes up to 2 ``_BATCH`` = 64 starting
+cells (fewer if one component's values would not fit): its values stay
+under ``_BLOCK_BYTES`` for K <= 35 in 4D, 62 in 3D, 120 in 2D and 292 in
+1D.
 
 The error estimate is conservative (a straight sum of per-cell embedded
 differences), so `status == "budget"` does not necessarily mean the value
@@ -40,7 +43,8 @@ import numpy as np
 
 __all__ = ["CubatureResult", "integrate", "genz_malik_rule"]
 
-_BATCH = 32  # cells bisected per refinement step
+_BATCH = 32  # cells bisected per refinement step, at least
+_STEP_DIV = 64  # a step bisects one in this many alive cells once that exceeds _BATCH
 _BLOCK_BYTES = 1 << 20  # integrand values one integrand call returns, at most about
 _MIN_WIDTH_FRAC = 1e-10  # of the box's width: a cell no wider on an axis is not split on it
 
@@ -131,6 +135,14 @@ def genz_malik_rule(ndim):
     return pts, rule[:, 0], rule[:, 1], rule
 
 
+@lru_cache(maxsize=8)
+def _points_t(ndim):
+    """The rule's points transposed, (ndim, npoints), contiguous and cached."""
+    pts_t = np.ascontiguousarray(genz_malik_rule(ndim)[0].T)
+    pts_t.flags.writeable = False
+    return pts_t
+
+
 def _gemm(a, b):
     """``a @ b``, always by GEMM.  numpy hands a one-row ``a`` to GEMV, which
     sums in another order, so a row's bits would depend on whether other
@@ -143,10 +155,14 @@ def _gemm(a, b):
 def _initial_cells(axes):
     """Bounds (lo, hi), each (cells, ndim), of the mesh of breakpoints ``axes``."""
     ndim = len(axes)
-    idx = np.meshgrid(*[np.arange(len(a) - 1) for a in axes], indexing="ij")
-    clo = np.stack([axes[k][idx[k].ravel()] for k in range(ndim)], axis=1)
-    chi = np.stack([axes[k][idx[k].ravel() + 1] for k in range(ndim)], axis=1)
-    return clo, chi
+    clo = np.empty([len(a) - 1 for a in axes] + [ndim])
+    chi = np.empty_like(clo)
+    for k, a in enumerate(axes):  # axis k's breakpoints vary along mesh axis k
+        along = [1] * ndim
+        along[k] = -1
+        clo[..., k] = a[:-1].reshape(along)
+        chi[..., k] = a[1:].reshape(along)
+    return clo.reshape(-1, ndim), chi.reshape(-1, ndim)
 
 
 def _grown(a, cap, axis=0):
@@ -194,11 +210,11 @@ def integrate(f, axes, abs_tol, rel_tol, max_evals):
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
     ndim = len(axes)
-    pts, _, _, rule = genz_malik_rule(ndim)
-    npts = len(pts)
-    pts_t = np.ascontiguousarray(pts.T)
+    rule = genz_malik_rule(ndim)[3]
+    pts_t = _points_t(ndim)
+    npts = pts_t.shape[1]
     min_width = _MIN_WIDTH_FRAC * np.array([a[-1] - a[0] for a in axes])
-    per_call = 1  # cells per integrand call; set by each call from its K
+    block = max(1, _BLOCK_BYTES // (8 * npts))  # cells per call: as if K = 1, then each call's K
 
     def eval_cells(clo, chi):
         """(2K, m) values (rows 0..K-1) and errors (rows K..2K-1) and
@@ -210,10 +226,10 @@ def integrate(f, axes, abs_tol, rel_tol, max_evals):
         # coordinate-major, so each column x[:, k] the integrand reads is contiguous
         x = np.multiply(hw.T[:, :, None], pts_t[:, None, :], order="C")
         x += cen.T[:, :, None]
-        nonlocal per_call
+        nonlocal block
         out = np.asarray(f(x.reshape(ndim, -1).T), dtype=float)
         ncomp = out.size // (m * npts)
-        per_call = max(1, min(2 * _BATCH, _BLOCK_BYTES // (8 * npts * ncomp)))
+        block = max(1, _BLOCK_BYTES // (8 * npts * ncomp))
         # one row per (component, cell): degree-7 sum, degree-5 sum, fourth differences
         sums = _gemm(out.reshape(-1, npts), rule)
         vol = hw.prod(axis=1)
@@ -222,13 +238,14 @@ def integrate(f, axes, abs_tol, rel_tol, max_evals):
         diffs = np.abs(sums[:, 2:]).reshape(-1, m, ndim)
         return np.concatenate((i7, np.abs(i7 - i5))), diffs
 
-    def evaluate(clo, chi):
-        # slices of whole cells; cells are independent, so slicing changes no bit
+    def evaluate(clo, chi, step):
+        # slices of whole cells, at most one step's children and the block the
+        # first call sets; cells are independent, so slicing changes no bit
         parts = []
         i = 0
         while i < len(clo):
-            j = i + per_call
-            parts.append(eval_cells(clo[i:j], chi[i:j]))  # the first call sets per_call
+            j = i + min(2 * step, block)
+            parts.append(eval_cells(clo[i:j], chi[i:j]))
             i = j
         if len(parts) == 1:
             return parts[0]
@@ -240,7 +257,7 @@ def integrate(f, axes, abs_tol, rel_tol, max_evals):
         return comb.argmax(axis=1), comb.max(axis=1) >= 0.0
 
     clo, chi = _initial_cells(axes)
-    est, diffs = evaluate(clo, chi)  # per cell: K values, then K errors
+    est, diffs = evaluate(clo, chi, _BATCH)  # per cell: K values, then K errors
     ncomp = len(est) // 2
     abs_tol = np.asarray(abs_tol, dtype=float)  # scalar or (K,), broadcast against totals
     rel_tol = np.asarray(rel_tol, dtype=float)
@@ -262,14 +279,15 @@ def integrate(f, axes, abs_tol, rel_tol, max_evals):
         if nevals >= max_evals:
             status = "budget"
             break
-        # the _BATCH live cells of largest steering error, ties to the older cell
+        # the step live cells of largest steering error, ties to the older cell
         sel = alive[:n].nonzero()[0]
+        step = max(_BATCH, len(sel) // _STEP_DIV)
         score = _steer(est[ncomp:].take(sel, axis=1), tol, short)
-        if len(sel) > _BATCH:
-            thr = np.partition(score, len(sel) - _BATCH)[len(sel) - _BATCH]
+        if len(sel) > step:
+            thr = np.partition(score, len(sel) - step)[len(sel) - step]
             keep = score > thr
             tied = np.flatnonzero(score == thr)
-            keep[tied[: _BATCH - np.count_nonzero(keep)]] = True
+            keep[tied[: step - np.count_nonzero(keep)]] = True
             sel = sel[keep]
             score = score[keep]
         if not len(sel):
@@ -285,7 +303,7 @@ def integrate(f, axes, abs_tol, rel_tol, max_evals):
         mid = 0.5 * (new_lo[rows, d] + new_hi[rows, d])
         new_hi[rows, d] = mid
         new_lo[rows + 1, d] = mid
-        est2, diffs = evaluate(new_lo, new_hi)
+        est2, diffs = evaluate(new_lo, new_hi, step)
         sd2, sp2 = split_axes(diffs, new_hi - new_lo, tol, short)
         nevals += 2 * k * npts
         # every parent out, then every child in; accumulate adds strictly left

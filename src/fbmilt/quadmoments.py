@@ -49,7 +49,8 @@ one QuadratureResult per component with its convergence status.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -112,9 +113,10 @@ class QuadratureResult:
     ``status`` is "converged" when every underlying cubature met its
     tolerance and "budget" when any stopped short of it (its evaluation
     budget or its minimum cell width); ``nevals`` counts the integrand
-    evaluations of all of them, and ``subdivisions`` (a report's "cells")
-    their cells, the starting ones plus two per split; a diverged result
-    gives its innermost shell's.
+    evaluations of all of them, ``subdivisions`` (a report's "cells")
+    their cells, the starting ones plus two per split, and ``seconds`` the
+    wall time of them all; a diverged result gives its innermost shell's.
+    ``seconds`` takes no part in equality.
     """
 
     value: float
@@ -131,6 +133,7 @@ class QuadratureResult:
     shell_widths: Optional[List[float]] = None
     shell_rate: Optional[float] = None
     radial_exponent: Optional[float] = None
+    seconds: float = field(default=0.0, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +243,8 @@ def _passes(passes, scale, abs_tol, rel_tol, max_evals):
     ``passes``, each over the box its starting breakpoints ``axes`` span,
     with an equal share of ``abs_tol`` (of the scaled sum) and of
     ``max_evals``: one QuadratureResult per component, its status that
-    component's in every pass, with the cells and evaluations of all."""
+    component's in every pass, with the cells, evaluations and wall time of all."""
+    start = time.perf_counter()
     n = len(passes)
     total = err = cells = evals = 0
     ok = True  # per component: within its tolerance in every pass
@@ -248,8 +252,10 @@ def _passes(passes, scale, abs_tol, rel_tol, max_evals):
         r = cubature.integrate(f, axes, abs_tol / scale / n, rel_tol, max_evals // n)
         total, err, ok = total + r.value, err + r.error, ok & r.converged
         cells, evals = cells + r.ncells, evals + r.nevals
+    seconds = time.perf_counter() - start
     return [QuadratureResult(value=scale * v, error_estimate=scale * e, subdivisions=cells,
-                             status="converged" if c else "budget", nevals=evals)
+                             status="converged" if c else "budget", nevals=evals,
+                             seconds=seconds)
             for v, e, c in zip(total.tolist(), err.tolist(), ok.tolist())]
 
 
@@ -299,7 +305,7 @@ def _diverged(cfg, shells, widths, exponent, excluded):
         diverged=True, divergence_evidence=evidence,
         status=_status(shells), nevals=shells[-1].nevals,
         shells=shells, shell_widths=[float(w) for w in widths], shell_rate=rate,
-        radial_exponent=exponent,
+        radial_exponent=exponent, seconds=shells[-1].seconds,
     )
 
 
@@ -547,13 +553,21 @@ def _gamma_ratio(a, x):
     """
     from scipy.special import gammainc, hyp1f1  # only A(z) needs them; import fbmilt skips scipy
 
-    out = np.empty_like(x)
+    def series(xs):
+        return np.exp(-xs) * hyp1f1(1.0, a + 1.0, xs) / a
+
+    def logspace(xl):
+        with np.errstate(divide="ignore"):  # log of an underflowed gammainc: G = 0
+            return np.exp(math.lgamma(a) + np.log(gammainc(a, xl)) - a * np.log(xl))
+
     small = x < min(a + 1.0, 700.0)
-    xs = x[small]
-    out[small] = np.exp(-xs) * hyp1f1(1.0, a + 1.0, xs) / a
-    xl = x[~small]
-    with np.errstate(divide="ignore"):  # log of an underflowed gammainc: G = 0
-        out[~small] = np.exp(math.lgamma(a) + np.log(gammainc(a, xl)) - a * np.log(xl))
+    if small.all():  # elementwise: the whole array takes the bits of its pieces
+        return series(x)
+    if not small.any():
+        return logspace(x)
+    out = np.empty_like(x)
+    out[small] = series(x[small])
+    out[~small] = logspace(x[~small])
     return out
 
 
@@ -580,10 +594,11 @@ def a_z(z, cfg: ModelConfig):
 
     def f(x):
         b, db = _cluster_both(x[:, 0])
-        bh, bch = b**h2, (1.0 - b) ** h2  # 1 - b exact where b is small
-        psi = np.concatenate((_phi(1.0, bh, bch), _phi(1.0, bch, bh)))  # angles b, 1 - b
-        g = _gamma_ratio(a, scale * psi)
-        return (g[: len(b)] + g[len(b):]) * db
+        # rows b^2H and (1 - b)^2H, 1 - b exact where b is small; psi's rows
+        # are the angles b and 1 - b, in one call
+        powers = np.concatenate((b, 1.0 - b)).reshape(2, -1) ** h2
+        g = _gamma_ratio(a, scale * _phi(1.0, powers, powers[::-1]))
+        return (g[0] + g[1]) * db
 
     # psi(b) ~ b^2H and b ~ 10 alpha^3 near 0: z psi T^4H ~ 1 at
     # alpha ~ (scale^-a / 10)^(1/3)
@@ -617,6 +632,7 @@ def reduction_bound(cfg: ModelConfig):
 
     if cfg.regime != "Convergent":
         raise ParameterError(f"reduction_bound requires Hd < 2, got Hd = {cfg.hd:.12g}")
+    start = time.perf_counter()
     d = cfg.dim
     parts = []  # the A(z) of each z the outer quadratures ask for; no z repeats
 
@@ -651,6 +667,7 @@ def reduction_bound(cfg: ModelConfig):
     return QuadratureResult(
         value=value, error_estimate=err, subdivisions=sum(r.subdivisions for r in parts),
         status="converged" if ok else "budget", nevals=sum(r.nevals for r in parts),
+        seconds=time.perf_counter() - start,
     )
 
 

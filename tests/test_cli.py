@@ -143,6 +143,7 @@ class TestMomentsCommand:
         for key, res in (("m1", quadmoments.m1(1.0, cfg)), ("m2", quadmoments.m2(1.0, cfg))):
             assert results[key]["cells"] == res.subdivisions > 0
             assert results[key]["nevals"] == res.nevals > results[key]["cells"]
+            assert results[key]["seconds"] > 0.0
 
     def test_deterministic_modulo_timestamp(self, tmp_path):
         outs = []
@@ -153,6 +154,8 @@ class TestMomentsCommand:
             d = json.loads(out.read_text())
             d.pop("timestamp")
             d["config"].pop("out")
+            for key in ("m1", "m2"):  # wall time, like the timestamp
+                d["results"][key].pop("seconds")
             outs.append(json.dumps(d, sort_keys=True))
         assert outs[0] == outs[1]
 

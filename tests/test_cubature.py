@@ -97,7 +97,7 @@ def test_init_splits_respected():
                     10_000_000)
     assert res.value[0] == pytest.approx(1.0, rel=1e-13)
     assert res.ncells == 4
-    assert calls == [17, 3 * 17]  # the first cell alone, then the other three
+    assert calls == [4 * 17]  # the whole starting mesh, under 2 _BATCH cells, in one call
 
 
 def test_anisotropic_split_direction():
@@ -137,9 +137,10 @@ def test_rule_matrix_matches_the_elementwise_rule(ndim):
 
 
 def heap_integrate(f, axes, abs_tol, rel_tol, max_evals, min_width_frac=1e-10):
-    """Pop the worst ``cubature._BATCH`` cells off a heap keyed by
-    (-error, index), bisect them one by one, push the children.  Every heap
-    entry is an alive cell, so no alive flags are kept.  A scalar integrand
+    """Pop the worst max(``cubature._BATCH``, alive // ``cubature._STEP_DIV``)
+    cells off a heap keyed by (-error, index), bisect them one by one, push
+    the children.  Every heap entry is an alive cell, so no alive flags are
+    kept and the heap's length is the alive count.  A scalar integrand
     only, with the driver's arguments and its (1,)-shaped results."""
     axes = [np.asarray(a, dtype=float) for a in axes]
     ndim = len(axes)
@@ -174,7 +175,8 @@ def heap_integrate(f, axes, abs_tol, rel_tol, max_evals, min_width_frac=1e-10):
             return result("converged")
         if nevals >= max_evals:
             return result("budget")
-        popped = [heapq.heappop(heap)[1] for _ in range(min(cubature._BATCH, len(heap)))]
+        step = max(cubature._BATCH, len(heap) // cubature._STEP_DIV)
+        popped = [heapq.heappop(heap)[1] for _ in range(min(step, len(heap)))]
         if not popped:
             return result("exhausted")
         new_lo, new_hi = [], []
@@ -230,6 +232,24 @@ def test_matches_heap_driver(case, monkeypatch):
     got = integrate(f, axes, *tols)
     assert _bits(got) == _bits(heap_integrate(f, axes, *tols, min_width_frac=min_width_frac))
     assert got.status == status
+
+
+@pytest.mark.parametrize("axes", [[[0, 2]] * 2, [np.linspace(0.0, 2.0, 51)] * 2],
+                         ids=["grows-past", "starts-past"])
+def test_matches_heap_driver_as_the_step_grows(axes):
+    # past _BATCH * _STEP_DIV alive cells a step bisects alive // _STEP_DIV
+    # of them, the symmetric integrand's ties included
+    sizes = []
+
+    def f(x):
+        sizes.append(len(x))
+        return np.cos(3.0 * x[:, 0]) * np.cos(3.0 * x[:, 1])
+
+    tols = (0.0, 1e-13, 250_000)
+    got = integrate(f, axes, *tols)
+    assert got.status == "budget"
+    assert max(sizes) > 2 * cubature._BATCH * 17
+    assert _bits(got) == _bits(heap_integrate(f, axes, *tols))
 
 
 @settings(max_examples=40, deadline=None)
@@ -361,9 +381,9 @@ def test_one_call_per_step_at_the_sweeps_shape():
     got = integrate(f, splits, 0.0, 1e-12, 60_000)
     assert got.status == "budget"
     step = 2 * cubature._BATCH * 57
-    assert sizes[:2] == [57, 35 * 57]  # the first cell alone, then the rest of the 36
-    assert len(sizes) > 10 and set(sizes[2:]) == {step}
-    assert got.nevals == 36 * 57 + (len(sizes) - 2) * step
+    assert sizes[0] == 36 * 57  # the whole starting mesh in one call
+    assert len(sizes) > 10 and set(sizes[1:]) == {step}
+    assert got.nevals == 36 * 57 + (len(sizes) - 1) * step
 
 
 def test_starting_mesh_slices(monkeypatch):
@@ -381,7 +401,7 @@ def test_starting_mesh_slices(monkeypatch):
 
     args = ([np.linspace(0.0, 1.0, 41)] * 2, 0.0, 1e-6, 10_000_000)  # 1600 cells
     got = integrate(counted(_inv_sqrt_sum), *args)
-    assert sizes[0] == 17  # the first cell alone tells K
+    assert sizes[0] == 2 * cub._BATCH * 17  # the first call, which tells K
     assert max(sizes) == 2 * cub._BATCH * 17
     assert _bits(got) == _bits(heap_integrate(_inv_sqrt_sum, *args))
 
@@ -390,10 +410,30 @@ def test_starting_mesh_slices(monkeypatch):
     sizes.clear()
     monkeypatch.setattr(cub, "_BLOCK_BYTES", 3 * 17 * 8 * 10)  # ten cells of K = 3 a call
     sliced = integrate(counted(three), *args)
-    assert max(sizes) == 17 * 10
+    assert sizes[0] == 17 * 30  # the first call, sized before K is known, as for K = 1
+    assert max(sizes[1:]) == 17 * 10
     for a, b in ((whole.value, sliced.value), (whole.error, sliced.error)):
         assert [v.hex() for v in a] == [v.hex() for v in b]
     assert (whole.nevals, whole.ncells) == (sliced.nevals, sliced.ncells)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+def test_first_call_is_at_most_one_steps_children(ndim):
+    # the first call tells K, so it cannot be sized by K: it takes at most
+    # 2 _BATCH starting cells, and those fit _BLOCK_BYTES at K = 35 in 4D
+    sizes = []
+    npts = len(genz_malik_rule(ndim)[0])
+    k = {1: 292, 2: 120, 3: 62, 4: 35}[ndim]
+    rates = np.linspace(1.0, 2.0, k)
+
+    def f(x):
+        sizes.append(len(x))
+        return np.exp(-rates[:, None] * np.sum(x * x, axis=1))
+
+    integrate(f, [np.linspace(0.0, 1.0, 6)] * ndim, 0.0, 1e-3, 1)
+    assert sizes[0] == min(5**ndim, 2 * cubature._BATCH) * npts
+    assert sizes[0] * k * 8 <= cubature._BLOCK_BYTES
+    assert sum(sizes) == 5**ndim * npts
 
 
 def test_flat_values_are_one_component(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import itertools
 import json
@@ -605,6 +606,25 @@ class TestGammaRatio:
             assert g[0] == g[1] == pytest.approx(1.0 / a, rel=1e-15)
             assert np.all(np.diff(g) <= 0.0)
 
+    @pytest.mark.parametrize("a", [0.5 / 0.95, 1.0, 2.0, 10.0, 500.0, 5000.0])
+    def test_one_sided_arrays_skip_the_mask(self, a):
+        # an array wholly below or wholly above min(a + 1, 700) is taken
+        # whole by one branch, a straddling one piece by piece through the
+        # mask: both give each point the bits it has alone
+        cut = min(a + 1.0, 700.0)
+        below = cut * np.array([0.0, 1e-300, 1e-6, 0.25, 0.5, 1.0 - 1e-12])
+        above = np.concatenate((cut * np.array([1.0, 1.0 + 1e-12, 1.5, 4.0]), [1e6, 1e300]))
+        mixed = np.concatenate((above[::2], below, above[1::2]))
+        for x in (below, above, mixed):
+            got = _gamma_ratio(a, x)
+            alone = [_gamma_ratio(a, x[i : i + 1])[0] for i in range(len(x))]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in alone]
+        small = mixed < cut
+        got = _gamma_ratio(a, mixed)
+        assert np.array_equal(got[small], _gamma_ratio(a, mixed[small]))
+        assert np.array_equal(got[~small], _gamma_ratio(a, mixed[~small]))
+        assert np.all(np.diff(_gamma_ratio(a, np.sort(mixed))) <= 0.0)
+
 
 class TestAZ:
     def test_at_zero(self):
@@ -727,6 +747,21 @@ class TestReductionBound:
         envelope = cfg.dim / 2 - 1 - 1 / cfg.hurst + 2 * etilde
         assert slope <= envelope
         assert slope >= cfg.dim / 2 - 1 - 1 / cfg.hurst - 0.05
+
+
+class TestWallTime:
+    def test_results_carry_their_wall_time(self):
+        cfg = ModelConfig(0.25, 2)
+        results = [m1(0.5, cfg), m1(0.0, ModelConfig(0.75, 3)), a_z(1.0, cfg),
+                   reduction_bound(cfg)]
+        assert all(r.seconds > 0.0 for r in results)
+        assert results[1].diverged and results[1].seconds == results[1].shells[-1].seconds
+
+    def test_wall_time_takes_no_part_in_equality(self):
+        res = m1(0.5, ModelConfig(0.25, 2))
+        later = dataclasses.replace(res, seconds=res.seconds + 1.0)
+        assert later == res and later.seconds != res.seconds
+        assert dataclasses.replace(res, nevals=res.nevals + 1) != res
 
 
 class TestRadialRate:
