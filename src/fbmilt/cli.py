@@ -317,9 +317,10 @@ def _run_moments(rc: RunConfig) -> int:
     summary = f"moments: m1={r1.value:.6g}"
     if rc.eps > 0.0:
         r2 = quadmoments.m2(rc.eps, cfg, rel_tol=rc.tol)
+        variance = r2.value - r1.value**2
         results["m2"] = _quad_dict(r2)
-        results["variance"] = _num(r2.value - r1.value**2)
-        summary += f" m2={r2.value:.6g} variance={r2.value - r1.value ** 2:.6g}"
+        results["variance"] = _num(variance)
+        summary += f" m2={r2.value:.6g} variance={variance:.6g}"
     if r1.diverged:
         summary += " (m1 diverged)"
     _emit(rc, _report(rc, results))
@@ -334,7 +335,7 @@ def _row_dict(row: SweepRow) -> dict:
 def _run_sweep(rc: RunConfig) -> int:
     cfg = rc.model()
     mc_params = None if rc.reps is None else {
-        "reps": rc.reps, "seed": rc.seed, "method": rc.method,
+        "replications": rc.reps, "seed": rc.seed, "method": rc.method,
         "workers": rc.workers, "grid_n": rc.grid_n}
     series = sweep(cfg, EpsSchedule(rc.eps0, rc.factor, rc.count), mc_params=mc_params,
                    quad_rel_tol=rc.tol)

@@ -15,7 +15,6 @@ such pair, one path from each of two disjoint child streams of a seed.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,8 +103,10 @@ def _cholesky_paths(grid, cfg, rng, count):
 def _circulant_eigenvalues(hurst, n):
     """Eigenvalues of the circulant embedding of the fGn autocovariance.
 
-    Returns the eigenvalue array of length 2n, or None when the embedding
-    has a meaningfully negative eigenvalue.
+    Returns the eigenvalue array of length 2n.  RuntimeError when the
+    embedding has a meaningfully negative eigenvalue, which no H in (0, 1)
+    gives: the fGn embedding is nonnegative definite (Dietrich & Newsam,
+    1997).
     """
     h2 = 2.0 * hurst
     k = np.arange(n + 1, dtype=float)
@@ -113,7 +114,8 @@ def _circulant_eigenvalues(hurst, n):
     row = np.concatenate([c, c[n - 1:0:-1]])
     lam = np.fft.fft(row).real
     if lam.min() < -1e-8 * lam.max():
-        return None
+        raise RuntimeError(f"circulant embedding has a negative eigenvalue "
+                           f"for hurst={hurst}, n={n}")
     lam = np.maximum(lam, 0.0)
     lam.setflags(write=False)  # shared by every caller through the cache
     return lam
@@ -127,18 +129,10 @@ def _circulant_paths(grid, cfg, rng, count):
     two independent exact unit-spacing fGn draws.  FFT row i gives draws
     2i (real part) and 2i + 1 (imaginary part); draw ``p * d + j`` is
     coordinate j of path p.  Each draw is rescaled by step^H and summed
-    into a path.  Falls back to the Cholesky sampler with a warning if
-    the embedding fails.
+    into a path.
     """
     n, d = grid.n_steps, cfg.dim
     lam = _circulant_eigenvalues(cfg.hurst, n)
-    if lam is None:
-        warnings.warn(
-            "circulant embedding has a negative eigenvalue; "
-            "falling back to the cholesky sampler",
-            RuntimeWarning,
-        )
-        return _cholesky_paths(grid, cfg, rng, count)
     m = 2 * n
     draws = count * d
     rows = (draws + 1) // 2

@@ -24,11 +24,11 @@ replication with one matrix product or FFT and takes their I_eps from one
 ``ilt_epsilon`` call, unless the sampler's FFT buffer would exceed
 ``_SAMPLER_BLOCK_BYTES`` (8 MiB; for a full chunk, when d n > 1024); then
 it does so for consecutive sub-batches that fit, drawn in order from the
-chunk's stream.  Each chunk returns the count, mean and sum of squared
-deviations of I_eps and of I_eps^2, and the chunks are merged in index
-order with the pairwise update of Chan, Golub & LeVeque (1979), so
-results do not depend on the worker count and the variance does not
-cancel when it is small against the squared mean.
+chunk's stream.  Each chunk returns its I_eps values; they are joined in
+index order and both moments are taken once over the whole array, the
+variance from the deviations about the mean, so results do not depend on
+the worker count and the variance does not cancel when it is small
+against the squared mean.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -209,26 +208,9 @@ def grid_for_eps(eps, cfg: ModelConfig, m1=None) -> int:
     return hi
 
 
-def _moments(values):
-    """(count, mean, sum of squared deviations) of ``values``, two-pass."""
-    mean = float(np.mean(values))
-    dev = values - mean
-    return len(values), mean, float(dev @ dev)
-
-
-def _merge(a, b):
-    """Pairwise update of Chan, Golub & LeVeque (1979) for two
-    (count, mean, sum of squared deviations) triples."""
-    na, mean_a, m2_a = a
-    nb, mean_b, m2_b = b
-    n = na + nb
-    delta = mean_b - mean_a
-    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * (na * nb / n)
-
-
-def _chunk_moments(cfg, e, grid, seed, method, index, count):
-    """Moments of I_eps and of I_eps^2 over the ``count`` replications of
-    chunk ``index``, all drawn from the chunk's own stream."""
+def _chunk_values(cfg, e, grid, seed, method, index, count):
+    """I_eps of the ``count`` replications of chunk ``index``, all drawn
+    from the chunk's own stream."""
     rng = _as_generator(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     # bytes of one replication's circulant FFT buffer: its 2d draws take
     # d FFT rows of 2n complex128 entries
@@ -237,7 +219,7 @@ def _chunk_moments(cfg, e, grid, seed, method, index, count):
     for lo in range(0, count, batch):
         b = min(batch, count - lo)
         vals[lo:lo + b] = ilt_epsilon(sample_paths(grid, cfg, rng, 2 * b, method), grid, e)
-    return _moments(vals), _moments(vals * vals)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -278,16 +260,21 @@ def mc_moments(cfg: ModelConfig, eps, grid: TimeGrid, replications: int,
     ]
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            parts = list(pool.map(_chunk_moments, *zip(*chunks)))
+            parts = list(pool.map(_chunk_values, *zip(*chunks)))
     else:
-        parts = [_chunk_moments(*c) for c in chunks]
-    r, mean, m2_first = reduce(_merge, (first for first, _ in parts))
-    _, second, m2_second = reduce(_merge, (sq for _, sq in parts))
-    variance = m2_first / r
+        parts = [_chunk_values(*c) for c in chunks]
+    vals = np.concatenate(parts)
+    r = len(vals)
+    mean = float(np.mean(vals))
+    dev = vals - mean
+    variance = float(dev @ dev) / r
+    sq = vals * vals
+    second = float(np.mean(sq))
+    dev = sq - second
     return MomentEstimate(
         mean=mean, second_moment=second, variance=variance,
         se_mean=math.sqrt(variance / r),
-        se_second=math.sqrt(m2_second / r / r),
+        se_second=math.sqrt(float(dev @ dev) / r / r),
         replications=r, seed=seed,
         grid_n=grid.n_steps, pair_sums=r * (grid.n_steps + 1) ** 2,
     )

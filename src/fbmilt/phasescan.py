@@ -79,7 +79,7 @@ class EpsSchedule:
         return replace(self, eps0=eps0)
 
     def ladder(self) -> np.ndarray:  # of a schedule with eps0 set, as for_point returns
-        return self.eps0 * self.factor ** np.arange(self.count)
+        return _check_range("eps0", self.eps0, 0.0) * self.factor ** np.arange(self.count)
 
     @classmethod
     def default_for(cls, cfg: ModelConfig) -> "EpsSchedule":
@@ -136,10 +136,11 @@ def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
           mc_params: Optional[dict] = None, quad_rel_tol: Optional[float] = None) -> SweepSeries:
     """One row of quadrature moments per rung of schedule.for_point(cfg)
     (schedule defaults to EpsSchedule()), with a Monte Carlo estimate of
-    m1 alongside when ``mc_params`` is given (the keyword arguments of
-    mc_moments, plus "reps" and "grid_n"; without "grid_n", grid_for_eps
-    picks each row's grid from the row's m1).  m2 is integrated to
-    ``quad_rel_tol`` (default QUAD_REL_TOL).
+    m1 alongside when ``mc_params`` is given (mc_moments' keyword
+    arguments "replications", "seed", "method" and "workers", plus
+    "grid_n"; without "grid_n", grid_for_eps picks each row's grid from
+    the row's m1).  m2 is integrated to ``quad_rel_tol`` (default
+    QUAD_REL_TOL).
 
     Every rung's m1 comes from one 2D pass and every rung's m2 and Cauchy
     gap from one 4D pass per region, each over a shared mesh.  A row is
@@ -163,12 +164,7 @@ def sweep(cfg: ModelConfig, schedule: Optional[EpsSchedule] = None,
             if grid_n is None:
                 grid_n = grid_for_eps(eps, cfg, m1=a)
             grid = TimeGrid(horizon=cfg.horizon, n_steps=grid_n)
-            est = mc_moments(
-                cfg, eps, grid,
-                replications=params.pop("reps", 1000),
-                seed=params.pop("seed", 0),
-                **params,
-            )
+            est = mc_moments(cfg, eps, grid, **params)
             mc_mean, mc_se = est.mean, est.se_mean
         rows.append(SweepRow(
             eps=eps, m1=a.value, m1_err=a.error_estimate,

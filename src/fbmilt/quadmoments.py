@@ -116,13 +116,13 @@ class QuadratureResult:
     evaluations of all of them, ``subdivisions`` (a report's "cells")
     their cells, the starting ones plus two per split, and ``seconds`` the
     wall time of them all; a diverged result gives its innermost shell's.
-    ``seconds`` takes no part in equality.
+    ``seconds`` takes no part in equality.  A result is ``diverged`` when
+    it carries divergence shells.
     """
 
     value: float
     error_estimate: float
     subdivisions: int
-    diverged: bool = False
     divergence_evidence: Optional[str] = None
     status: str = "converged"
     nevals: int = 0
@@ -134,6 +134,10 @@ class QuadratureResult:
     shell_rate: Optional[float] = None
     radial_exponent: Optional[float] = None
     seconds: float = field(default=0.0, compare=False)
+
+    @property
+    def diverged(self) -> bool:
+        return self.shells is not None
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +306,7 @@ def _diverged(cfg, shells, widths, exponent, excluded):
     )
     return QuadratureResult(
         value=values[-1], error_estimate=math.inf, subdivisions=shells[-1].subdivisions,
-        diverged=True, divergence_evidence=evidence,
+        divergence_evidence=evidence,
         status=_status(shells), nevals=shells[-1].nevals,
         shells=shells, shell_widths=[float(w) for w in widths], shell_rate=rate,
         radial_exponent=exponent, seconds=shells[-1].seconds,
@@ -445,13 +449,14 @@ def _limit_integrand(cfg, region, widths, var):
     return on_slice
 
 
-def _moment_columns(cfg, abs_tol, rel_tol, max_evals, m2_eps=(), gaps=()):
+def _moment_columns(cfg, rel_tol, m2_eps=(), gaps=()):
     """The second-moment family at eps > 0: one 4D pass per region of
     _moment_integrand's columns (which see) from [0, 1/2, 1] on each axis,
-    times 4 (2 pi)^-d: {t largest} is a quarter of [0, T]^4."""
+    times 4 (2 pi)^-d: {t largest} is a quarter of [0, T]^4.  Absolute
+    tolerance _M2_ABS_TOL and budget _M2_MAX_EVALS."""
     init = [np.array([0.0, 0.5, 1.0])] * 4
     return _passes([(_moment_integrand(cfg, r, m2_eps, gaps), init) for r in "AB"],
-                   4.0 * (2.0 * math.pi) ** (-cfg.dim), abs_tol, rel_tol, max_evals)
+                   4.0 * (2.0 * math.pi) ** (-cfg.dim), _M2_ABS_TOL, rel_tol, _M2_MAX_EVALS)
 
 
 def m2(eps, cfg: ModelConfig, rel_tol=None):
@@ -461,7 +466,7 @@ def m2(eps, cfg: ModelConfig, rel_tol=None):
     _check_range("eps", eps, 0.0)
     if rel_tol is None:
         rel_tol = _M2_REL_TOL
-    (res,) = _moment_columns(cfg, _M2_ABS_TOL, rel_tol, _M2_MAX_EVALS, m2_eps=[eps])
+    (res,) = _moment_columns(cfg, rel_tol, m2_eps=[eps])
     return _require_converged(res, "m2")
 
 
@@ -476,8 +481,7 @@ def cauchy_gap(eps, eta, cfg: ModelConfig):
     """
     _check_range("eps", eps, 0.0)
     _check_range("eta", eta, 0.0)
-    (res,) = _moment_columns(cfg, _M2_ABS_TOL, _GAP_REL_TOL, _M2_MAX_EVALS,
-                             gaps=[(eps, eta)])
+    (res,) = _moment_columns(cfg, _GAP_REL_TOL, gaps=[(eps, eta)])
     return _require_converged(res, "cauchy_gap")
 
 
@@ -499,7 +503,7 @@ def m2_ladder(eps, cfg: ModelConfig, rel_tol=None):
     if rel_tol is None:
         rel_tol = _M2_REL_TOL
     tols = [rel_tol] * len(eps) + [_GAP_REL_TOL] * len(pairs)
-    res = _moment_columns(cfg, _M2_ABS_TOL, tols, _M2_MAX_EVALS, m2_eps=eps, gaps=pairs)
+    res = _moment_columns(cfg, tols, m2_eps=eps, gaps=pairs)
     return res[: len(eps)], [None] + res[len(eps):]
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import tracemalloc
 import warnings
@@ -307,6 +306,25 @@ class TestGridForEps:
             grid_for_eps(0.5, CFG)
 
 
+def _serial_pool(seen):
+    """A serial stand-in for ProcessPoolExecutor that records max_workers:
+    no process is started."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    return SerialPool
+
+
 class TestMcMoments:
     def test_replication_guard(self):
         with pytest.raises(ParameterError):
@@ -343,22 +361,8 @@ class TestMcMoments:
         assert est.second_moment == float(np.mean(vals * vals))
 
     def test_pool_capped_at_chunk_count(self, monkeypatch):
-        # a serial stand-in for the pool: no process is started
         seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(iltmc, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(iltmc, "ProcessPoolExecutor", _serial_pool(seen))
         grid = TimeGrid(1.0, 8)
         est = mc_moments(CFG, 1.0, grid, 2 * iltmc._CHUNK, seed=3, workers=64)
         assert seen == [2]
@@ -371,16 +375,32 @@ class TestMcMoments:
         )
         assert est.variance >= 0.0
 
-    def test_merge_is_stable(self):
-        # a spread far below the mean: s2/r - mean^2 loses every digit here
+    def test_variance_is_stable(self, monkeypatch):
+        # a spread far below the mean: s2/r - mean^2 loses every digit here.
+        # Three chunks, the last one partial; each takes the next of values
+        # in one ilt_epsilon call, and the chunks run in index order.
         rng = np.random.default_rng(2)
-        values = 1e6 + rng.normal(0.0, 1e-3, 1000)
-        bounds = [0, 1, 4, 260, 517, 518, 900, 1000]
-        parts = [iltmc._moments(values[a:b]) for a, b in zip(bounds, bounds[1:])]
-        count, mean, m2 = functools.reduce(iltmc._merge, parts)
-        assert count == 1000
-        assert mean == pytest.approx(values.mean(), rel=1e-15)
-        assert m2 / count == pytest.approx(np.var(values), rel=1e-6)
+        r = 2 * iltmc._CHUNK + 100
+        values = 1e6 + rng.normal(0.0, 1e-3, r)
+        taken = []
+
+        def next_values(paths, grid, eps):
+            lo = sum(taken)
+            taken.append(len(paths) // 2)
+            return values[lo:lo + taken[-1]]
+
+        monkeypatch.setattr(iltmc, "ilt_epsilon", next_values)
+        seen = []
+        monkeypatch.setattr(iltmc, "ProcessPoolExecutor", _serial_pool(seen))
+        grid = TimeGrid(1.0, 8)
+        est = mc_moments(CFG, 1.0, grid, r, seed=0)
+        assert taken == [iltmc._CHUNK, iltmc._CHUNK, 100]
+        assert est.replications == r
+        assert est.mean == pytest.approx(values.mean(), rel=1e-15)
+        assert est.variance == pytest.approx(np.var(values), rel=1e-12)
+        taken.clear()
+        assert mc_moments(CFG, 1.0, grid, r, seed=0, workers=3) == est
+        assert seen == [3]
 
     def test_se_scales_with_replications(self):
         grid = TimeGrid(1.0, 16)

@@ -41,6 +41,11 @@ class TestEpsSchedule:
             np.testing.assert_allclose([r.eps for r in pt.evidence.rows],
                                        start * 0.25 ** np.arange(6), rtol=1e-12)
 
+    def test_ladder_of_an_unset_eps0_names_it(self):
+        # this raised a bare TypeError from None * float
+        with pytest.raises(ParameterError, match="eps0"):
+            EpsSchedule().ladder()
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             EpsSchedule(eps0=0.0, factor=0.5, count=5)
@@ -133,7 +138,7 @@ class TestSweep:
     def test_with_mc_fills_estimates(self):
         series = sweep(
             ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 3),
-            mc_params={"reps": 200, "seed": 1, "grid_n": 32},
+            mc_params={"replications": 200, "seed": 1, "grid_n": 32},
         )
         for row in series.rows:
             assert math.isfinite(row.mc_mean)
@@ -152,7 +157,7 @@ class TestSweep:
 
         monkeypatch.setattr(quadmoments, "m1", counted)
         series = sweep(ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 4),
-                       mc_params={"reps": 20, "seed": 1})
+                       mc_params={"replications": 20, "seed": 1})
         assert calls == []
         assert all(math.isfinite(row.mc_mean) for row in series.rows)
 
@@ -160,7 +165,7 @@ class TestSweep:
         # a zero grid is an error, not a request for the default grid
         with pytest.raises(ParameterError):
             sweep(ModelConfig(0.5, 2), EpsSchedule(1.0, 0.5, 3),
-                  mc_params={"reps": 200, "seed": 1, "grid_n": 0})
+                  mc_params={"replications": 200, "seed": 1, "grid_n": 0})
 
 
 def _synthetic_series(eps, m1s, m2s):
